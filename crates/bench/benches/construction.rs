@@ -8,6 +8,7 @@ use solap_bench::plans::synthetic_spec;
 use solap_core::cb::CounterMode;
 use solap_core::{Engine, EngineConfig, Strategy};
 use solap_datagen::{generate_synthetic, SyntheticConfig};
+use solap_eventdb::build_sequence_groups;
 use solap_pattern::PatternKind;
 
 fn db(d: usize) -> solap_eventdb::EventDb {
@@ -69,5 +70,51 @@ fn bench_construction(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_construction);
+/// The construction kernels at `I100.L20.θ0.9.D8K` — the size of one
+/// `explore_cold` window — where a builder can iterate in seconds:
+/// steps 1–2, and the 3-rung join ladder `(X,Y) → (X,Y,Z,A,B)` under a
+/// slice on the top `(x, y)` cell. (`indexing` has the L2 base build,
+/// `matching` the counter scans.)
+fn bench_kernels_d8k(c: &mut Criterion) {
+    let data = db(8_000);
+    let mut g = c.benchmark_group("kernels-d8k");
+    g.sample_size(10);
+    let xy = synthetic_spec(&data, PatternKind::Substring, &["X", "Y"], 0).unwrap();
+    g.bench_function("select-cluster", |b| {
+        b.iter(|| {
+            build_sequence_groups(&data, &xy.seq)
+                .unwrap()
+                .total_sequences
+        })
+    });
+    g.bench_function("sliced-ladder-3", |b| {
+        b.iter_with_setup(
+            || {
+                let engine = Engine::with_config(
+                    data.clone(),
+                    EngineConfig {
+                        strategy: Strategy::InvertedIndex,
+                        use_cuboid_repo: false,
+                        ..Default::default()
+                    },
+                );
+                let top = engine.execute(&xy).unwrap().cuboid.top_k(1)[0].0.clone();
+                let mut sliced = synthetic_spec(
+                    &engine.db(),
+                    PatternKind::Substring,
+                    &["X", "Y", "Z", "A", "B"],
+                    0,
+                )
+                .unwrap();
+                sliced.pattern_slice.insert(0, (0, top.pattern[0]));
+                sliced.pattern_slice.insert(1, (0, top.pattern[1]));
+                (engine, sliced)
+            },
+            |(engine, sliced)| engine.execute(&sliced).unwrap().cuboid.len(),
+        )
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_construction, bench_kernels_d8k);
 criterion_main!(benches);

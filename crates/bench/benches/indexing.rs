@@ -10,11 +10,15 @@ use solap_index::{build_index, join::join, Bitmap, CompressedSidSet, SetBackend,
 use solap_pattern::{PatternKind, PatternTemplate};
 
 fn fixture() -> (solap_eventdb::EventDb, solap_eventdb::SequenceGroups) {
+    fixture_of(60, 2_000)
+}
+
+fn fixture_of(i: usize, d: usize) -> (solap_eventdb::EventDb, solap_eventdb::SequenceGroups) {
     let db = generate_synthetic(&SyntheticConfig {
-        i: 60,
+        i,
         l: 20.0,
         theta: 0.9,
-        d: 2_000,
+        d,
         seed: 5,
         hierarchy: false,
     })
@@ -85,7 +89,16 @@ fn bench_indexing(c: &mut Criterion) {
     )
     .unwrap();
     g.bench_function("join-l2-lyy", |b| {
-        b.iter(|| join(&l2, &lyy, txyy.signature(), |c| txyy.is_instantiation(c)).list_count())
+        b.iter(|| {
+            join(
+                &l2,
+                &lyy,
+                txyy.signature(),
+                |_, _| true,
+                |c| txyy.is_instantiation(c),
+            )
+            .list_count()
+        })
     });
     // Raw set intersection: sorted lists vs bitmaps.
     let a_ids: Vec<u32> = (0..20_000).step_by(3).collect();
@@ -95,13 +108,29 @@ fn bench_indexing(c: &mut Criterion) {
         SidSet::from_sorted(b_ids.clone()),
     );
     let (ba, bb) = (
-        SidSet::Bitmap(a_ids.iter().copied().collect::<Bitmap>()),
-        SidSet::Bitmap(b_ids.iter().copied().collect::<Bitmap>()),
+        SidSet::from(a_ids.iter().copied().collect::<Bitmap>()),
+        SidSet::from(b_ids.iter().copied().collect::<Bitmap>()),
     );
     let (ca, cb) = (
-        SidSet::Compressed(CompressedSidSet::from_sorted(a_ids)),
-        SidSet::Compressed(CompressedSidSet::from_sorted(b_ids)),
+        SidSet::from(CompressedSidSet::from_sorted(a_ids)),
+        SidSet::from(CompressedSidSet::from_sorted(b_ids)),
     );
+    // The L2 base build at I100.L20.θ0.9.D8K: one cold `explore_cold`
+    // SELECT's BUILDINDEX (152 K windows).
+    let (db8k, groups8k) = fixture_of(100, 8_000);
+    g.bench_function("build-l2-d8k", |b| {
+        b.iter(|| {
+            build_index(
+                &db8k,
+                groups8k.iter_sequences(),
+                &template(&["X", "Y"]),
+                SetBackend::Auto,
+            )
+            .unwrap()
+            .0
+            .list_count()
+        })
+    });
     g.bench_function("intersect-lists", |b| b.iter(|| la.intersect(&lb).len()));
     g.bench_function("intersect-bitmaps", |b| b.iter(|| ba.intersect(&bb).len()));
     g.bench_function("intersect-compressed", |b| {

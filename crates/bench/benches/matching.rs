@@ -3,16 +3,23 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use solap_bench::plans::synthetic_spec;
+use solap_core::cb::{counter_based, CounterMode};
+use solap_core::stats::ScanMeter;
 use solap_datagen::{generate_synthetic, SyntheticConfig};
 use solap_eventdb::{build_sequence_groups, AttrLevel, Pred, SeqQuerySpec, SortKey};
 use solap_pattern::{CellRestriction, MatchPred, Matcher, PatternKind, PatternTemplate};
 
 fn fixture() -> (solap_eventdb::EventDb, solap_eventdb::SequenceGroups) {
+    fixture_of(50, 500)
+}
+
+fn fixture_of(i: usize, d: usize) -> (solap_eventdb::EventDb, solap_eventdb::SequenceGroups) {
     let db = generate_synthetic(&SyntheticConfig {
-        i: 50,
+        i,
         l: 20.0,
         theta: 0.9,
-        d: 500,
+        d,
         seed: 7,
         hierarchy: false,
     })
@@ -88,5 +95,32 @@ fn bench_matching(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_matching);
+/// The counter scan at `I100.L20.θ0.9.D8K` (one `explore_cold` window):
+/// `(X,Y)` into the dense array, `(X,Y,Z,A,B)` — 10¹⁰ cells — into
+/// hashed counters.
+fn bench_cb_scan_d8k(c: &mut Criterion) {
+    let (db, groups) = fixture_of(100, 8_000);
+    let mut g = c.benchmark_group("cb-scan-d8k");
+    g.sample_size(10);
+    for (name, syms, mode) in [
+        ("xy-dense", &["X", "Y"][..], CounterMode::Dense),
+        (
+            "xyzab-hashed",
+            &["X", "Y", "Z", "A", "B"][..],
+            CounterMode::Hash,
+        ),
+    ] {
+        let spec = synthetic_spec(&db, PatternKind::Substring, syms, 0).unwrap();
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                counter_based(&db, &groups, &spec, mode, &mut ScanMeter::new())
+                    .unwrap()
+                    .len()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_matching, bench_cb_scan_d8k);
 criterion_main!(benches);

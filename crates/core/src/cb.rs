@@ -5,20 +5,24 @@
 //! but it rescans the **whole dataset on every query** — the weakness the
 //! inverted-index approach targets.
 //!
-//! Two counter layouts are provided: a hash map (always applicable) and a
-//! dense n-dimensional array (the paper's `C[v1, …, vn]`), used when every
-//! pattern dimension has a known finite domain and the cell space is small
-//! enough — the paper notes performance "may degrade when the number of
+//! Counters are addressed by the cell's packed code
+//! ([`solap_pattern::CellCodec`]): a dense array indexed by the code (the
+//! paper's `C[v1, …, vn]`) when every pattern dimension has a finite domain
+//! and the cell space is small enough, a hash map keyed by the code
+//! otherwise — the paper notes performance "may degrade when the number of
 //! counters far exceeds the amount of available memory", which the ablation
-//! benchmark reproduces.
+//! benchmark reproduces. One loop, `CellFold::scan_governed`, folds a sequence
+//! into the counters for every caller: the sequential scan, the parallel
+//! workers and the inverted-index executor's predicate pass.
 
 use std::collections::HashMap;
 
 use solap_eventdb::metrics::{self, Counter, Stage};
 use solap_eventdb::{
-    fail_point, panic_message, Error, EventDb, LevelValue, QueryGovernor, Result, SequenceGroups,
+    fail_point, panic_message, Error, EventDb, LevelValue, QueryGovernor, Result, Sequence,
+    SequenceGroups,
 };
-use solap_pattern::{AggFunc, AggState, Matcher};
+use solap_pattern::{AggFunc, AggState, AggValue, CellCodec, CellTable, Content, Matcher};
 
 use crate::cuboid::{CellKey, SCuboid};
 use crate::spec::SCuboidSpec;
@@ -64,6 +68,178 @@ pub(crate) fn cell_selected(db: &EventDb, spec: &SCuboidSpec, cell: &[LevelValue
     Ok(true)
 }
 
+/// What a cell accumulates during a scan: a bare counter for `COUNT(*)`
+/// (Figure 7 literally), the full [`AggState`] for the measure aggregates.
+pub(crate) trait Accumulator: Clone + PartialEq + Send {
+    /// The empty accumulator of `func`.
+    fn fresh(func: AggFunc) -> Self;
+    /// Folds one assignment in.
+    fn add(
+        &mut self,
+        db: &EventDb,
+        func: AggFunc,
+        seq: &Sequence,
+        content: Content<'_>,
+    ) -> Result<()>;
+    /// Combines with a partial accumulator of the same cell.
+    fn merge(&mut self, other: &Self);
+    /// The cell's value.
+    fn finish(&self) -> AggValue;
+}
+
+impl Accumulator for u64 {
+    fn fresh(_: AggFunc) -> Self {
+        0
+    }
+    fn add(&mut self, _: &EventDb, _: AggFunc, _: &Sequence, _: Content<'_>) -> Result<()> {
+        *self += 1;
+        Ok(())
+    }
+    fn merge(&mut self, other: &Self) {
+        *self += other;
+    }
+    fn finish(&self) -> AggValue {
+        AggValue::Count(*self)
+    }
+}
+
+impl Accumulator for AggState {
+    fn fresh(func: AggFunc) -> Self {
+        AggState::new(func)
+    }
+    fn add(
+        &mut self,
+        db: &EventDb,
+        func: AggFunc,
+        seq: &Sequence,
+        content: Content<'_>,
+    ) -> Result<()> {
+        self.update(db, func, seq, content)
+    }
+    fn merge(&mut self, other: &Self) {
+        AggState::merge(self, other);
+    }
+    fn finish(&self) -> AggValue {
+        AggState::finish(self)
+    }
+}
+
+/// Moves a sequence group's finished cells into the cuboid.
+pub(crate) fn insert_cells<A: Accumulator>(
+    cuboid: &mut SCuboid,
+    global: &[LevelValue],
+    cells: Vec<(Vec<LevelValue>, A)>,
+) {
+    for (pattern, acc) in cells {
+        let key = CellKey {
+            global: global.to_vec(),
+            pattern,
+        };
+        cuboid.cells.insert(key, acc.finish());
+    }
+}
+
+/// Runs `$body` with `$acc` bound to the accumulator type of `$agg`.
+macro_rules! with_accumulator {
+    ($agg:expr, $acc:ident => $body:expr) => {
+        match $agg {
+            solap_pattern::AggFunc::Count => {
+                type $acc = u64;
+                $body
+            }
+            _ => {
+                type $acc = solap_pattern::AggState;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_accumulator;
+
+/// The scan of Figure 7 over any set of sequences: one matcher, one
+/// `cell → accumulator` table per sequence group, one loop.
+///
+/// Governance: the matcher ticks once per candidate window; a newly
+/// materialised cell is charged as it appears, except in the dense layout,
+/// whose whole code space is charged when the group's table is allocated.
+pub(crate) struct CellFold<'a, A> {
+    db: &'a EventDb,
+    spec: &'a SCuboidSpec,
+    gov: &'a QueryGovernor,
+    matcher: Matcher<'a>,
+    dense: bool,
+    cells: Option<CellTable<A>>,
+    assignments: u64,
+}
+
+impl<'a, A: Accumulator> CellFold<'a, A> {
+    pub(crate) fn new(
+        db: &'a EventDb,
+        spec: &'a SCuboidSpec,
+        gov: &'a QueryGovernor,
+        dense: bool,
+    ) -> Self {
+        CellFold {
+            db,
+            spec,
+            gov,
+            matcher: Matcher::new(db, &spec.template, &spec.mpred).with_governor(gov),
+            dense,
+            cells: None,
+            assignments: 0,
+        }
+    }
+
+    /// Folds the assignments of one sequence into the current group's
+    /// cells.
+    pub(crate) fn scan_governed(&mut self, seq: &Sequence) -> Result<()> {
+        let (db, spec, gov, dense) = (self.db, self.spec, self.gov, self.dense);
+        let cells = match &mut self.cells {
+            Some(cells) => cells,
+            vacant => {
+                let codec = self.matcher.codec().clone();
+                if dense {
+                    // The dense array materialises the whole cell space at
+                    // once; charge it up front so a budget below the array
+                    // size rejects the allocation.
+                    gov.charge_cells(codec.space().unwrap_or(u64::MAX))?;
+                }
+                let slots = if dense { u64::MAX } else { 0 };
+                vacant.insert(CellTable::new(codec, slots, A::fresh(spec.agg)))
+            }
+        };
+        self.assignments +=
+            self.matcher
+                .for_each_assignment(seq, spec.restriction, |cell, content| {
+                    if !cell_selected(db, spec, cell)? {
+                        return Ok(());
+                    }
+                    let (acc, fresh) = cells.slot(cell);
+                    if fresh && !dense {
+                        gov.charge_cells(1)?;
+                    }
+                    acc.add(db, spec.agg, seq, content)
+                })?;
+        Ok(())
+    }
+
+    /// Ends the current sequence group: its non-empty cells, keys
+    /// materialised once each.
+    pub(crate) fn take_cells(&mut self) -> Vec<(Vec<LevelValue>, A)> {
+        self.cells
+            .take()
+            .map_or_else(Vec::new, CellTable::into_cells)
+    }
+
+    /// Flushes the scan's work counters into the query recorder.
+    pub(crate) fn record(&self) {
+        if let Some(rec) = self.gov.recorder() {
+            rec.add(Counter::PatternAssignments, self.assignments);
+            rec.add(Counter::MatchWindows, self.matcher.take_windows());
+        }
+    }
+}
+
 /// Runs the COUNTERBASED procedure over every sequence group, producing the
 /// `(q + n)`-dimensional S-cuboid. `meter` records scanned sequences.
 pub fn counter_based(
@@ -87,175 +263,51 @@ pub fn counter_based_governed(
     meter: &mut ScanMeter,
     gov: &QueryGovernor,
 ) -> Result<SCuboid> {
-    let dense_size = dense_cell_space(db, spec);
-    let use_dense = match mode {
+    let dense = match mode {
         CounterMode::Hash => false,
         CounterMode::Dense | CounterMode::Auto => {
             matches!(spec.agg, AggFunc::Count)
-                && dense_size.is_some_and(|s| s <= DENSE_CELL_LIMIT || mode == CounterMode::Dense)
+                && dense_cell_space(db, spec)
+                    .is_some_and(|s| s <= DENSE_CELL_LIMIT || mode == CounterMode::Dense)
         }
     };
-    let matcher = Matcher::new(db, &spec.template, &spec.mpred).with_governor(gov);
     let mut cuboid = SCuboid::new(
         spec.seq.group_by.clone(),
         spec.template.dims.clone(),
         spec.agg,
     );
-    let rec = gov.recorder();
-    let _span = metrics::span(rec, Stage::Aggregate);
-    let mut assignments: u64 = 0;
-    for group in &groups.groups {
-        if !group_selected(spec, &group.key) {
-            continue;
+    let _span = metrics::span(gov.recorder(), Stage::Aggregate);
+    with_accumulator!(spec.agg, A => {
+        let mut fold = CellFold::<A>::new(db, spec, gov, dense);
+        for group in &groups.groups {
+            if !group_selected(spec, &group.key) {
+                continue;
+            }
+            fail_point!("cb.group");
+            gov.check_now()?;
+            for seq in &group.sequences {
+                meter.touch(seq.sid);
+                fold.scan_governed(seq)?;
+            }
+            insert_cells(&mut cuboid, &group.key, fold.take_cells());
         }
-        fail_point!("cb.group");
-        gov.check_now()?;
-        assignments += if use_dense {
-            scan_group_dense(db, spec, &matcher, group, &mut cuboid, meter, gov)?
-        } else {
-            scan_group_hash(db, spec, &matcher, group, &mut cuboid, meter, gov)?
-        };
-    }
-    if let Some(rec) = rec {
-        rec.add(Counter::PatternAssignments, assignments);
-        rec.add(Counter::MatchWindows, matcher.take_windows());
-    }
+        fold.record();
+    });
     Ok(cuboid)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scan_group_hash(
-    db: &EventDb,
-    spec: &SCuboidSpec,
-    matcher: &Matcher<'_>,
-    group: &solap_eventdb::SequenceGroup,
-    cuboid: &mut SCuboid,
-    meter: &mut ScanMeter,
-    gov: &QueryGovernor,
-) -> Result<u64> {
-    let mut states: HashMap<Vec<LevelValue>, AggState> = HashMap::new();
-    let mut assignments: u64 = 0;
-    for seq in &group.sequences {
-        meter.touch(seq.sid);
-        let assigned = matcher.assignments(seq, spec.restriction)?;
-        assignments += assigned.len() as u64;
-        for a in assigned {
-            if !cell_selected(db, spec, &a.cell)? {
-                continue;
-            }
-            match states.entry(a.cell.clone()) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    gov.charge_cells(1)?;
-                    e.insert(AggState::new(spec.agg))
-                        .update(db, spec.agg, seq, &a)?;
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().update(db, spec.agg, seq, &a)?;
-                }
-            }
-        }
-    }
-    for (cell, state) in states {
-        cuboid.cells.insert(
-            CellKey {
-                global: group.key.clone(),
-                pattern: cell,
-            },
-            state.finish(),
-        );
-    }
-    Ok(assignments)
-}
-
-/// Figure 7 literally: initialise a dense `C[v1, …, vn]`, scan, increment.
-#[allow(clippy::too_many_arguments)]
-fn scan_group_dense(
-    db: &EventDb,
-    spec: &SCuboidSpec,
-    matcher: &Matcher<'_>,
-    group: &solap_eventdb::SequenceGroup,
-    cuboid: &mut SCuboid,
-    meter: &mut ScanMeter,
-    gov: &QueryGovernor,
-) -> Result<u64> {
-    let (strides, total) =
-        dense_strides(db, spec).expect("dense mode requires finite pattern domains");
-    // The dense array materialises the whole cell space at once; charge it
-    // up front so a budget below the array size rejects the allocation.
-    gov.charge_cells(total as u64)?;
-    let mut counters: Vec<u64> = vec![0; total];
-    let mut assignments: u64 = 0;
-    // solint: allow(governor-tick) whole dense cell space charged up front; assignments() ticks per candidate window
-    for seq in &group.sequences {
-        meter.touch(seq.sid);
-        let assigned = matcher.assignments(seq, spec.restriction)?;
-        assignments += assigned.len() as u64;
-        for a in assigned {
-            if !cell_selected(db, spec, &a.cell)? {
-                continue;
-            }
-            let idx: usize = a
-                .cell
-                .iter()
-                .zip(&strides)
-                .map(|(&v, &s)| v as usize * s)
-                .sum();
-            counters[idx] += 1;
-        }
-    }
-    let n = spec.template.n();
-    for (idx, &count) in counters.iter().enumerate() {
-        if count == 0 {
-            continue;
-        }
-        let mut cell = vec![0u64; n];
-        let mut rest = idx;
-        for d in 0..n {
-            cell[d] = (rest / strides[d]) as u64;
-            rest %= strides[d];
-        }
-        cuboid.cells.insert(
-            CellKey {
-                global: group.key.clone(),
-                pattern: cell,
-            },
-            solap_pattern::AggValue::Count(count),
-        );
-    }
-    Ok(assignments)
-}
-
-/// The dense cell-space size, if every pattern dimension has a finite
-/// domain.
+/// The dense cell-space size — one counter per packed cell code — if every
+/// pattern dimension has a finite domain.
 pub fn dense_cell_space(db: &EventDb, spec: &SCuboidSpec) -> Option<usize> {
-    let mut total: usize = 1;
-    for d in &spec.template.dims {
-        total = total.checked_mul(db.level_domain_size(d.attr, d.level)?)?;
-    }
-    Some(total)
-}
-
-fn dense_strides(db: &EventDb, spec: &SCuboidSpec) -> Option<(Vec<usize>, usize)> {
-    let sizes: Option<Vec<usize>> = spec
-        .template
-        .dims
-        .iter()
-        .map(|d| db.level_domain_size(d.attr, d.level))
-        .collect();
-    let sizes = sizes?;
-    let mut strides = vec![1usize; sizes.len()];
-    for d in (0..sizes.len().saturating_sub(1)).rev() {
-        strides[d] = strides[d + 1] * sizes[d + 1];
-    }
-    let total = sizes.first().map_or(1, |&s0| strides[0] * s0);
-    Some((strides, total))
+    let space = CellCodec::new(db, &spec.template.dims).space()?;
+    usize::try_from(space).ok()
 }
 
 /// A parallel variant of [`counter_based`] covering **every** aggregate
 /// function: the sequences of each group are sharded across `threads`
-/// workers, each folding a thread-local `cell → AggState` map and a
-/// thread-local [`ScanMeter`]; at join time the partial states are merged
-/// with [`AggState::merge`] and the meters absorbed into `meter`.
+/// workers, each folding a thread-local cell table and a thread-local
+/// [`ScanMeter`]; at join time the partial states are merged with
+/// [`AggState::merge`] and the meters absorbed into `meter`.
 ///
 /// Determinism: worker results are merged **in chunk order** (the order
 /// the shards were cut from the group's sid-sorted sequence list), so each
@@ -303,103 +355,82 @@ pub fn counter_based_parallel_governed(
         spec.agg,
     );
     for group in &groups.groups {
-        if !group_selected(spec, &group.key) {
-            continue;
-        }
-        if group.sequences.is_empty() {
+        if !group_selected(spec, &group.key) || group.sequences.is_empty() {
             continue;
         }
         fail_point!("cb.group");
         gov.check_now()?;
         let chunk = group.sequences.len().div_ceil(threads).max(1);
-        let rec = gov.recorder();
-        type Partial = (HashMap<Vec<LevelValue>, AggState>, ScanMeter);
-        let partials: Vec<Result<Partial>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = group
-                .sequences
-                .chunks(chunk)
-                .map(|seqs| {
-                    scope.spawn(move || -> Result<Partial> {
-                        fail_point!("cb.worker");
-                        // Per-worker observability: count into locals and
-                        // flush once at worker exit; the Aggregate stage
-                        // sums worker time (≈ CPU time, not wall clock).
-                        let worker_span = metrics::span(rec, Stage::Aggregate);
-                        if let Some(rec) = rec {
-                            rec.add(Counter::WorkersSpawned, 1);
-                        }
-                        let matcher =
-                            Matcher::new(db, &spec.template, &spec.mpred).with_governor(gov);
-                        let mut local: HashMap<Vec<LevelValue>, AggState> = HashMap::new();
-                        let mut local_meter = ScanMeter::new();
-                        let mut assignments: u64 = 0;
-                        for seq in seqs {
-                            local_meter.touch(seq.sid);
-                            let assigned = matcher.assignments(seq, spec.restriction)?;
-                            assignments += assigned.len() as u64;
-                            for a in assigned {
-                                if !cell_selected(db, spec, &a.cell)? {
-                                    continue;
-                                }
-                                match local.entry(a.cell.clone()) {
-                                    std::collections::hash_map::Entry::Vacant(e) => {
-                                        gov.charge_cells(1)?;
-                                        e.insert(AggState::new(spec.agg))
-                                            .update(db, spec.agg, seq, &a)?;
-                                    }
-                                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                                        e.get_mut().update(db, spec.agg, seq, &a)?;
-                                    }
-                                }
-                            }
-                        }
-                        if let Some(rec) = rec {
-                            rec.add(Counter::PatternAssignments, assignments);
-                            rec.add(Counter::MatchWindows, matcher.take_windows());
-                        }
-                        drop(worker_span);
-                        Ok((local, local_meter))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(r) => r,
-                    Err(p) => Err(Error::Internal(format!(
-                        "CB worker panicked: {}",
-                        panic_message(p.as_ref())
-                    ))),
-                })
-                .collect()
+        with_accumulator!(spec.agg, A => {
+            let cells = scan_sharded::<A>(db, spec, gov, group.sequences.chunks(chunk), meter)?;
+            insert_cells(&mut cuboid, &group.key, cells);
         });
-        // Surface the first worker error *before* absorbing any partial
-        // meter: a governor abort mid-merge must not leave the failed run's
-        // scan accounting behind in a caller-reused meter.
-        let partials: Vec<Partial> = partials.into_iter().collect::<Result<_>>()?;
-        let mut merged: HashMap<Vec<LevelValue>, AggState> = HashMap::new();
-        for (local, local_meter) in partials {
-            meter.absorb(&local_meter);
-            for (cell, state) in local {
-                merged
-                    .entry(cell)
-                    .or_insert_with(|| AggState::new(spec.agg))
-                    .merge(&state);
-            }
-        }
-        let mut cells: Vec<(Vec<LevelValue>, AggState)> = merged.into_iter().collect();
-        cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        for (cell, state) in cells {
-            cuboid.cells.insert(
-                CellKey {
-                    global: group.key.clone(),
-                    pattern: cell,
-                },
-                state.finish(),
-            );
-        }
     }
     Ok(cuboid)
+}
+
+/// One worker per shard, each a [`CellFold`] of its own; partial cells
+/// merged in shard order and returned in sorted key order.
+fn scan_sharded<'a, A: Accumulator>(
+    db: &EventDb,
+    spec: &SCuboidSpec,
+    gov: &QueryGovernor,
+    shards: impl Iterator<Item = &'a [Sequence]>,
+    meter: &mut ScanMeter,
+) -> Result<Vec<(Vec<LevelValue>, A)>> {
+    type Partial<A> = (Vec<(Vec<LevelValue>, A)>, ScanMeter);
+    let rec = gov.recorder();
+    let partials: Vec<Result<Partial<A>>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = shards
+            .map(|seqs| {
+                scope.spawn(move || -> Result<Partial<A>> {
+                    fail_point!("cb.worker");
+                    // Per-worker observability: count into locals and
+                    // flush once at worker exit; the Aggregate stage
+                    // sums worker time (≈ CPU time, not wall clock).
+                    let _worker_span = metrics::span(rec, Stage::Aggregate);
+                    if let Some(rec) = rec {
+                        rec.add(Counter::WorkersSpawned, 1);
+                    }
+                    let mut fold = CellFold::<A>::new(db, spec, gov, false);
+                    let mut local_meter = ScanMeter::new();
+                    for seq in seqs {
+                        local_meter.touch(seq.sid);
+                        fold.scan_governed(seq)?;
+                    }
+                    fold.record();
+                    Ok((fold.take_cells(), local_meter))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(r) => r,
+                Err(p) => Err(Error::Internal(format!(
+                    "CB worker panicked: {}",
+                    panic_message(p.as_ref())
+                ))),
+            })
+            .collect()
+    });
+    // Surface the first worker error *before* absorbing any partial
+    // meter: a governor abort mid-merge must not leave the failed run's
+    // scan accounting behind in a caller-reused meter.
+    let partials: Vec<Partial<A>> = partials.into_iter().collect::<Result<_>>()?;
+    let mut merged: HashMap<Vec<LevelValue>, A> = HashMap::new();
+    for (local, local_meter) in partials {
+        meter.absorb(&local_meter);
+        for (cell, acc) in local {
+            merged
+                .entry(cell)
+                .or_insert_with(|| A::fresh(spec.agg))
+                .merge(&acc);
+        }
+    }
+    let mut cells: Vec<(Vec<LevelValue>, A)> = merged.into_iter().collect();
+    cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    Ok(cells)
 }
 
 #[cfg(test)]

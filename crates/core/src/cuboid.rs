@@ -67,13 +67,14 @@ impl SCuboid {
         v
     }
 
-    /// The `k` largest cells by aggregate value, ties broken by key.
+    /// The `k` largest cells by aggregate value, ties broken by key. Values
+    /// are ranked by `f64::total_cmp` — a total order even when an AVG or
+    /// SUM over float measures is NaN, which then ranks above +∞.
     pub fn top_k(&self, k: usize) -> Vec<(&CellKey, &AggValue)> {
         let mut v: Vec<_> = self.cells.iter().collect();
         v.sort_by(|a, b| {
             b.1.as_f64()
-                .partial_cmp(&a.1.as_f64())
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&a.1.as_f64())
                 .then_with(|| a.0.cmp(b.0))
         });
         v.truncate(k);
@@ -215,6 +216,25 @@ mod tests {
         assert_eq!(top[0].1.as_f64(), 9.0);
         assert_eq!(top[1].1.as_f64(), 7.0);
         assert_eq!(c.top_k(100).len(), 3);
+    }
+
+    /// With `partial_cmp(..).unwrap_or(Equal)` a NaN compared equal to
+    /// everything, which is not transitive; `sort_by` may then panic or
+    /// order by luck.
+    #[test]
+    fn top_k_is_a_total_order_with_nan() {
+        let (_, mut c) = fixture();
+        let key = |p: &[u64]| CellKey {
+            global: vec![],
+            pattern: p.to_vec(),
+        };
+        c.cells.insert(key(&[0, 0]), AggValue::Float(f64::NAN));
+        c.cells.insert(key(&[1, 1]), AggValue::Float(f64::NAN));
+        c.cells.insert(key(&[2, 2]), AggValue::Float(8.0));
+        let top: Vec<_> = c.top_k(6).into_iter().map(|(k, _)| k.pattern[0]).collect();
+        // NaNs first (key order between them), then 9, 8, 7, 3.
+        assert_eq!(top, vec![0, 1, 2, 2, 0, 1]);
+        assert_eq!(c.top_k(6)[2].1.as_f64(), 9.0);
     }
 
     #[test]

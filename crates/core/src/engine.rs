@@ -691,12 +691,7 @@ impl Engine {
         let fresh_sids: HashSet<Sid> = new_sids.iter().copied().collect();
         let mut carried = 0;
         for (group_idx, group) in extended.groups.iter().enumerate() {
-            let key = IndexKey {
-                groups_fp: old_fp,
-                group_idx,
-                sig: sig.clone(),
-                slice_fp: 0,
-            };
+            let key = IndexKey::unsliced(old_fp, group_idx, sig.clone());
             let Some(base) = self.index_store.get(&key) else {
                 continue;
             };
@@ -714,15 +709,8 @@ impl Engine {
                     Err(_) => continue,
                 }
             };
-            self.index_store.insert(
-                IndexKey {
-                    groups_fp: new_fp,
-                    group_idx,
-                    sig: sig.clone(),
-                    slice_fp: 0,
-                },
-                next,
-            );
+            self.index_store
+                .insert(IndexKey::unsliced(new_fp, group_idx, sig.clone()), next);
             carried += 1;
         }
         carried
@@ -806,12 +794,8 @@ impl Engine {
         let gfp = groups_fp(spec, db.version());
         let sig = spec.template.signature();
         (2..=spec.template.m()).rev().any(|k| {
-            self.index_store.contains(&IndexKey {
-                groups_fp: gfp,
-                group_idx: 0,
-                sig: sig.prefix(k),
-                slice_fp: 0,
-            })
+            self.index_store
+                .contains(&IndexKey::unsliced(gfp, 0, sig.prefix(k)))
         })
     }
 

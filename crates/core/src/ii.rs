@@ -20,41 +20,22 @@ use std::sync::Arc;
 
 use solap_eventdb::metrics::{self, Counter, Stage};
 use solap_eventdb::{
-    fail_point, panic_message, Error, EventDb, QueryGovernor, Result, SequenceGroups,
+    fail_point, panic_message, Error, EventDb, LevelValue, QueryGovernor, Result, SequenceGroups,
 };
 use solap_index::{
     build_index_governed, join::join, join::rollup_merge, IndexKey, IndexStore, InvertedIndex,
     SetBackend,
 };
 use solap_pattern::{
-    AggFunc, AggState, CellRestriction, MatchPred, Matcher, PatternTemplate, TemplateSignature,
+    AggFunc, CellRestriction, MatchPred, Matcher, PatternTemplate, TemplateSignature,
 };
 
-use crate::cb::{cell_selected, group_selected};
-
-/// Per-position slice: `Some((slice_level, value))` fixes the value of a
-/// position (compared after rolling the position's value up to
-/// `slice_level`).
-pub type PosSlice = Vec<Option<(usize, solap_eventdb::LevelValue)>>;
-
-/// Fingerprint of the fixed positions of a slice (0 = unsliced).
-pub fn pos_slice_fp(pos: &PosSlice) -> u64 {
-    let fixed: Vec<(usize, usize, solap_eventdb::LevelValue)> = pos
-        .iter()
-        .enumerate()
-        .filter_map(|(p, s)| s.map(|(l, v)| (p, l, v)))
-        .collect();
-    if fixed.is_empty() {
-        return 0;
-    }
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    fixed.hash(&mut h);
-    h.finish().max(1)
-}
+use crate::cb::{group_selected, insert_cells, with_accumulator, Accumulator, CellFold};
 use crate::cuboid::{CellKey, SCuboid};
 use crate::spec::SCuboidSpec;
 use crate::stats::{ExecStats, ScanMeter};
+
+pub use solap_index::PosSlice;
 
 /// Executes S-OLAP queries over one sequence-group set using inverted
 /// indices cached in an [`IndexStore`].
@@ -113,13 +94,13 @@ impl<'a> IiExecutor<'a> {
         self.gov.unwrap_or(&self.fallback_gov)
     }
 
-    fn key(&self, group_idx: usize, sig: TemplateSignature, slice_fp: u64) -> IndexKey {
-        IndexKey {
-            groups_fp: self.groups_fp,
-            group_idx,
-            sig,
-            slice_fp,
-        }
+    fn key(
+        &self,
+        group_idx: usize,
+        sig: TemplateSignature,
+        slice: &[Option<(usize, LevelValue)>],
+    ) -> IndexKey {
+        IndexKey::new(self.groups_fp, group_idx, sig, slice)
     }
 
     /// Fetches or assembles `L_m^T` for one group (Figure 15 lines 5–9),
@@ -131,14 +112,7 @@ impl<'a> IiExecutor<'a> {
         meter: &mut ScanMeter,
         stats: &mut ExecStats,
     ) -> Result<Arc<InvertedIndex>> {
-        self.ensure_index_sliced(
-            group_idx,
-            template,
-            &vec![None; template.m()],
-            0,
-            meter,
-            stats,
-        )
+        self.ensure_index_sliced(group_idx, template, &[], meter, stats)
     }
 
     /// Fetches or assembles `L_m^T`, optionally restricted to a *position
@@ -146,58 +120,36 @@ impl<'a> IiExecutor<'a> {
     ///
     /// Slice-restricted assembly is what makes iterative queries after a
     /// slice cheap (Table 1's Qc touches 842 sequences, not 50,524): the
-    /// join ladder only materialises candidate lists compatible with the
-    /// slice, and the verification scan only visits their members. Sliced
-    /// indices are cached under the slice fingerprint; unsliced prefixes
-    /// are valid (superset) starting points.
+    /// ladder starts from the largest cached prefix whose own slice the
+    /// request refines, every rung prunes both join sides by the slice
+    /// before a candidate is formed, and the verification scan only visits
+    /// the survivors' members. Each rung is cached under the slice it was
+    /// restricted by.
     pub fn ensure_index_sliced(
         &self,
         group_idx: usize,
         template: &PatternTemplate,
-        pos_slice: &PosSlice,
-        slice_fp: u64,
+        pos_slice: &[Option<(usize, LevelValue)>],
         meter: &mut ScanMeter,
         stats: &mut ExecStats,
     ) -> Result<Arc<InvertedIndex>> {
         let sig = template.signature();
-        if slice_fp != 0 {
-            if let Some(ix) = self.store.get(&self.key(group_idx, sig.clone(), slice_fp)) {
-                return Ok(ix);
-            }
-        }
-        // A complete (unsliced) index answers any slice outright.
-        if let Some(ix) = self.store.get(&self.key(group_idx, sig.clone(), 0)) {
-            return Ok(ix);
-        }
         let m = sig.m();
-        if m <= 2 {
-            let full = self.build_base(group_idx, template, meter, stats)?;
-            return Ok(self.slice_filtered(group_idx, template, &sig, full, pos_slice, slice_fp));
-        }
-        // Find the largest available prefix to join from; build L_2 of the
-        // first two positions if nothing is cached.
+        // Start from the largest cached prefix (at length m: the index
+        // itself); build L_2 of the first two positions if there is none.
         let (mut current, mut k) =
             match self
                 .store
-                .largest_prefix(self.groups_fp, group_idx, &sig, slice_fp)
+                .largest_prefix(self.groups_fp, group_idx, &sig, pos_slice)
             {
-                Some((ix, k)) => (ix, k),
+                Some(found) => found,
                 None => {
-                    let prefix2 = PatternTemplate::from_signature(&sig.prefix(2));
-                    let full = self.build_base(group_idx, &prefix2, meter, stats)?;
-                    (
-                        self.slice_filtered(
-                            group_idx,
-                            template,
-                            &sig.prefix(2),
-                            full,
-                            pos_slice,
-                            slice_fp,
-                        ),
-                        2,
-                    )
+                    let base = PatternTemplate::from_signature(&sig.prefix(m.min(2)));
+                    (self.build_base(group_idx, &base, meter, stats)?, base.m())
                 }
             };
+        let matches_slice =
+            |pattern: &[LevelValue]| self.positions_match_slice(template, pos_slice, pattern);
         while k < m {
             let target_sig = sig.prefix(k + 1);
             let target_template = PatternTemplate::from_signature(&target_sig);
@@ -211,30 +163,35 @@ impl<'a> IiExecutor<'a> {
                     vec![0, 1]
                 },
             };
-            let pair_cached = self
-                .store
-                .contains(&self.key(group_idx, pair_sig.clone(), 0));
             // Two ways to climb one rung. With a cached pair index: the
             // Figure-15 join + verification scan. Without one: if the
-            // current (possibly sliced) index is selective, it is cheaper
-            // to rescan just its member sequences and enumerate their
-            // (k+1)-patterns directly than to build a full pair index —
-            // this is why Table 1's Qc builds **no** new base indices and
-            // touches only the sequences of the sliced lists.
-            let member_sids = {
+            // slice-compatible part of the current index is selective, it
+            // is cheaper to rescan just its member sequences and enumerate
+            // their (k+1)-patterns directly than to build a full pair
+            // index — this is why Table 1's Qc builds **no** new base
+            // indices and touches only the sequences of the sliced lists.
+            let members = if self
+                .store
+                .contains(&self.key(group_idx, pair_sig.clone(), &[]))
+            {
+                None
+            } else {
                 let mut seen = solap_index::Bitmap::new();
-                for set in current.lists.values() {
+                for (pattern, set) in &current.lists {
+                    if !matches_slice(pattern) {
+                        continue;
+                    }
                     for sid in set.iter() {
                         self.gov().tick()?;
                         seen.insert(sid);
                     }
                 }
-                seen
+                let group_size = self.groups.groups[group_idx].sequences.len();
+                (seen.len() * 2 < group_size).then_some(seen)
             };
-            let group_size = self.groups.groups[group_idx].sequences.len();
-            let verified = if !pair_cached && member_sids.len() * 2 < group_size {
+            let verified = if let Some(members) = members {
                 let _span = metrics::span(self.gov().recorder(), Stage::IndexBuild);
-                let mut sids: Vec<u32> = member_sids.iter().collect();
+                let mut sids: Vec<u32> = members.iter().collect();
                 sids.sort_unstable();
                 // solint: allow(governor-tick) O(1) meter touch per sid; the collection pass above ticked every posting
                 for &sid in &sids {
@@ -244,30 +201,27 @@ impl<'a> IiExecutor<'a> {
                     .iter()
                     .map(|&s| self.groups.sequence(s))
                     .collect::<Result<Vec<_>>>()?;
-                let (raw, _) = build_index_governed(
+                let (mut raw, _) = build_index_governed(
                     self.db,
                     seqs,
                     &target_template,
                     self.backend,
                     self.gov(),
                 )?;
-                let mut filtered = InvertedIndex::new(target_sig.clone(), raw.backend);
-                // solint: allow(governor-tick) filters the list set of the governed build just above; bounded by its output
-                for (key, set) in raw.lists {
-                    if self.positions_match_slice(template, pos_slice, &key) {
-                        filtered.lists.insert(key, set);
-                    }
-                }
-                filtered
+                raw.lists.retain(|pattern, _| matches_slice(pattern));
+                raw
             } else {
                 let pair_template = PatternTemplate::from_signature(&pair_sig);
                 let pair_index = self.ensure_index(group_idx, &pair_template, meter, stats)?;
                 let candidate = {
                     let _span = metrics::span(self.gov().recorder(), Stage::IndexJoin);
-                    join(&current, &pair_index, target_sig.clone(), |c| {
-                        target_template.is_instantiation(c)
-                            && self.positions_match_slice(template, pos_slice, c)
-                    })
+                    join(
+                        &current,
+                        &pair_index,
+                        target_sig.clone(),
+                        |p, v| self.slice_admits(template, pos_slice, p, v),
+                        |c| target_template.is_instantiation(c),
+                    )
                 };
                 stats.index_joins += 1;
                 self.verify(candidate, &target_template, meter)?
@@ -276,71 +230,58 @@ impl<'a> IiExecutor<'a> {
             stats.indices_built += 1;
             stats.index_bytes_built += verified.heap_bytes();
             self.store.insert(
-                self.key(group_idx, target_sig, slice_fp),
+                self.key(group_idx, target_sig, pos_slice),
                 Arc::clone(&verified),
             );
             current = verified;
             k += 1;
         }
-        Ok(current)
+        // What was found may be complete for a coarser slice than asked
+        // (the unsliced index at worst): cut it down, don't rebuild it.
+        let sliced = pos_slice.iter().any(Option::is_some);
+        if !sliced || current.lists.keys().all(|pattern| matches_slice(pattern)) {
+            return Ok(current);
+        }
+        let mut cut = InvertedIndex::new(current.sig.clone(), current.backend);
+        // solint: allow(governor-tick) filters a cached index; bounded by its list count
+        for (pattern, set) in &current.lists {
+            if matches_slice(pattern) {
+                cut.lists.insert(pattern.clone(), set.clone());
+            }
+        }
+        Ok(Arc::new(cut))
     }
 
-    /// Whether a (possibly partial) pattern respects the position slice:
-    /// each fixed position's value, rolled up to the slice level, must
-    /// equal the slice value. Positions beyond the pattern length pass.
+    /// Whether value `v` may stand at position `p` under the position
+    /// slice: a fixed position's value, rolled up to the slice level, must
+    /// equal the slice value. Free positions admit everything.
+    fn slice_admits(
+        &self,
+        template: &PatternTemplate,
+        pos_slice: &[Option<(usize, LevelValue)>],
+        p: usize,
+        v: LevelValue,
+    ) -> bool {
+        let Some(&Some((slice_level, want))) = pos_slice.get(p) else {
+            return true;
+        };
+        let dim = template.dim_at(p);
+        self.db
+            .map_up(dim.attr, dim.level, v, slice_level)
+            .is_ok_and(|at_level| at_level == want)
+    }
+
+    /// Whether a (possibly partial) pattern respects the position slice.
     fn positions_match_slice(
         &self,
         template: &PatternTemplate,
-        pos_slice: &PosSlice,
-        pattern: &[solap_eventdb::LevelValue],
+        pos_slice: &[Option<(usize, LevelValue)>],
+        pattern: &[LevelValue],
     ) -> bool {
-        for (p, &v) in pattern.iter().enumerate() {
-            let Some(&Some((slice_level, want))) = pos_slice.get(p).as_ref().map(|x| *x) else {
-                continue;
-            };
-            let dim = template.dim_at(p);
-            let at_level = if slice_level == dim.level {
-                v
-            } else {
-                match self.db.map_up(dim.attr, dim.level, v, slice_level) {
-                    Ok(x) => x,
-                    Err(_) => return false,
-                }
-            };
-            if at_level != want {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Derives (and caches) the slice-restricted subset of a full index.
-    fn slice_filtered(
-        &self,
-        group_idx: usize,
-        template: &PatternTemplate,
-        sig: &TemplateSignature,
-        full: Arc<InvertedIndex>,
-        pos_slice: &PosSlice,
-        slice_fp: u64,
-    ) -> Arc<InvertedIndex> {
-        let relevant = pos_slice.iter().take(sig.m()).any(Option::is_some);
-        if slice_fp == 0 || !relevant {
-            return full;
-        }
-        let mut filtered = InvertedIndex::new(sig.clone(), full.backend);
-        // solint: allow(governor-tick) infallible path (no Result to abort through); bounded by the cached index's list count
-        for (k, v) in &full.lists {
-            if self.positions_match_slice(template, pos_slice, k) {
-                filtered.lists.insert(k.clone(), v.clone());
-            }
-        }
-        let filtered = Arc::new(filtered);
-        self.store.insert(
-            self.key(group_idx, sig.clone(), slice_fp),
-            Arc::clone(&filtered),
-        );
-        filtered
+        pattern
+            .iter()
+            .enumerate()
+            .all(|(p, &v)| self.slice_admits(template, pos_slice, p, v))
     }
 
     /// BUILDINDEX over the group's sequences (used for `m ≤ 2` bases).
@@ -381,7 +322,7 @@ impl<'a> IiExecutor<'a> {
         stats.indices_built += 1;
         stats.index_bytes_built += index.heap_bytes();
         self.store.insert(
-            self.key(group_idx, template.signature(), 0),
+            self.key(group_idx, template.signature(), &[]),
             Arc::clone(&index),
         );
         Ok(index)
@@ -425,17 +366,7 @@ impl<'a> IiExecutor<'a> {
         for partial in partials {
             // Shard order = ascending sid ranges, so per-pattern pushes
             // arrive in the same nondecreasing sid order as a full scan.
-            // solint: allow(governor-tick) parallel-only merge: ticking here would make tick counts thread-dependent; the workers ticked every event
-            for (pattern, set) in partial?.lists {
-                let slot = merged
-                    .lists
-                    .entry(pattern)
-                    .or_insert_with(|| self.backend.empty());
-                // solint: allow(governor-tick) same parallel-only merge: worker builds already ticked these postings
-                for sid in set.iter() {
-                    slot.push(sid);
-                }
-            }
+            merged.append(partial?);
         }
         // Canonicalize exactly like the sequential build does, so the
         // sharded merge is byte-identical (and heap accounting agrees).
@@ -444,19 +375,13 @@ impl<'a> IiExecutor<'a> {
     }
 
     /// Expands a spec's per-dimension pattern slice into a per-position
-    /// slice — `(slice level, value)` per fixed position — and its
-    /// fingerprint (0 when empty). The fingerprint hashes the fixed
-    /// `(position, level, value)` set only, so a prefix of a longer
-    /// template with the same fixed positions shares cached sliced indices.
-    pub fn position_slice(spec: &SCuboidSpec) -> (PosSlice, u64) {
-        let m = spec.template.m();
-        let mut pos: PosSlice = vec![None; m];
-        for (p, &d) in spec.template.symbols.iter().enumerate() {
-            if let Some(&(level, v)) = spec.pattern_slice.get(&d) {
-                pos[p] = Some((level, v));
-            }
-        }
-        (pos.clone(), pos_slice_fp(&pos))
+    /// slice — `(slice level, value)` per fixed position.
+    pub fn position_slice(spec: &SCuboidSpec) -> PosSlice {
+        spec.template
+            .symbols
+            .iter()
+            .map(|d| spec.pattern_slice.get(d).copied())
+            .collect()
     }
 
     /// Eliminates false positives from a joined candidate index by scanning
@@ -503,12 +428,22 @@ impl<'a> IiExecutor<'a> {
         meter: &mut ScanMeter,
         stats: &mut ExecStats,
     ) -> Result<SCuboid> {
+        with_accumulator!(spec.agg, A => self.execute_as::<A>(spec, meter, stats))
+    }
+
+    fn execute_as<A: Accumulator>(
+        &self,
+        spec: &SCuboidSpec,
+        meter: &mut ScanMeter,
+        stats: &mut ExecStats,
+    ) -> Result<SCuboid> {
         let mut cuboid = SCuboid::new(
             spec.seq.group_by.clone(),
             spec.template.dims.clone(),
             spec.agg,
         );
-        let matcher = Matcher::new(self.db, &spec.template, &spec.mpred).with_governor(self.gov());
+        let mut fold = CellFold::<A>::new(self.db, spec, self.gov(), false);
+        let pos_slice = Self::position_slice(spec);
         // Counting needs no sequence access at all when the predicate is
         // trivial, the restriction is left-maximality and we only COUNT:
         // every sid in a (verified) list contains the pattern, contributing
@@ -522,32 +457,19 @@ impl<'a> IiExecutor<'a> {
                 continue;
             }
             self.gov().check_now()?;
-            let (pos_slice, slice_fp) = Self::position_slice(spec);
-            let index = self.ensure_index_sliced(
-                group_idx,
-                &spec.template,
-                &pos_slice,
-                slice_fp,
-                meter,
-                stats,
-            )?;
-            for (pattern, sids) in index.iter_sorted() {
-                let cell = spec.template.cell_of(pattern);
-                if !cell_selected(self.db, spec, &cell)? {
-                    continue;
-                }
-                let key = CellKey {
-                    global: group.key.clone(),
-                    pattern: cell.clone(),
-                };
-                if count_by_len {
-                    self.gov().charge_cells(1)?;
-                    cuboid
-                        .cells
-                        .insert(key, solap_pattern::AggValue::Count(sids.len() as u64));
-                }
-            }
+            // Restricted to the pattern slice: every list is a cell asked for.
+            let index =
+                self.ensure_index_sliced(group_idx, &spec.template, &pos_slice, meter, stats)?;
             if count_by_len {
+                for (pattern, sids) in &index.lists {
+                    self.gov().charge_cells(1)?;
+                    let key = CellKey {
+                        global: group.key.clone(),
+                        pattern: spec.template.cell_of(pattern),
+                    };
+                    let count = solap_pattern::AggValue::Count(sids.len() as u64);
+                    cuboid.cells.insert(key, count);
+                }
                 continue;
             }
             // Restriction/predicate verification: scan each indexed
@@ -555,57 +477,20 @@ impl<'a> IiExecutor<'a> {
             // sequences the lists mention) and fold its assignments — far
             // cheaper than re-enumerating occurrences per (cell, sid).
             let mut indexed = solap_index::Bitmap::new();
-            for (pattern, sids) in index.iter_sorted() {
-                let cell = spec.template.cell_of(pattern);
-                if !cell_selected(self.db, spec, &cell)? {
-                    continue;
-                }
+            for sids in index.lists.values() {
                 for sid in sids.iter() {
                     self.gov().tick()?;
                     indexed.insert(sid);
                 }
             }
             let _fold_span = metrics::span(self.gov().recorder(), Stage::Aggregate);
-            let mut states: std::collections::HashMap<Vec<solap_eventdb::LevelValue>, AggState> =
-                std::collections::HashMap::new();
-            let mut assignments: u64 = 0;
             for sid in indexed.iter() {
                 meter.touch(sid);
-                let seq = self.groups.sequence(sid)?;
-                let assigned = matcher.assignments(seq, spec.restriction)?;
-                assignments += assigned.len() as u64;
-                for a in assigned {
-                    if !cell_selected(self.db, spec, &a.cell)? {
-                        continue;
-                    }
-                    match states.entry(a.cell.clone()) {
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            self.gov().charge_cells(1)?;
-                            e.insert(AggState::new(spec.agg))
-                                .update(self.db, spec.agg, seq, &a)?;
-                        }
-                        std::collections::hash_map::Entry::Occupied(mut e) => {
-                            e.get_mut().update(self.db, spec.agg, seq, &a)?;
-                        }
-                    }
-                }
+                fold.scan_governed(self.groups.sequence(sid)?)?;
             }
-            for (cell, state) in states {
-                cuboid.cells.insert(
-                    CellKey {
-                        global: group.key.clone(),
-                        pattern: cell,
-                    },
-                    state.finish(),
-                );
-            }
-            if let Some(rec) = self.gov().recorder() {
-                rec.add(Counter::PatternAssignments, assignments);
-            }
+            insert_cells(&mut cuboid, &group.key, fold.take_cells());
         }
-        if let Some(rec) = self.gov().recorder() {
-            rec.add(Counter::MatchWindows, matcher.take_windows());
-        }
+        fold.record();
         Ok(cuboid)
     }
 
@@ -637,12 +522,12 @@ impl<'a> IiExecutor<'a> {
         for group_idx in 0..self.groups.groups.len() {
             if self
                 .store
-                .contains(&self.key(group_idx, new_sig.clone(), 0))
+                .contains(&self.key(group_idx, new_sig.clone(), &[]))
             {
                 continue;
             }
             self.gov().check_now()?;
-            let Some(ix) = self.store.get(&self.key(group_idx, prev_sig.clone(), 0)) else {
+            let Some(ix) = self.store.get(&self.key(group_idx, prev_sig.clone(), &[])) else {
                 return Ok(false);
             };
             let mut merged = rollup_merge(&ix, new_sig.clone(), |pos, v| {
@@ -658,7 +543,7 @@ impl<'a> IiExecutor<'a> {
             stats.indices_built += 1;
             stats.index_bytes_built += merged.heap_bytes();
             self.store
-                .insert(self.key(group_idx, new_sig.clone(), 0), merged);
+                .insert(self.key(group_idx, new_sig.clone(), &[]), merged);
         }
         Ok(true)
     }
@@ -686,20 +571,20 @@ impl<'a> IiExecutor<'a> {
                 return Ok(false);
             }
         }
-        let (pos_slice, slice_fp) = Self::position_slice(new_spec);
+        let pos_slice = Self::position_slice(new_spec);
         let prev_sig = prev.signature();
         let new_sig = new.signature();
         for group_idx in 0..self.groups.groups.len() {
             if self
                 .store
-                .contains(&self.key(group_idx, new_sig.clone(), slice_fp))
+                .contains(&self.key(group_idx, new_sig.clone(), &pos_slice))
                 || self
                     .store
-                    .contains(&self.key(group_idx, new_sig.clone(), 0))
+                    .contains(&self.key(group_idx, new_sig.clone(), &[]))
             {
                 continue;
             }
-            let Some(coarse) = self.store.get(&self.key(group_idx, prev_sig.clone(), 0)) else {
+            let Some(coarse) = self.store.get(&self.key(group_idx, prev_sig.clone(), &[])) else {
                 return Ok(false);
             };
             // A sequence containing a fine pattern necessarily contains its
@@ -708,7 +593,7 @@ impl<'a> IiExecutor<'a> {
             let mut sids: Vec<u32> = Vec::new();
             let mut seen = solap_index::Bitmap::new();
             for (pattern, set) in &coarse.lists {
-                if slice_fp != 0 && !self.positions_match_slice(prev, &pos_slice, pattern) {
+                if !self.positions_match_slice(prev, &pos_slice, pattern) {
                     continue;
                 }
                 for sid in set.iter() {
@@ -729,27 +614,16 @@ impl<'a> IiExecutor<'a> {
                 meter.touch(sid);
             }
             let _span = metrics::span(self.gov().recorder(), Stage::IndexBuild);
-            let (unfiltered, _) =
-                build_index_governed(self.db, seqs, new, self.backend, self.gov())?;
+            let (mut fine, _) = build_index_governed(self.db, seqs, new, self.backend, self.gov())?;
             // Keep only fine lists compatible with the slice (the scan
             // enumerated every pattern of the visited sequences).
-            let fine = if slice_fp == 0 {
-                unfiltered
-            } else {
-                let mut f = InvertedIndex::new(new_sig.clone(), unfiltered.backend);
-                // solint: allow(governor-tick) filters the list set of the governed rescan just above; bounded by its output
-                for (k, v) in unfiltered.lists {
-                    if self.positions_match_slice(new, &pos_slice, &k) {
-                        f.lists.insert(k, v);
-                    }
-                }
-                f
-            };
+            fine.lists
+                .retain(|pattern, _| self.positions_match_slice(new, &pos_slice, pattern));
             let fine = Arc::new(fine);
             stats.indices_built += 1;
             stats.index_bytes_built += fine.heap_bytes();
             self.store
-                .insert(self.key(group_idx, new_sig.clone(), slice_fp), fine);
+                .insert(self.key(group_idx, new_sig.clone(), &pos_slice), fine);
         }
         Ok(true)
     }
@@ -779,12 +653,12 @@ impl<'a> IiExecutor<'a> {
         for group_idx in 0..self.groups.groups.len() {
             if self
                 .store
-                .contains(&self.key(group_idx, new_sig.clone(), 0))
+                .contains(&self.key(group_idx, new_sig.clone(), &[]))
             {
                 continue;
             }
             self.gov().check_now()?;
-            let Some(prev_ix) = self.store.get(&self.key(group_idx, prev_sig.clone(), 0)) else {
+            let Some(prev_ix) = self.store.get(&self.key(group_idx, prev_sig.clone(), &[])) else {
                 return Ok(false);
             };
             let pair_sig = TemplateSignature {
@@ -800,16 +674,20 @@ impl<'a> IiExecutor<'a> {
             let pair_index = self.ensure_index(group_idx, &pair_template, meter, stats)?;
             let candidate = {
                 let _span = metrics::span(self.gov().recorder(), Stage::IndexJoin);
-                join(&pair_index, &prev_ix, new_sig.clone(), |c| {
-                    new.is_instantiation(c)
-                })
+                join(
+                    &pair_index,
+                    &prev_ix,
+                    new_sig.clone(),
+                    |_, _| true,
+                    |c| new.is_instantiation(c),
+                )
             };
             stats.index_joins += 1;
             let verified = Arc::new(self.verify(candidate, new, meter)?);
             stats.indices_built += 1;
             stats.index_bytes_built += verified.heap_bytes();
             self.store
-                .insert(self.key(group_idx, new_sig.clone(), 0), verified);
+                .insert(self.key(group_idx, new_sig.clone(), &[]), verified);
         }
         Ok(true)
     }

@@ -23,8 +23,8 @@ use solap_eventdb::{
     build_sequence_groups, Error, EventDb, LevelValue, Result, RowId, SeqQuerySpec, Sequence,
     SequenceGroups,
 };
-use solap_index::InvertedIndex;
-use solap_pattern::{MatchPred, Matcher, PatternTemplate};
+use solap_index::{build_index, InvertedIndex};
+use solap_pattern::PatternTemplate;
 
 /// Appends sequences to an inverted index in place-by-copy: the returned
 /// index contains the old lists plus entries for `new_sequences`. New sids
@@ -51,14 +51,9 @@ pub fn extend_index(
             bad.sid, max_old
         )));
     }
-    let trivial = MatchPred::True;
-    let matcher = Matcher::new(db, template, &trivial);
+    let (fresh, _) = build_index(db, new_sequences, template, base.backend)?;
     let mut out = base.clone();
-    for seq in new_sequences {
-        matcher.for_each_unique_pattern(seq, |pattern| {
-            out.add(pattern, seq.sid);
-        })?;
-    }
+    out.append(fresh);
     Ok(out)
 }
 
@@ -216,7 +211,7 @@ pub fn rebuild_reference(db: &EventDb, spec: &SeqQuerySpec) -> Result<SequenceGr
 mod tests {
     use super::*;
     use solap_eventdb::{AttrLevel, ColumnType, EventDbBuilder, Pred, SortKey, Value};
-    use solap_index::{build_index, SetBackend};
+    use solap_index::SetBackend;
     use solap_pattern::PatternKind;
 
     fn db_with_days(days: &[&[(&str, i64)]]) -> EventDb {

@@ -69,6 +69,6 @@ pub use plan::{
     QueryPlan,
 };
 pub use repo::{RepoStats, RetentionPolicy};
-pub use session::{HistoryEntry, Session};
+pub use session::{HistoryEntry, Session, HISTORY_CAP};
 pub use spec::SCuboidSpec;
 pub use stats::ExecStats;

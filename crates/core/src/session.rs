@@ -14,6 +14,7 @@
 //! disconnects, without disturbing other sessions). The REPL, the `--eval`
 //! script mode and every server connection each own exactly one session.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use solap_eventdb::{Error, Result};
@@ -23,6 +24,11 @@ use crate::engine::{Engine, EngineConfig, QueryOutput};
 use crate::ops::Op;
 use crate::spec::SCuboidSpec;
 use crate::stats::ExecStats;
+
+/// How many steps of history a session keeps. A connection may live for
+/// millions of statements; `back()` and `.history` work within the most
+/// recent `HISTORY_CAP` of them.
+pub const HISTORY_CAP: usize = 1024;
 
 /// One step of a session's history.
 #[derive(Debug, Clone)]
@@ -44,7 +50,10 @@ pub struct Session {
     config: EngineConfig,
     current: Option<SCuboidSpec>,
     cuboid: Option<Arc<SCuboid>>,
-    history: Vec<HistoryEntry>,
+    /// The last [`HISTORY_CAP`] steps, oldest first.
+    history: VecDeque<HistoryEntry>,
+    /// Steps that aged out of `history`.
+    forgotten: u64,
 }
 
 impl Session {
@@ -60,7 +69,8 @@ impl Session {
             config,
             current: None,
             cuboid: None,
-            history: Vec::new(),
+            history: VecDeque::new(),
+            forgotten: 0,
         }
     }
 
@@ -103,9 +113,25 @@ impl Session {
         &mut self.config
     }
 
-    /// The history, oldest first.
-    pub fn history(&self) -> &[HistoryEntry] {
+    /// The remembered history — the last [`HISTORY_CAP`] steps — oldest
+    /// first.
+    pub fn history(&self) -> &VecDeque<HistoryEntry> {
         &self.history
+    }
+
+    /// How many older steps have aged out of [`Session::history`]; when
+    /// non-zero, `back()` stops at the oldest remembered step, not at the
+    /// session's first query.
+    pub fn history_forgotten(&self) -> u64 {
+        self.forgotten
+    }
+
+    fn remember(&mut self, entry: HistoryEntry) {
+        if self.history.len() == HISTORY_CAP {
+            self.history.pop_front();
+            self.forgotten += 1;
+        }
+        self.history.push_back(entry);
     }
 
     /// The current spec, or a typed error for surfaces that need one.
@@ -121,7 +147,7 @@ impl Session {
         let (spec, out) = self
             .engine
             .execute_op_configured(&prev, &op, &self.config)?;
-        self.history.push(HistoryEntry {
+        self.remember(HistoryEntry {
             op: Some(op.name().to_owned()),
             spec: spec.clone(),
             stats: out.stats.clone(),
@@ -135,7 +161,7 @@ impl Session {
     /// specification).
     pub fn query(&mut self, spec: SCuboidSpec) -> Result<QueryOutput> {
         let out = self.engine.execute_configured(&spec, &self.config)?;
-        self.history.push(HistoryEntry {
+        self.remember(HistoryEntry {
             op: if self.history.is_empty() {
                 None
             } else {
@@ -166,13 +192,14 @@ impl Session {
     }
 
     /// Steps back to the previous specification (re-executing it — usually
-    /// a cuboid-repository hit). Returns `false` at the start of history.
+    /// a cuboid-repository hit). Returns `false` at the start of the
+    /// remembered history (see [`Session::history_forgotten`]).
     pub fn back(&mut self) -> Result<bool> {
         if self.history.len() < 2 {
             return Ok(false);
         }
-        self.history.pop();
-        let spec = self.history.last().expect("non-empty").spec.clone();
+        self.history.pop_back();
+        let spec = self.history.back().expect("non-empty").spec.clone();
         let out = self.engine.execute_configured(&spec, &self.config)?;
         self.current = Some(spec);
         self.cuboid = Some(Arc::clone(&out.cuboid));
@@ -258,6 +285,32 @@ mod tests {
         assert!(s.back().unwrap());
         assert_eq!(s.spec().unwrap().fingerprint(), before);
         assert!(!s.back().unwrap(), "cannot step before the initial query");
+    }
+
+    #[test]
+    fn history_keeps_the_last_steps_of_a_long_session() {
+        let e = engine();
+        let spec = initial(&e.db());
+        let mut s = Session::start(e, spec).unwrap();
+        let extra = 7;
+        for i in 0..(HISTORY_CAP + extra - 1) {
+            s.apply(Op::SetMinSupport(Some(1 + (i % 2) as u64)))
+                .unwrap();
+        }
+        assert_eq!(s.history().len(), HISTORY_CAP);
+        assert_eq!(s.history_forgotten(), extra as u64);
+        assert_eq!(s.history()[0].op.as_deref(), Some("MIN-SUPPORT"));
+        // Stepping back works within the window and stops at its edge.
+        let mut steps = 0;
+        while s.back().unwrap() {
+            steps += 1;
+        }
+        assert_eq!(steps, HISTORY_CAP - 1);
+        assert_eq!(s.history().len(), 1);
+        assert!(
+            s.spec().unwrap().min_support.is_some(),
+            "not the first query"
+        );
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! parallel workers). Loops call [`QueryGovernor::tick`] once per unit of
 //! work; the deadline and the cancel flag are actually consulted only every
 //! [`CHECK_INTERVAL`] ticks, so an over-limit query aborts within a bounded
-//! number of events scanned while the per-event cost stays a decrement and
+//! number of events scanned while the per-event cost stays an increment and
 //! a branch.
 //!
 //! The cell budget is charged eagerly via [`QueryGovernor::charge_cells`]
@@ -69,7 +69,7 @@ impl CancelToken {
 /// The governor is shared by reference across the parallel construction
 /// workers of one query; all counters are atomic. A `None` limit means
 /// unbounded, and with no limits and no cancel token every check is a
-/// single relaxed atomic decrement.
+/// single relaxed atomic increment.
 #[derive(Debug)]
 pub struct QueryGovernor {
     deadline: Option<Instant>,
@@ -77,9 +77,9 @@ pub struct QueryGovernor {
     budget_cells: Option<u64>,
     cancel: Option<CancelToken>,
     cells: AtomicU64,
+    /// Ticks so far, shared across workers; every `CHECK_INTERVAL`th one
+    /// consults the limits.
     events: AtomicU64,
-    /// Countdown shared across ticks; hits zero every `CHECK_INTERVAL`.
-    countdown: AtomicU64,
     /// Observability recorder for this query, if profiling is enabled.
     /// Piggy-backs on the governor because the governor is already threaded
     /// by reference through every construction hot loop and worker.
@@ -101,7 +101,6 @@ impl QueryGovernor {
             cancel,
             cells: AtomicU64::new(0),
             events: AtomicU64::new(0),
-            countdown: AtomicU64::new(CHECK_INTERVAL as u64),
             recorder: None,
         }
     }
@@ -136,14 +135,11 @@ impl QueryGovernor {
     /// flag are consulted every [`CHECK_INTERVAL`] ticks.
     #[inline]
     pub fn tick(&self) -> Result<()> {
-        // ord: pure work counters — workers only accumulate; totals are read after the query joins its workers, and fetch_sub's atomicity alone guarantees exactly one thread sees each countdown value
-        self.events.fetch_add(1, Ordering::Relaxed);
-        if self.countdown.fetch_sub(1, Ordering::Relaxed) != 1 {
+        // ord: a pure work counter — workers only accumulate; totals are read after the query joins its workers, and fetch_add's atomicity alone guarantees exactly one thread sees each multiple of the interval
+        let ticked = self.events.fetch_add(1, Ordering::Relaxed) + 1;
+        if !ticked.is_multiple_of(CHECK_INTERVAL as u64) {
             return Ok(());
         }
-        // ord: the refill only paces future checks; racing ticks at worst check early, never skip past a full interval unobserved
-        self.countdown
-            .store(CHECK_INTERVAL as u64, Ordering::Relaxed);
         self.check_now()
     }
 

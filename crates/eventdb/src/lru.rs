@@ -120,6 +120,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             .map(|n| &n.value)
     }
 
+    /// Every cached `(key, value)`, in no particular order, without
+    /// touching recency or the hit counters.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.slab.iter().flatten().map(|n| (&n.key, &n.value))
+    }
+
     /// Whether `key` is cached (no recency update).
     pub fn contains(&self, key: &K) -> bool {
         self.map.contains_key(key)

@@ -112,10 +112,7 @@ impl Pred {
     pub fn eval(&self, db: &EventDb, row: RowId) -> Result<bool> {
         match self {
             Pred::True => Ok(true),
-            Pred::Cmp { attr, op, value } => {
-                let ord = compare(db, row, *attr, value)?;
-                Ok(op.test(ord))
-            }
+            Pred::Cmp { attr, op, value } => eval_cmp(db, row, *attr, *op, value),
             Pred::In { attr, values } => {
                 for v in values {
                     if compare(db, row, *attr, v)? == Ordering::Equal {
@@ -155,6 +152,12 @@ impl Pred {
             Pred::Not(p) => format!("(NOT {})", p.render(db)),
         }
     }
+}
+
+/// Evaluates `attr <op> value` against event `row` — the leaf of
+/// [`Pred::eval`], which matching predicates evaluate per placeholder.
+pub fn eval_cmp(db: &EventDb, row: RowId, attr: AttrId, op: CmpOp, value: &Value) -> Result<bool> {
+    Ok(op.test(compare(db, row, attr, value)?))
 }
 
 /// Renders a literal value as it appears in query text.

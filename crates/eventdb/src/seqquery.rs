@@ -14,7 +14,7 @@
 //! engine" and caches the result in the Sequence Cache; this module is that
 //! engine.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 
 use crate::error::{Error, Result};
@@ -223,7 +223,7 @@ pub fn build_sequence_groups_governed(
     let mut selected: u64 = 0;
     {
         let _span = metrics::span(rec, Stage::SelectCluster);
-        let mut clusters_inner: BTreeMap<Vec<LevelValue>, Vec<RowId>> = BTreeMap::new();
+        let mut clusters = Clusters::new(db, &spec.cluster_by);
         let mut ckey = Vec::with_capacity(spec.cluster_by.len());
         let scan = (|| -> Result<()> {
             for row in 0..db.len() as RowId {
@@ -236,12 +236,8 @@ pub fn build_sequence_groups_governed(
                 for al in &spec.cluster_by {
                     ckey.push(db.value_at_level(row, al.attr, al.level)?);
                 }
-                match clusters_inner.entry(ckey.clone()) {
-                    std::collections::btree_map::Entry::Vacant(e) => {
-                        gov.charge_cells(1)?;
-                        e.insert(vec![row]);
-                    }
-                    std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().push(row),
+                if clusters.push(&ckey, row) {
+                    gov.charge_cells(1)?;
                 }
             }
             Ok(())
@@ -249,11 +245,99 @@ pub fn build_sequence_groups_governed(
         if let Some(rec) = rec {
             rec.add(Counter::EventsScanned, db.len() as u64);
             rec.add(Counter::EventsSelected, selected);
-            rec.add(Counter::SequencesFormed, clusters_inner.len() as u64);
+            rec.add(Counter::SequencesFormed, clusters.rows.len() as u64);
         }
-        scan.map(|()| clusters_inner)
+        scan.map(|()| clusters.into_sorted())
     }
     .and_then(|clusters| build_groups_from_clusters(db, spec, gov, clusters))
+}
+
+/// A cluster: its key and its event rows in arrival order.
+type ClusterRows = (Vec<LevelValue>, Vec<RowId>);
+
+/// Step 2's table: the clusters in first-seen order, found by key. The key
+/// is looked up before it is cloned, a row whose key repeats the previous
+/// row's goes straight to that cluster (event logs arrive sequence by
+/// sequence; nothing depends on it), and the lookup key is one integer
+/// when the clustering attributes' domains fit 64 bits.
+struct Clusters {
+    rows: Vec<ClusterRows>,
+    /// The cluster the previous row joined.
+    last: usize,
+    index: ClusterIndex,
+}
+
+enum ClusterIndex {
+    /// Bit width per clustering attribute, and clusters by packed key.
+    Packed(Vec<u32>, HashMap<u64, usize>),
+    Wide(HashMap<Vec<LevelValue>, usize>),
+}
+
+impl Clusters {
+    fn new(db: &EventDb, cluster_by: &[AttrLevel]) -> Self {
+        // Dictionary-coded levels need the bits of their cardinality; raw
+        // integers and time buckets all 64.
+        let widths: Vec<u32> = cluster_by
+            .iter()
+            .map(|al| match db.level_domain_size(al.attr, al.level) {
+                Some(n) => u64::BITS - (n.max(1) as u64 - 1).leading_zeros(),
+                None => u64::BITS,
+            })
+            .collect();
+        let index = if widths.iter().map(|&w| u64::from(w)).sum::<u64>() <= 64 {
+            ClusterIndex::Packed(widths, HashMap::new())
+        } else {
+            ClusterIndex::Wide(HashMap::new())
+        };
+        Clusters {
+            rows: Vec::new(),
+            last: 0,
+            index,
+        }
+    }
+
+    /// Adds `row` to the cluster of `key`; `true` if that created it.
+    fn push(&mut self, key: &[LevelValue], row: RowId) -> bool {
+        if let Some((last_key, rows)) = self.rows.get_mut(self.last) {
+            if last_key == key {
+                rows.push(row);
+                return false;
+            }
+        }
+        let next = self.rows.len();
+        self.last = match &mut self.index {
+            ClusterIndex::Packed(widths, by_code) => {
+                let code = widths
+                    .iter()
+                    .zip(key)
+                    .fold(0u64, |code, (&w, &v)| code.checked_shl(w).unwrap_or(0) | v);
+                *by_code.entry(code).or_insert(next)
+            }
+            ClusterIndex::Wide(by_key) => match by_key.get(key) {
+                Some(&found) => found,
+                None => {
+                    by_key.insert(key.to_vec(), next);
+                    next
+                }
+            },
+        };
+        match self.rows.get_mut(self.last) {
+            Some((_, rows)) => {
+                rows.push(row);
+                false
+            }
+            None => {
+                self.rows.push((key.to_vec(), vec![row]));
+                true
+            }
+        }
+    }
+
+    /// The clusters in key order — the order sids are assigned in.
+    fn into_sorted(mut self) -> Vec<ClusterRows> {
+        self.rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.rows
+    }
 }
 
 /// Steps 3–4: sorts each cluster into a sequence and groups sequences by
@@ -262,7 +346,7 @@ fn build_groups_from_clusters(
     db: &EventDb,
     spec: &SeqQuerySpec,
     gov: &QueryGovernor,
-    clusters: BTreeMap<Vec<LevelValue>, Vec<RowId>>,
+    clusters: Vec<ClusterRows>,
 ) -> Result<SequenceGroups> {
     let rec = gov.recorder();
     let _span = metrics::span(rec, Stage::FormGroup);
@@ -274,7 +358,6 @@ fn build_groups_from_clusters(
         .map(|k| (k.attr, k.ascending))
         .collect();
     // Step 4: group sequences by global-dimension values.
-    type ClusterRows = (Vec<LevelValue>, Vec<RowId>);
     let mut grouped: BTreeMap<Vec<LevelValue>, Vec<ClusterRows>> = BTreeMap::new();
     for (ckey, mut rows) in clusters {
         gov.check_now()?;
@@ -303,7 +386,10 @@ fn build_groups_from_clusters(
                 let s = Sequence {
                     sid: next_sid,
                     cluster_key,
-                    rows,
+                    // The group set outlives the query in the sequence
+                    // cache: an exact copy, and the push-grown buffers go
+                    // back to the allocator for the next scan to grow into.
+                    rows: rows.as_slice().to_vec(),
                 };
                 next_sid += 1;
                 s

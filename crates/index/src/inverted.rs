@@ -2,8 +2,14 @@
 
 use std::collections::HashMap;
 
-use solap_eventdb::{EventDb, LevelValue, QueryGovernor, Result, Sequence};
-use solap_pattern::{MatchPred, Matcher, PatternTemplate, TemplateSignature};
+use solap_eventdb::{EventDb, LevelValue, QueryGovernor, Result, Sequence, Sid};
+use solap_pattern::{
+    CellRestriction, CellTable, MatchPred, Matcher, PatternTemplate, TemplateSignature,
+};
+
+/// Largest code space whose lists BUILDINDEX collects in an array indexed
+/// by pattern code; larger spaces collect in a hash map keyed by the code.
+const LIST_SLOTS: u64 = 1 << 16;
 
 /// Which [`crate::sidset::SidSet`] encoding an index uses for its lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -22,7 +28,7 @@ pub enum SetBackend {
 
 impl SetBackend {
     /// An empty [`crate::sidset::SidSet`] in this backend's build-time
-    /// encoding. `Auto` stages in a plain list and promotes as it grows.
+    /// encoding. `Auto` stages in a plain list; sealing settles the encoding.
     pub fn empty(self) -> crate::sidset::SidSet {
         match self {
             SetBackend::List | SetBackend::Auto => crate::sidset::SidSet::empty_list(),
@@ -99,17 +105,16 @@ impl InvertedIndex {
         self.lists.get(pattern)
     }
 
-    /// Adds `sid` to the list of `pattern` (creating it), preserving sid
-    /// order — BUILDINDEX line 5. Under [`SetBackend::Auto`] the list is
-    /// density-promoted as it grows.
-    pub fn add(&mut self, pattern: &[LevelValue], sid: solap_eventdb::Sid) {
-        let set = self
-            .lists
-            .entry(pattern.to_vec())
-            .or_insert_with(|| self.backend.empty());
-        match self.backend {
-            SetBackend::Auto => set.push_promoting(sid),
-            _ => set.push(sid),
+    /// Appends an index built over strictly later sids: per-pattern lists
+    /// are concatenated, so appending shards in sid order reproduces the
+    /// lists of one pass over all of them.
+    pub fn append(&mut self, later: InvertedIndex) {
+        let backend = self.backend;
+        for (pattern, set) in later.lists {
+            let slot = self.lists.entry(pattern).or_insert_with(|| backend.empty());
+            for sid in set.iter() {
+                slot.push(sid);
+            }
         }
     }
 
@@ -161,7 +166,7 @@ pub fn build_index<'a>(
 
 /// [`build_index`] under a [`QueryGovernor`]: pattern enumeration ticks per
 /// candidate window and each newly created inverted list is charged against
-/// the cell budget.
+/// the cell budget, sequence by sequence.
 pub fn build_index_governed<'a>(
     db: &EventDb,
     sequences: impl IntoIterator<Item = &'a Sequence>,
@@ -171,18 +176,67 @@ pub fn build_index_governed<'a>(
 ) -> Result<(InvertedIndex, u64)> {
     let trivial = MatchPred::True;
     let matcher = Matcher::new(db, template, &trivial).with_governor(gov);
-    let mut index = InvertedIndex::new(template.signature(), backend);
+    // Pass 1, one visit per window: number the patterns (their packed cell
+    // code addresses the table) and log one `(list, sid)` posting per
+    // pattern per sequence.
+    const UNNUMBERED: u32 = u32::MAX;
+    let mut list_of: CellTable<u32> =
+        CellTable::new(matcher.codec().clone(), LIST_SLOTS, UNNUMBERED);
+    let mut last_sid: Vec<Sid> = Vec::new();
+    let mut postings: Vec<(u32, Sid)> = Vec::new();
     let mut scanned = 0u64;
     for seq in sequences {
         scanned += 1;
-        let before = index.list_count();
-        matcher.for_each_unique_pattern(seq, |pattern| {
-            index.add(pattern, seq.sid);
+        let lists_before = last_sid.len();
+        matcher.for_each_assignment(seq, CellRestriction::AllMatchedGo, |cell, _| {
+            let (list, fresh) = list_of.slot(cell);
+            if fresh {
+                *list = last_sid.len() as u32;
+                last_sid.push(seq.sid);
+            } else if std::mem::replace(&mut last_sid[*list as usize], seq.sid) == seq.sid {
+                // The sequence already showed this pattern (Figure 9 line 4
+                // keeps unique patterns).
+                return Ok(());
+            }
+            postings.push((*list, seq.sid));
+            Ok(())
         })?;
-        gov.charge_cells((index.list_count() - before) as u64)?;
+        gov.charge_cells((last_sid.len() - lists_before) as u64)?;
     }
     if let Some(rec) = gov.recorder() {
         rec.add(solap_eventdb::Counter::MatchWindows, matcher.take_windows());
+    }
+    // Pass 2: a counting sort by list keeps each list's sids in scan (sid)
+    // order, and every list is allocated once, at its final length.
+    let mut starts = vec![0usize; last_sid.len() + 1];
+    for &(list, _) in &postings {
+        starts[list as usize + 1] += 1;
+    }
+    for list in 0..last_sid.len() {
+        starts[list + 1] += starts[list];
+    }
+    let mut cursor = starts.clone();
+    let mut sorted: Vec<Sid> = vec![0; postings.len()];
+    for &(list, sid) in &postings {
+        sorted[cursor[list as usize]] = sid;
+        cursor[list as usize] += 1;
+    }
+    // The `pattern → SidSet` form, once per list. With the dimensions in
+    // position order (no repeats, no PREPEND reordering) a cell is its own
+    // pattern.
+    let cell_is_pattern = template.symbols.iter().copied().eq(0..template.n());
+    let mut index = InvertedIndex::new(template.signature(), backend);
+    index.lists.reserve(last_sid.len());
+    for (cell, list) in list_of.into_cells() {
+        let sids = sorted[starts[list as usize]..starts[list as usize + 1]].to_vec();
+        let pattern = if cell_is_pattern {
+            cell
+        } else {
+            template.expand_cell(&cell)
+        };
+        index
+            .lists
+            .insert(pattern, crate::sidset::SidSet::List(sids));
     }
     index.seal();
     Ok((index, scanned))
@@ -314,6 +368,22 @@ mod tests {
         assert!(lxx
             .list(&[station(&db, "Wheaton"), station(&db, "Wheaton")])
             .is_some());
+    }
+
+    /// PREPEND leaves a template whose dimension order is not its position
+    /// order; lists are keyed by position all the same.
+    #[test]
+    fn lists_are_keyed_by_position_not_by_dimension_order() {
+        let (db, seqs) = fig8();
+        let mut prepended = template(&db, PatternKind::Substring, &["X", "Y"]);
+        prepended.symbols = vec![1, 0]; // (Y, X) over dims [X, Y]
+        let canonical = PatternTemplate::from_signature(&prepended.signature());
+        assert_eq!(canonical.symbols, vec![0, 1]);
+        let (a, _) = build_index(&db, &seqs, &prepended, SetBackend::List).unwrap();
+        let (b, _) = build_index(&db, &seqs, &canonical, SetBackend::List).unwrap();
+        assert_eq!(a.lists, b.lists);
+        let glenmont_pentagon = [station(&db, "Glenmont"), station(&db, "Pentagon")];
+        assert_eq!(a.list(&glenmont_pentagon).unwrap().to_vec(), vec![0]);
     }
 
     #[test]

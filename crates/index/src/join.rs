@@ -25,13 +25,17 @@ use crate::inverted::InvertedIndex;
 /// pattern. The candidate pattern is `left ++ right[1..]` (length
 /// `i + j - 1`); its candidate list is the intersection of the two lists.
 ///
-/// `accept` filters candidate patterns (e.g. "must instantiate the target
-/// template" — for `(X, Y, Y, X)` the fourth element must equal the first).
-/// Empty intersections are dropped.
+/// `admits(p, v)` says whether value `v` may stand at position `p` of the
+/// candidate (a position slice): both sides are pruned by it **before**
+/// any candidate is formed, so a sliced join enumerates only the lists
+/// compatible with the slice. `accept` filters the candidates that remain
+/// (e.g. "must instantiate the target template" — for `(X, Y, Y, X)` the
+/// fourth element must equal the first). Empty intersections are dropped.
 pub fn join(
     left: &InvertedIndex,
     right: &InvertedIndex,
     target_sig: TemplateSignature,
+    admits: impl Fn(usize, LevelValue) -> bool,
     accept: impl Fn(&[LevelValue]) -> bool,
 ) -> InvertedIndex {
     assert_eq!(
@@ -39,15 +43,25 @@ pub fn join(
         left.m() + right.m() - 1,
         "target length must be left + right - overlap"
     );
-    // Bucket right lists by the first element of their pattern.
+    let admitted = |pattern: &[LevelValue], at: usize| {
+        pattern.iter().enumerate().all(|(p, &v)| admits(at + p, v))
+    };
+    // Bucket the admissible right lists by the first element of their
+    // pattern.
+    let overlap = left.m() - 1;
     let mut by_first: HashMap<LevelValue, Vec<(&Vec<LevelValue>, &crate::sidset::SidSet)>> =
         HashMap::new();
     for (k, v) in &right.lists {
-        by_first.entry(k[0]).or_default().push((k, v));
+        if admitted(k, overlap) {
+            by_first.entry(k[0]).or_default().push((k, v));
+        }
     }
     let mut out = InvertedIndex::new(target_sig, left.backend);
     let mut candidate: Vec<LevelValue> = Vec::new();
     for (lk, lv) in &left.lists {
+        if !admitted(lk, 0) {
+            continue;
+        }
         let Some(rights) = by_first.get(lk.last().expect("non-empty pattern")) else {
             continue;
         };
@@ -160,9 +174,13 @@ mod tests {
         let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
         let (lyy, _) = build_index(&db, &seqs, &template(&["Y", "Y"]), SetBackend::List).unwrap();
         let txyy = template(&["X", "Y", "Y"]);
-        let joined = join(&l2, &lyy, txyy.signature(), |cand| {
-            txyy.is_instantiation(cand)
-        });
+        let joined = join(
+            &l2,
+            &lyy,
+            txyy.signature(),
+            |_, _| true,
+            |cand| txyy.is_instantiation(cand),
+        );
         let p = station(&db, "Pentagon");
         let w = station(&db, "Wheaton");
         let c = station(&db, "Clarendon");
@@ -190,12 +208,24 @@ mod tests {
         let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
         let (lyy, _) = build_index(&db, &seqs, &template(&["Y", "Y"]), SetBackend::List).unwrap();
         let txyy = template(&["X", "Y", "Y"]);
-        let l3 = join(&l2, &lyy, txyy.signature(), |c| txyy.is_instantiation(c));
+        let l3 = join(
+            &l2,
+            &lyy,
+            txyy.signature(),
+            |_, _| true,
+            |c| txyy.is_instantiation(c),
+        );
         // (Verification would remove s1 from (P,P,P); harmless here since
         // (P,P,P,P) requires an (P,P) suffix join that yields s1 anyway and
         // the final is_instantiation filter applies.)
         let txyyx = template(&["X", "Y", "Y", "X"]);
-        let l4 = join(&l3, &l2, txyyx.signature(), |c| txyyx.is_instantiation(c));
+        let l4 = join(
+            &l3,
+            &l2,
+            txyyx.signature(),
+            |_, _| true,
+            |c| txyyx.is_instantiation(c),
+        );
         let p = station(&db, "Pentagon");
         let w = station(&db, "Wheaton");
         // Figure 14: the only non-empty list is [P,W,W,P] = {s1, s2}.
@@ -212,7 +242,13 @@ mod tests {
         let (db, seqs) = fig8();
         let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
         let tzxy = template(&["Z", "X", "Y"]);
-        let joined = join(&l2, &l2, tzxy.signature(), |c| tzxy.is_instantiation(c));
+        let joined = join(
+            &l2,
+            &l2,
+            tzxy.signature(),
+            |_, _| true,
+            |c| tzxy.is_instantiation(c),
+        );
         let g = station(&db, "Glenmont");
         let p = station(&db, "Pentagon");
         let w = station(&db, "Wheaton");
@@ -223,6 +259,42 @@ mod tests {
             "candidate may be a false positive"
         );
         let _ = w;
+    }
+
+    /// A position slice prunes both sides before candidates are formed and
+    /// yields exactly the admitted subset of the unsliced join.
+    #[test]
+    fn sliced_join_is_the_admitted_subset() {
+        let (db, seqs) = fig8();
+        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
+        let txyz = template(&["X", "Y", "Z"]);
+        let full = join(&l2, &l2, txyz.signature(), |_, _| true, |_| true);
+        let (p, w) = (station(&db, "Pentagon"), station(&db, "Wheaton"));
+        // Fix X = Pentagon and Z = Wheaton.
+        let admits = |pos: usize, v: LevelValue| match pos {
+            0 => v == p,
+            2 => v == w,
+            _ => true,
+        };
+        let tried = std::cell::Cell::new(0);
+        let sliced = join(&l2, &l2, txyz.signature(), admits, |_| {
+            tried.set(tried.get() + 1);
+            true
+        });
+        assert!(tried.get() < full.list_count(), "pruned before the loop");
+        let expect: Vec<_> = full
+            .iter_sorted()
+            .into_iter()
+            .filter(|(k, _)| k[0] == p && k[2] == w)
+            .map(|(k, v)| (k.clone(), v.to_vec()))
+            .collect();
+        assert!(!expect.is_empty());
+        let got: Vec<_> = sliced
+            .iter_sorted()
+            .into_iter()
+            .map(|(k, v)| (k.clone(), v.to_vec()))
+            .collect();
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -251,6 +323,6 @@ mod tests {
         let (db, seqs) = fig8();
         let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
         let t = template(&["X", "Y"]);
-        let _ = join(&l2, &l2, t.signature(), |_| true);
+        let _ = join(&l2, &l2, t.signature(), |_, _| true, |_| true);
     }
 }

@@ -37,4 +37,4 @@ pub use codec::{
 };
 pub use inverted::{build_index, build_index_governed, InvertedIndex, SetBackend};
 pub use sidset::{choose_encoding, Bitmap, Encoding, SidSet};
-pub use store::{IndexKey, IndexStore};
+pub use store::{IndexKey, IndexStore, PosSlice};

@@ -125,9 +125,9 @@ impl FromIterator<Sid> for Bitmap {
 
 /// How [`SidSet::sealed`] canonicalizes a set, given its final content.
 ///
-/// Shared by every construction path (bulk `from_sorted_auto`, push-time
-/// promotion, end-of-build sealing) so they all agree — the density rule
-/// lives in exactly one place.
+/// Shared by every construction path (bulk `from_sorted_auto`,
+/// end-of-build sealing) so they all agree — the density rule lives in
+/// exactly one place.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Encoding {
     /// Plain sorted vec — cheapest for tiny sets.
@@ -156,15 +156,31 @@ pub fn choose_encoding(len: usize, max: Sid) -> Encoding {
 }
 
 /// A set of sids in one of three encodings.
+///
+/// An index holds one per inverted list, most of them a handful of sids
+/// long, so the two heavy encodings sit behind a `Box`: the enum stays the
+/// size of the plain list it usually is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SidSet {
     /// A strictly increasing sorted list (the paper's inverted list).
     List(Vec<Sid>),
     /// A bitmap (§6 optimisation).
-    Bitmap(Bitmap),
+    Bitmap(Box<Bitmap>),
     /// Delta+varint / bitpacked blocks behind a skip table
     /// ([`crate::codec`]).
-    Compressed(CompressedSidSet),
+    Compressed(Box<CompressedSidSet>),
+}
+
+impl From<Bitmap> for SidSet {
+    fn from(b: Bitmap) -> Self {
+        SidSet::Bitmap(Box::new(b))
+    }
+}
+
+impl From<CompressedSidSet> for SidSet {
+    fn from(c: CompressedSidSet) -> Self {
+        SidSet::Compressed(Box::new(c))
+    }
 }
 
 impl SidSet {
@@ -175,12 +191,12 @@ impl SidSet {
 
     /// An empty set in the bitmap encoding.
     pub fn empty_bitmap() -> Self {
-        SidSet::Bitmap(Bitmap::new())
+        SidSet::Bitmap(Box::default())
     }
 
     /// An empty set in the compressed encoding.
     pub fn empty_compressed() -> Self {
-        SidSet::Compressed(CompressedSidSet::new())
+        SidSet::Compressed(Box::default())
     }
 
     /// Builds from a sorted, deduplicated vec.
@@ -190,14 +206,14 @@ impl SidSet {
     }
 
     /// Builds from a sorted, deduplicated vec in the canonical encoding
-    /// for its density — the same [`choose_encoding`] rule push-time
-    /// promotion and [`SidSet::sealed`] apply, so every construction path
-    /// lands on identical bytes.
+    /// for its density — the same [`choose_encoding`] rule
+    /// [`SidSet::sealed`] applies, so every construction path lands on
+    /// identical bytes.
     pub fn from_sorted_auto(v: Vec<Sid>) -> Self {
         match choose_encoding(v.len(), v.last().copied().unwrap_or(0)) {
             Encoding::List => SidSet::from_sorted(v),
-            Encoding::Bitmap => SidSet::Bitmap(v.into_iter().collect()),
-            Encoding::Compressed => SidSet::Compressed(CompressedSidSet::from_sorted(v)),
+            Encoding::Bitmap => v.into_iter().collect::<Bitmap>().into(),
+            Encoding::Compressed => CompressedSidSet::from_sorted(v).into(),
         }
     }
 
@@ -214,23 +230,6 @@ impl SidSet {
             }
             SidSet::Bitmap(b) => b.insert(sid),
             SidSet::Compressed(c) => c.push(sid),
-        }
-    }
-
-    /// [`SidSet::push`] with auto-backend bookkeeping: once the staged
-    /// list crosses the [`choose_encoding`] boundary it is promoted in
-    /// place. A final [`SidSet::sealed`] with [`SetBackend::Auto`] settles
-    /// the encoding from the *final* content, so push-promotion and
-    /// [`SidSet::from_sorted_auto`] cannot disagree.
-    ///
-    /// [`SetBackend::Auto`]: crate::inverted::SetBackend::Auto
-    pub fn push_promoting(&mut self, sid: Sid) {
-        self.push(sid);
-        if let SidSet::List(v) = self {
-            let max = v.last().copied().unwrap_or(0);
-            if choose_encoding(v.len(), max) == Encoding::Bitmap {
-                *self = SidSet::Bitmap(v.iter().copied().collect());
-            }
         }
     }
 
@@ -285,8 +284,8 @@ impl SidSet {
     fn encode_like(&self, v: Vec<Sid>) -> SidSet {
         match self {
             SidSet::List(_) => SidSet::List(v),
-            SidSet::Bitmap(_) => SidSet::Bitmap(v.into_iter().collect()),
-            SidSet::Compressed(_) => SidSet::Compressed(CompressedSidSet::from_sorted(v)),
+            SidSet::Bitmap(_) => v.into_iter().collect::<Bitmap>().into(),
+            SidSet::Compressed(_) => CompressedSidSet::from_sorted(v).into(),
         }
     }
 
@@ -305,17 +304,23 @@ impl SidSet {
             },
             SetBackend::Bitmap => match self {
                 SidSet::Bitmap(_) => self,
-                other => SidSet::Bitmap(other.iter().collect()),
+                SidSet::List(v) => v.into_iter().collect::<Bitmap>().into(),
+                other => other.iter().collect::<Bitmap>().into(),
             },
             SetBackend::Compressed => match self {
                 SidSet::Compressed(mut c) => {
                     c.seal();
                     SidSet::Compressed(c)
                 }
-                other => SidSet::Compressed(CompressedSidSet::from_sorted(other.to_vec())),
+                SidSet::List(v) => CompressedSidSet::from_sorted(v).into(),
+                other => CompressedSidSet::from_sorted(other.to_vec()).into(),
             },
             SetBackend::Auto => {
-                let (len, max) = (self.len(), self.iter().last().unwrap_or(0));
+                let max = match &self {
+                    SidSet::List(v) => v.last().copied(),
+                    other => other.iter().last(),
+                };
+                let (len, max) = (self.len(), max.unwrap_or(0));
                 match choose_encoding(len, max) {
                     Encoding::List => self.sealed(SetBackend::List),
                     Encoding::Bitmap => self.sealed(SetBackend::Bitmap),
@@ -350,13 +355,13 @@ impl SidSet {
                 }
                 SidSet::List(out)
             }
-            (SidSet::Bitmap(a), SidSet::Bitmap(b)) => SidSet::Bitmap(a.intersect(b)),
+            (SidSet::Bitmap(a), SidSet::Bitmap(b)) => a.intersect(b).into(),
             (SidSet::List(a), SidSet::Bitmap(b)) => {
                 SidSet::List(a.iter().copied().filter(|&s| b.contains(s)).collect())
             }
-            (SidSet::Bitmap(a), SidSet::List(b)) => {
-                SidSet::Bitmap(b.iter().copied().filter(|&s| a.contains(s)).collect())
-            }
+            (SidSet::Bitmap(a), SidSet::List(b)) => (b.iter().copied().filter(|&s| a.contains(s)))
+                .collect::<Bitmap>()
+                .into(),
         }
     }
 
@@ -421,7 +426,7 @@ impl SidSet {
                 out.extend_from_slice(&b[j..]);
                 SidSet::List(out)
             }
-            (SidSet::Bitmap(a), SidSet::Bitmap(b)) => SidSet::Bitmap(a.union(b)),
+            (SidSet::Bitmap(a), SidSet::Bitmap(b)) => a.union(b).into(),
             (SidSet::List(_), SidSet::Bitmap(b)) => {
                 let mut merged: Bitmap = self.iter().collect();
                 for s in b.iter() {
@@ -460,7 +465,7 @@ mod tests {
     }
 
     fn bitmap(v: &[Sid]) -> SidSet {
-        SidSet::Bitmap(v.iter().copied().collect())
+        v.iter().copied().collect::<Bitmap>().into()
     }
 
     #[test]
@@ -527,7 +532,7 @@ mod tests {
     }
 
     fn compressed(v: &[Sid]) -> SidSet {
-        SidSet::Compressed(CompressedSidSet::from_sorted(v.to_vec()))
+        CompressedSidSet::from_sorted(v.to_vec()).into()
     }
 
     #[test]
@@ -553,11 +558,10 @@ mod tests {
         assert!(matches!(la.intersect(&compressed(&ys)), SidSet::List(_)));
     }
 
-    /// Regression for the promotion boundary: push-time promotion, bulk
-    /// `from_sorted_auto`, and `sealed(Auto)` must settle on the same
-    /// encoding (and bytes) at, below, and above the density threshold —
-    /// push-built bitmaps used to keep whatever encoding mid-build
-    /// bookkeeping left them with.
+    /// The density boundary: pushed-then-`sealed(Auto)` sets and bulk
+    /// `from_sorted_auto` must settle on the same encoding (and bytes) at,
+    /// below, and above the density threshold, whatever encoding the
+    /// pushes were staged in.
     #[test]
     fn promotion_boundary_is_consistent() {
         use crate::inverted::SetBackend;
@@ -574,13 +578,10 @@ mod tests {
             let bulk = SidSet::from_sorted_auto(v.clone());
             let mut pushed = SidSet::empty_list();
             for &s in &v {
-                pushed.push_promoting(s);
+                pushed.push(s);
             }
             let sealed = pushed.sealed(SetBackend::Auto);
-            assert_eq!(
-                sealed, bulk,
-                "push-promote ∘ seal ≠ from_sorted_auto for {v:?}"
-            );
+            assert_eq!(sealed, bulk, "push ∘ seal ≠ from_sorted_auto for {v:?}");
             let expect = choose_encoding(v.len(), v.last().copied().unwrap_or(0));
             let got = match &sealed {
                 SidSet::List(_) => Encoding::List,
@@ -588,8 +589,7 @@ mod tests {
                 SidSet::Compressed(_) => Encoding::Compressed,
             };
             assert_eq!(got, expect, "sealed encoding for {v:?}");
-            // Bitmap-staged pushes (the old inconsistent path) also seal
-            // to the same canonical form.
+            // Bitmap-staged pushes seal to the same canonical form.
             let mut via_bitmap = SidSet::empty_bitmap();
             for &s in &v {
                 via_bitmap.push(s);
@@ -616,7 +616,7 @@ mod tests {
         assert!(inner.is_sealed());
         assert_eq!(
             sealed,
-            SidSet::Compressed(CompressedSidSet::from_sorted(
+            SidSet::from(CompressedSidSet::from_sorted(
                 (0..200u32).map(|s| s * 9).collect()
             ))
         );

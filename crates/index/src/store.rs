@@ -11,14 +11,20 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use solap_eventdb::lru::LruCache;
+use solap_eventdb::LevelValue;
 use solap_pattern::TemplateSignature;
 
 use crate::inverted::InvertedIndex;
 
+/// A per-position slice: `Some((slice_level, value))` fixes the value of a
+/// pattern position (compared after rolling the position's value up to
+/// `slice_level`); `None` leaves it free.
+pub type PosSlice = Vec<Option<(usize, LevelValue)>>;
+
 /// Identifies an index: which sequence-group set it was built over, which
 /// group within it, the structural signature of its patterns, and — for
-/// slice-restricted assemblies — the fingerprint of the pattern slice it
-/// was filtered by (`0` = unsliced, covering every pattern).
+/// slice-restricted assemblies — the position slice its lists were
+/// filtered by (empty = unsliced, covering every pattern).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IndexKey {
     /// Fingerprint of the sequence groups (spec fingerprint ⊕ db version).
@@ -27,8 +33,43 @@ pub struct IndexKey {
     pub group_idx: usize,
     /// Structural identity of the index's patterns.
     pub sig: TemplateSignature,
-    /// Fingerprint of the position slice baked into the lists (0 = none).
-    pub slice_fp: u64,
+    /// The fixed positions baked into the lists; see [`IndexKey::new`].
+    pub slice: PosSlice,
+}
+
+impl IndexKey {
+    /// The key of an index over `sig` restricted by `slice`. Only the
+    /// positions the signature has count, and trailing free positions are
+    /// dropped, so a prefix of a longer sliced template shares the keys of
+    /// the shorter one and every unsliced key carries the empty slice.
+    pub fn new(
+        groups_fp: u64,
+        group_idx: usize,
+        sig: TemplateSignature,
+        slice: &[Option<(usize, LevelValue)>],
+    ) -> Self {
+        let fixed = slice.iter().take(sig.m()).rposition(Option::is_some);
+        IndexKey {
+            groups_fp,
+            group_idx,
+            slice: fixed.map_or_else(Vec::new, |last| slice[..=last].to_vec()),
+            sig,
+        }
+    }
+
+    /// The key of the complete (unsliced) index over `sig`.
+    pub fn unsliced(groups_fp: u64, group_idx: usize, sig: TemplateSignature) -> Self {
+        IndexKey::new(groups_fp, group_idx, sig, &[])
+    }
+
+    /// Whether an index cached under this key can serve `slice` by
+    /// filtering: every position this key fixes, `slice` fixes alike.
+    fn refined_by(&self, slice: &[Option<(usize, LevelValue)>]) -> bool {
+        self.slice
+            .iter()
+            .enumerate()
+            .all(|(p, fixed)| fixed.is_none() || slice.get(p) == Some(fixed))
+    }
 }
 
 /// A thread-safe LRU store of inverted indices.
@@ -63,39 +104,39 @@ impl IndexStore {
         self.inner.lock().insert(key, index);
     }
 
-    /// Finds the **largest available prefix index** for a target signature:
-    /// the greatest `k` in `[2, m]` such that the index keyed by
-    /// `sig.prefix(k)` is cached (Figure 15 line 8 joins "the largest
-    /// available inverted index"). For sliced assemblies (`slice_fp ≠ 0`) a
-    /// slice-restricted prefix of the same length is preferred over the
-    /// unsliced one, which is always a valid (superset) starting point.
-    /// Returns the index and its length.
+    /// Finds the **largest available prefix index** for a target signature
+    /// (Figure 15 line 8 joins "the largest available inverted index"):
+    /// the greatest `k` in `[2, m]` such that an index over `sig.prefix(k)`
+    /// is cached under a slice that `slice` **refines** — the unsliced
+    /// index, the one cached for exactly this slice, or one cached for a
+    /// slice fixing fewer positions. Each holds every list the request can
+    /// need, so the caller filters it instead of rebuilding. Among equal
+    /// lengths the most restricted (smallest) wins. Returns the index and
+    /// its length.
     pub fn largest_prefix(
         &self,
         groups_fp: u64,
         group_idx: usize,
         sig: &TemplateSignature,
-        slice_fp: u64,
+        slice: &[Option<(usize, LevelValue)>],
     ) -> Option<(Arc<InvertedIndex>, usize)> {
+        let m = sig.m();
+        let prefixes: Vec<TemplateSignature> = (m.min(2)..=m).map(|k| sig.prefix(k)).collect();
         let mut guard = self.inner.lock();
-        for k in (2..=sig.m()).rev() {
-            let mut fps = vec![0u64];
-            if slice_fp != 0 {
-                fps.insert(0, slice_fp);
-            }
-            for fp in fps {
-                let key = IndexKey {
-                    groups_fp,
-                    group_idx,
-                    sig: sig.prefix(k),
-                    slice_fp: fp,
-                };
-                if let Some(ix) = guard.get(&key) {
-                    return Some((Arc::clone(ix), k));
-                }
-            }
-        }
-        None
+        let best = guard
+            .iter()
+            .map(|(key, _)| key)
+            .filter(|key| {
+                key.groups_fp == groups_fp
+                    && key.group_idx == group_idx
+                    && prefixes.contains(&key.sig)
+                    && key.refined_by(slice)
+            })
+            .max_by_key(|key| (key.sig.m(), key.slice.iter().flatten().count()))
+            .cloned()
+            // Nothing to start from: counted as a miss on the index asked for.
+            .unwrap_or_else(|| IndexKey::new(groups_fp, group_idx, sig.clone(), slice));
+        guard.get(&best).map(|ix| (Arc::clone(ix), best.sig.m()))
     }
 
     /// Total bytes of cached indices.
@@ -156,12 +197,7 @@ mod tests {
     }
 
     fn key(syms: &[&str]) -> IndexKey {
-        IndexKey {
-            groups_fp: 42,
-            group_idx: 0,
-            sig: sig(syms),
-            slice_fp: 0,
-        }
+        IndexKey::unsliced(42, 0, sig(syms))
     }
 
     fn empty_index(syms: &[&str]) -> Arc<InvertedIndex> {
@@ -184,11 +220,11 @@ mod tests {
         store.insert(key(&["X", "Y"]), empty_index(&["X", "Y"]));
         store.insert(key(&["X", "Y", "Y"]), empty_index(&["X", "Y", "Y"]));
         let target = sig(&["X", "Y", "Y", "X"]);
-        let (_, k) = store.largest_prefix(42, 0, &target, 0).unwrap();
+        let (_, k) = store.largest_prefix(42, 0, &target, &[]).unwrap();
         assert_eq!(k, 3, "the length-3 prefix (X,Y,Y) must win over (X,Y)");
         // A different group sees nothing.
-        assert!(store.largest_prefix(42, 1, &target, 0).is_none());
-        assert!(store.largest_prefix(7, 0, &target, 0).is_none());
+        assert!(store.largest_prefix(42, 1, &target, &[]).is_none());
+        assert!(store.largest_prefix(7, 0, &target, &[]).is_none());
     }
 
     #[test]
@@ -198,8 +234,37 @@ mod tests {
         // identical, so it must be found.
         store.insert(key(&["A", "B"]), empty_index(&["A", "B"]));
         let target = sig(&["P", "Q", "Q", "P"]);
-        let (_, k) = store.largest_prefix(42, 0, &target, 0).unwrap();
+        let (_, k) = store.largest_prefix(42, 0, &target, &[]).unwrap();
         assert_eq!(k, 2);
+    }
+
+    #[test]
+    fn a_refining_slice_finds_the_coarser_cached_index() {
+        let store = IndexStore::default();
+        let xyz = sig(&["X", "Y", "Z"]);
+        let on_x: PosSlice = vec![Some((0, 7))];
+        let on_xz: PosSlice = vec![Some((0, 7)), None, Some((0, 9))];
+        store.insert(key(&["X", "Y"]), empty_index(&["X", "Y"]));
+        store.insert(
+            IndexKey::new(42, 0, xyz.clone(), &on_x),
+            empty_index(&["X", "Y", "Z"]),
+        );
+        // {X, Z} refines {X}: the length-3 index serves it by filtering …
+        assert_eq!(store.largest_prefix(42, 0, &xyz, &on_xz).unwrap().1, 3);
+        // … a slice on another value of X does not, and falls back to the
+        // unsliced (X, Y); so does the unsliced request itself.
+        let other: PosSlice = vec![Some((0, 8))];
+        assert_eq!(store.largest_prefix(42, 0, &xyz, &other).unwrap().1, 2);
+        assert_eq!(store.largest_prefix(42, 0, &xyz, &[]).unwrap().1, 2);
+        // Keys only carry the positions their signature has.
+        assert_eq!(
+            IndexKey::new(42, 0, sig(&["X", "Y"]), &on_xz),
+            IndexKey::new(42, 0, sig(&["X", "Y"]), &on_x)
+        );
+        assert_eq!(
+            IndexKey::new(42, 0, sig(&["X", "Y"]), &[None, None, Some((0, 9))]),
+            key(&["X", "Y"])
+        );
     }
 
     #[test]

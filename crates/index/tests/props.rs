@@ -39,8 +39,8 @@ proptest! {
         let make = |v: &[u32], e: u8| -> SidSet {
             match e {
                 0 => SidSet::from_sorted(v.to_vec()),
-                1 => SidSet::Bitmap(v.iter().copied().collect::<Bitmap>()),
-                _ => SidSet::Compressed(CompressedSidSet::from_sorted(v.to_vec())),
+                1 => SidSet::from(v.iter().copied().collect::<Bitmap>()),
+                _ => SidSet::from(CompressedSidSet::from_sorted(v.to_vec())),
             }
         };
         let sa = make(&av, enc % 3);
@@ -107,7 +107,9 @@ proptest! {
         let pair = template(&shape[m - 2..]);
         let (l_prefix, _) = build_index(&db, &sequences, &prefix, SetBackend::List).unwrap();
         let (l_pair, _) = build_index(&db, &sequences, &pair, SetBackend::List).unwrap();
-        let candidate = join(&l_prefix, &l_pair, full.signature(), |c| full.is_instantiation(c));
+        let candidate = join(&l_prefix, &l_pair, full.signature(), |_, _| true, |c| {
+            full.is_instantiation(c)
+        });
         // Verify candidates against the data.
         let trivial = MatchPred::True;
         let matcher = Matcher::new(&db, &full, &trivial);

@@ -11,7 +11,7 @@ use std::fmt;
 
 use solap_eventdb::{AttrId, EventDb, Result, Sequence};
 
-use crate::matcher::{AssignedContent, Assignment};
+use crate::matcher::Content;
 
 /// Which events of the assigned content a measure aggregate reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,48 +82,42 @@ impl AggState {
         }
     }
 
-    /// Folds one assignment into the state.
+    /// Folds one assignment's content into the state.
     pub fn update(
         &mut self,
         db: &EventDb,
         func: AggFunc,
         seq: &Sequence,
-        assignment: &Assignment,
+        content: Content<'_>,
     ) -> Result<()> {
-        let measure_rows = |content: &AssignedContent, first_only: bool| -> Vec<u32> {
-            match content {
-                AssignedContent::Matched(positions) => {
-                    let it = positions.iter().map(|&p| seq.rows[p as usize]);
-                    if first_only {
-                        it.take(1).collect()
-                    } else {
-                        it.collect()
-                    }
-                }
-                AssignedContent::WholeSequence => {
-                    if first_only {
-                        seq.rows.iter().copied().take(1).collect()
-                    } else {
-                        seq.rows.clone()
-                    }
-                }
-            }
+        // The measured events, without materialising them: the matched
+        // positions (or every event of the sequence), optionally only the
+        // first.
+        let measure_rows = |first_only: bool| {
+            let n = match content {
+                Content::Matched(positions) => positions.len(),
+                Content::WholeSequence => seq.rows.len(),
+            };
+            (0..n.min(if first_only { 1 } else { n })).map(move |k| match content {
+                Content::Matched(positions) => seq.rows[positions[k] as usize],
+                Content::WholeSequence => seq.rows[k],
+            })
         };
         match (self, func) {
             (AggState::Count(c), AggFunc::Count) => *c += 1,
             (AggState::Sum(s), AggFunc::Sum(attr, mode)) => {
-                for row in measure_rows(&assignment.content, mode == SumMode::FirstEvent) {
+                for row in measure_rows(mode == SumMode::FirstEvent) {
                     *s += db.float(row, attr).unwrap_or(0.0);
                 }
             }
             (AggState::Avg(s, n), AggFunc::Avg(attr, mode)) => {
-                for row in measure_rows(&assignment.content, mode == SumMode::FirstEvent) {
+                for row in measure_rows(mode == SumMode::FirstEvent) {
                     *s += db.float(row, attr).unwrap_or(0.0);
                     *n += 1;
                 }
             }
             (AggState::Min(m), AggFunc::Min(attr)) => {
-                for row in measure_rows(&assignment.content, false) {
+                for row in measure_rows(false) {
                     let v = db.float(row, attr).unwrap_or(f64::INFINITY);
                     if v < *m {
                         *m = v;
@@ -131,7 +125,7 @@ impl AggState {
                 }
             }
             (AggState::Max(m), AggFunc::Max(attr)) => {
-                for row in measure_rows(&assignment.content, false) {
+                for row in measure_rows(false) {
                     let v = db.float(row, attr).unwrap_or(f64::NEG_INFINITY);
                     if v > *m {
                         *m = v;
@@ -219,6 +213,7 @@ impl fmt::Display for AggValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::{AssignedContent, Assignment};
     use solap_eventdb::{ColumnType, EventDbBuilder, Value};
 
     fn db_with_amounts(amounts: &[f64]) -> (solap_eventdb::EventDb, Sequence) {
@@ -255,8 +250,10 @@ mod tests {
         let (db, seq) = db_with_amounts(&[1.0, 2.0]);
         let f = AggFunc::Count;
         let mut st = AggState::new(f);
-        st.update(&db, f, &seq, &matched(vec![0])).unwrap();
-        st.update(&db, f, &seq, &matched(vec![1])).unwrap();
+        st.update(&db, f, &seq, matched(vec![0]).content.view())
+            .unwrap();
+        st.update(&db, f, &seq, matched(vec![1]).content.view())
+            .unwrap();
         assert_eq!(st.finish(), AggValue::Count(2));
     }
 
@@ -265,12 +262,15 @@ mod tests {
         let (db, seq) = db_with_amounts(&[1.0, 2.0, 4.0]);
         let all = AggFunc::Sum(1, SumMode::AllEvents);
         let mut st = AggState::new(all);
-        st.update(&db, all, &seq, &matched(vec![0, 2])).unwrap();
+        st.update(&db, all, &seq, matched(vec![0, 2]).content.view())
+            .unwrap();
         assert_eq!(st.finish(), AggValue::Float(5.0));
         let first = AggFunc::Sum(1, SumMode::FirstEvent);
         let mut st = AggState::new(first);
-        st.update(&db, first, &seq, &matched(vec![0, 2])).unwrap();
-        st.update(&db, first, &seq, &matched(vec![1, 2])).unwrap();
+        st.update(&db, first, &seq, matched(vec![0, 2]).content.view())
+            .unwrap();
+        st.update(&db, first, &seq, matched(vec![1, 2]).content.view())
+            .unwrap();
         assert_eq!(st.finish(), AggValue::Float(3.0));
     }
 
@@ -283,7 +283,7 @@ mod tests {
             cell: vec![0],
             content: AssignedContent::WholeSequence,
         };
-        st.update(&db, f, &seq, &a).unwrap();
+        st.update(&db, f, &seq, a.content.view()).unwrap();
         assert_eq!(st.finish(), AggValue::Float(7.0));
     }
 
@@ -292,16 +292,19 @@ mod tests {
         let (db, seq) = db_with_amounts(&[1.0, 3.0, 8.0]);
         let favg = AggFunc::Avg(1, SumMode::AllEvents);
         let mut avg = AggState::new(favg);
-        avg.update(&db, favg, &seq, &matched(vec![0, 1])).unwrap();
+        avg.update(&db, favg, &seq, matched(vec![0, 1]).content.view())
+            .unwrap();
         assert_eq!(avg.finish(), AggValue::Float(2.0));
         assert_eq!(AggState::new(favg).finish(), AggValue::Float(0.0));
         let fmin = AggFunc::Min(1);
         let mut min = AggState::new(fmin);
-        min.update(&db, fmin, &seq, &matched(vec![1, 2])).unwrap();
+        min.update(&db, fmin, &seq, matched(vec![1, 2]).content.view())
+            .unwrap();
         assert_eq!(min.finish(), AggValue::Float(3.0));
         let fmax = AggFunc::Max(1);
         let mut max = AggState::new(fmax);
-        max.update(&db, fmax, &seq, &matched(vec![0, 2])).unwrap();
+        max.update(&db, fmax, &seq, matched(vec![0, 2]).content.view())
+            .unwrap();
         assert_eq!(max.finish(), AggValue::Float(8.0));
     }
 
@@ -390,14 +393,14 @@ mod tests {
         for f in funcs {
             let mut sequential = AggState::new(f);
             for a in &assignments {
-                sequential.update(&db, f, &seq, a).unwrap();
+                sequential.update(&db, f, &seq, a.content.view()).unwrap();
             }
             for chunk in [1usize, 3, 5, 12] {
                 let mut merged = AggState::new(f);
                 for part in assignments.chunks(chunk) {
                     let mut local = AggState::new(f);
                     for a in part {
-                        local.update(&db, f, &seq, a).unwrap();
+                        local.update(&db, f, &seq, a.content.view()).unwrap();
                     }
                     merged.merge(&local);
                 }

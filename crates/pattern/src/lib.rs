@@ -18,6 +18,8 @@
 //!   (`x1.action = "in" AND y1.action = "out"` …).
 //! * [`matcher`] — occurrence enumeration and per-sequence cell assignment
 //!   for both substring and subsequence templates.
+//! * [`code`] — packed cell codes: a cell as one integer laid out from the
+//!   dictionary cardinalities, and the `cell → V` table built on it.
 //! * [`agg`] — the aggregate functions applied to each S-cuboid cell
 //!   (COUNT, and the SUM/AVG/MIN/MAX extensions the paper sketches).
 
@@ -25,13 +27,15 @@
 #![warn(missing_docs)]
 
 pub mod agg;
+pub mod code;
 pub mod matcher;
 pub mod mpred;
 pub mod regex;
 pub mod template;
 
 pub use agg::{AggFunc, AggState, AggValue, SumMode};
-pub use matcher::{AssignedContent, Assignment, Matcher, Occurrence};
+pub use code::{CellCodec, CellTable};
+pub use matcher::{AssignedContent, Assignment, Content, Matcher, Occurrence};
 pub use mpred::MatchPred;
 pub use regex::{regex_counts, RegexElem, RegexMatcher, RegexOccurrence, RegexTemplate};
 pub use template::{CellRestriction, PatternDim, PatternKind, PatternTemplate, TemplateSignature};

@@ -11,14 +11,26 @@
 //! * all-matched-go: every satisfying occurrence;
 //! * left-maximality-data-go: leftmost per cell, but the whole sequence is
 //!   the assigned content.
+//!
+//! There is one substring window loop and one subsequence DFS (`scan`);
+//! BUILDINDEX, the counter scan, [`Matcher::assignments`] and index
+//! verification are all visitors of it. The per-window path
+//! allocates nothing: lane values, the cell under construction and the
+//! matched positions live in buffers the matcher reuses across sequences.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 
 use solap_eventdb::{EventDb, LevelValue, QueryGovernor, Result, RowId, Sequence};
 
+use crate::code::{CellCodec, CellTable};
 use crate::mpred::MatchPred;
-use crate::template::{CellRestriction, PatternTemplate};
+use crate::template::{CellRestriction, PatternKind, PatternTemplate};
+
+/// How many distinct cells of one sequence the left-maximality dedupe keeps
+/// in its linear scratch before spilling into a hash table. A substring
+/// template yields at most one cell per window, so ordinary sequences never
+/// spill.
+const SEEN_INLINE: usize = 64;
 
 /// One occurrence of a template in a sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +51,26 @@ pub enum AssignedContent {
     WholeSequence,
 }
 
+impl AssignedContent {
+    /// The borrowed form aggregate updates read.
+    pub fn view(&self) -> Content<'_> {
+        match self {
+            AssignedContent::Matched(positions) => Content::Matched(positions),
+            AssignedContent::WholeSequence => Content::WholeSequence,
+        }
+    }
+}
+
+/// [`AssignedContent`] borrowed from the matcher's buffers — what
+/// [`Matcher::for_each_assignment`] hands its visitor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Content<'a> {
+    /// The matched events (their indices into the sequence).
+    Matched(&'a [u32]),
+    /// The whole data sequence.
+    WholeSequence,
+}
+
 /// A (cell, content) assignment produced for one sequence.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
@@ -54,10 +86,14 @@ pub struct Matcher<'a> {
     db: &'a EventDb,
     template: &'a PatternTemplate,
     mpred: &'a MatchPred,
-    /// Distinct `(attr, level)` pairs used by the template's dimensions and
-    /// the index of each dimension's pair within the distinct list.
+    /// Distinct `(attr, level)` pairs the template reads, and the index of
+    /// each position's pair within that list.
     lanes: Vec<(u32, usize)>,
-    dim_lane: Vec<usize>,
+    pos_lane: Vec<usize>,
+    /// Whether a position is the first of its dimension: it sets the
+    /// dimension's cell value, later positions must repeat it.
+    binds: Vec<bool>,
+    codec: CellCodec,
     /// Optional per-query governor ticked per match-window / DFS node, so
     /// explosive occurrence enumeration stays abortable.
     gov: Option<&'a QueryGovernor>,
@@ -65,19 +101,80 @@ pub struct Matcher<'a> {
     /// [`Matcher::take_windows`] (observability; matchers are per-thread,
     /// so a non-atomic cell suffices).
     windows: Cell<u64>,
+    /// Buffers reused from one sequence to the next; taken out for the
+    /// duration of a scan.
+    scratch: Cell<Scratch>,
+    /// Left-maximality dedupe state, reused from one sequence to the next.
+    seen: Cell<Seen>,
 }
 
-/// Per-sequence extracted values: one lane per distinct `(attr, level)`.
-struct SeqView {
-    lanes: Vec<Vec<LevelValue>>,
-    len: usize,
+/// The cells one sequence has been assigned to so far: the codes of the
+/// first [`SEEN_INLINE`] in a scratch searched linearly (no hashing, no
+/// allocation), the rest — subsequence templates over long sequences, and
+/// cells too wide for a code — stamped with the sequence's epoch in a table
+/// kept across sequences.
+#[derive(Default)]
+struct Seen {
+    inline: Vec<u64>,
+    spill: Option<CellTable<u32>>,
+    epoch: u32,
 }
 
-impl SeqView {
-    #[inline]
-    fn value(&self, lane: usize, idx: usize) -> LevelValue {
-        self.lanes[lane][idx]
+impl Seen {
+    fn next_sequence(&mut self) {
+        self.inline.clear();
+        if self.epoch == u32::MAX {
+            self.spill = None;
+            self.epoch = 0;
+        }
+        self.epoch += 1;
     }
+
+    /// Whether `cell` is new to the current sequence; remembers it.
+    #[inline]
+    fn first_time(&mut self, cell: &[LevelValue], codec: &CellCodec) -> bool {
+        if codec.space().is_some() {
+            let code = codec.pack(cell);
+            if self.inline.contains(&code) {
+                return false;
+            }
+            if self.inline.len() < SEEN_INLINE {
+                self.inline.push(code);
+                return true;
+            }
+        }
+        let spill = self
+            .spill
+            .get_or_insert_with(|| CellTable::new(codec.clone(), 0, 0));
+        let stamp = spill.slot(cell).0;
+        std::mem::replace(stamp, self.epoch) != self.epoch
+    }
+}
+
+#[derive(Default)]
+struct Scratch {
+    /// Lane `l` of the current sequence at `[l * len..][..len]`.
+    values: Vec<LevelValue>,
+    cell: Vec<LevelValue>,
+    positions: Vec<u32>,
+    rows: Vec<RowId>,
+}
+
+/// One scan in flight: the sequence, the scratch buffers, what to match
+/// and whom to tell.
+struct Walk<'w, F> {
+    seq: &'w Sequence,
+    len: usize,
+    /// A fixed value per position (verification), or free enumeration.
+    want: Option<&'w [LevelValue]>,
+    /// Whether the matching predicate is evaluated.
+    pred: bool,
+    values: &'w [LevelValue],
+    cell: &'w mut [LevelValue],
+    positions: &'w mut [u32],
+    rows: &'w mut [RowId],
+    visit: &'w mut F,
+    stop: bool,
 }
 
 impl<'a> Matcher<'a> {
@@ -89,9 +186,11 @@ impl<'a> Matcher<'a> {
             "matching predicate references placeholder beyond template length"
         );
         let mut lanes: Vec<(u32, usize)> = Vec::new();
-        let mut dim_lane = Vec::with_capacity(template.n());
-        for d in &template.dims {
-            let key = (d.attr, d.level);
+        let mut pos_lane = Vec::with_capacity(template.m());
+        let mut binds = Vec::with_capacity(template.m());
+        for (p, &d) in template.symbols.iter().enumerate() {
+            let dim = &template.dims[d];
+            let key = (dim.attr, dim.level);
             let lane = match lanes.iter().position(|&l| l == key) {
                 Some(i) => i,
                 None => {
@@ -99,16 +198,21 @@ impl<'a> Matcher<'a> {
                     lanes.len() - 1
                 }
             };
-            dim_lane.push(lane);
+            pos_lane.push(lane);
+            binds.push(!template.symbols[..p].contains(&d));
         }
         Matcher {
             db,
             template,
             mpred,
             lanes,
-            dim_lane,
+            pos_lane,
+            binds,
+            codec: CellCodec::new(db, &template.dims),
             gov: None,
             windows: Cell::new(0),
+            scratch: Cell::default(),
+            seen: Cell::default(),
         }
     }
 
@@ -140,25 +244,127 @@ impl<'a> Matcher<'a> {
         self.template
     }
 
-    fn view(&self, seq: &Sequence) -> Result<SeqView> {
-        let mut lanes = Vec::with_capacity(self.lanes.len());
-        for &(attr, level) in &self.lanes {
-            let mut v = Vec::with_capacity(seq.rows.len());
-            // solint: allow(governor-tick) O(rows) lane materialization per sequence; the window/DFS scan that consumes it ticks
-            for &row in &seq.rows {
-                v.push(self.db.value_at_level(row, attr, level)?);
-            }
-            lanes.push(v);
-        }
-        Ok(SeqView {
-            lanes,
-            len: seq.rows.len(),
-        })
+    /// The packed-code layout of this template's cells.
+    pub fn codec(&self) -> &CellCodec {
+        &self.codec
     }
 
+    /// The one enumeration: calls `visit(cell, positions)` for every
+    /// occurrence of the template in `seq`, leftmost-first, until it
+    /// returns `false`. `want` fixes the value at every position instead —
+    /// index verification, which ignores the matching predicate.
+    fn scan<F>(&self, seq: &Sequence, want: Option<&[LevelValue]>, visit: &mut F) -> Result<()>
+    where
+        F: FnMut(&[LevelValue], &[u32]) -> Result<bool>,
+    {
+        let (m, len) = (self.template.m(), seq.rows.len());
+        if len < m {
+            return Ok(());
+        }
+        let mut s = self.scratch.take();
+        let out = self.gather(seq, &mut s).and_then(|()| {
+            let mut walk = Walk {
+                seq,
+                len,
+                want,
+                pred: want.is_none() && !self.mpred.is_true(),
+                values: &s.values,
+                cell: &mut s.cell,
+                positions: &mut s.positions,
+                rows: &mut s.rows,
+                visit,
+                stop: false,
+            };
+            match self.template.kind {
+                PatternKind::Substring => self.windows(&mut walk),
+                PatternKind::Subsequence => self.dfs(&mut walk, 0, 0),
+            }
+        });
+        self.scratch.set(s);
+        out
+    }
+
+    /// One lane gather per sequence, into the reused buffer.
+    fn gather(&self, seq: &Sequence, s: &mut Scratch) -> Result<()> {
+        s.values.clear();
+        for &(attr, level) in &self.lanes {
+            // solint: allow(governor-tick) O(rows) lane materialization per sequence; the window/DFS scan that consumes it ticks
+            for &row in &seq.rows {
+                s.values.push(self.db.value_at_level(row, attr, level)?);
+            }
+        }
+        s.cell.resize(self.template.n(), 0);
+        s.positions.resize(self.template.m(), 0);
+        s.rows.resize(self.template.m(), 0);
+        Ok(())
+    }
+
+    /// Tries event `i` at position `p`: its value must be the wanted one
+    /// and the one its dimension already carries (repeated symbols).
     #[inline]
-    fn lane_of_pos(&self, pos: usize) -> usize {
-        self.dim_lane[self.template.symbols[pos]]
+    fn bind<F>(&self, w: &mut Walk<'_, F>, p: usize, i: usize) -> bool {
+        let v = w.values[self.pos_lane[p] * w.len + i];
+        let d = self.template.symbols[p];
+        if w.want.is_some_and(|want| want[p] != v) || (!self.binds[p] && w.cell[d] != v) {
+            return false;
+        }
+        w.cell[d] = v;
+        w.positions[p] = i as u32;
+        w.rows[p] = w.seq.rows[i];
+        true
+    }
+
+    fn windows<F>(&self, w: &mut Walk<'_, F>) -> Result<()>
+    where
+        F: FnMut(&[LevelValue], &[u32]) -> Result<bool>,
+    {
+        let m = self.template.m();
+        'windows: for start in 0..=(w.len - m) {
+            self.tick()?;
+            for p in 0..m {
+                if !self.bind(w, p, start + p) {
+                    continue 'windows;
+                }
+            }
+            if w.pred && !self.mpred.eval(self.db, w.rows)? {
+                continue;
+            }
+            if !(w.visit)(w.cell, w.positions)? {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    fn dfs<F>(&self, w: &mut Walk<'_, F>, p: usize, from: usize) -> Result<()>
+    where
+        F: FnMut(&[LevelValue], &[u32]) -> Result<bool>,
+    {
+        self.tick()?;
+        let m = self.template.m();
+        if p == m {
+            w.stop = !(w.visit)(w.cell, w.positions)?;
+            return Ok(());
+        }
+        // Not enough events left to complete the pattern.
+        if from > w.len - (m - p) {
+            return Ok(());
+        }
+        for i in from..=(w.len - (m - p)) {
+            if !self.bind(w, p, i) {
+                continue;
+            }
+            // Prune with the conjuncts already determined.
+            if !w.pred || self.mpred.eval_prefix(self.db, w.rows, p + 1)? {
+                self.dfs(w, p + 1, i + 1)?;
+            }
+            // With every value fixed the leftmost candidate decides: what
+            // follows a later one is a suffix of what followed this one.
+            if w.stop || w.want.is_some() {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Enumerates satisfying occurrences leftmost-first, calling `f` for
@@ -168,123 +374,42 @@ impl<'a> Matcher<'a> {
         seq: &Sequence,
         mut f: impl FnMut(&Occurrence) -> bool,
     ) -> Result<()> {
-        let view = self.view(seq)?;
-        self.for_each_occurrence_in_view(seq, &view, &mut f)
+        self.scan(seq, None, &mut |cell, positions| {
+            Ok(f(&Occurrence {
+                positions: positions.to_vec(),
+                cell: cell.to_vec(),
+            }))
+        })
     }
 
-    fn for_each_occurrence_in_view(
+    /// Streams this sequence's cell assignments under `restriction`,
+    /// leftmost-first, as `f(cell, content)` — both borrowed from the
+    /// matcher's buffers. Returns how many were delivered.
+    pub fn for_each_assignment(
         &self,
         seq: &Sequence,
-        view: &SeqView,
-        f: &mut impl FnMut(&Occurrence) -> bool,
-    ) -> Result<()> {
-        let m = self.template.m();
-        if view.len < m {
-            return Ok(());
-        }
-        match self.template.kind {
-            crate::template::PatternKind::Substring => {
-                let mut rows: Vec<RowId> = vec![0; m];
-                'windows: for start in 0..=(view.len - m) {
-                    self.tick()?;
-                    let mut cell: Vec<Option<LevelValue>> = vec![None; self.template.n()];
-                    for p in 0..m {
-                        let v = view.value(self.lane_of_pos(p), start + p);
-                        let d = self.template.symbols[p];
-                        match cell[d] {
-                            Some(prev) if prev != v => continue 'windows,
-                            Some(_) => {}
-                            None => cell[d] = Some(v),
-                        }
-                    }
-                    rows.copy_from_slice(&seq.rows[start..start + m]);
-                    if !self.mpred.eval(self.db, &rows)? {
-                        continue;
-                    }
-                    let occ = Occurrence {
-                        positions: (start as u32..(start + m) as u32).collect(),
-                        cell: cell.into_iter().map(|c| c.expect("filled")).collect(),
-                    };
-                    if !f(&occ) {
-                        return Ok(());
-                    }
-                }
-                Ok(())
+        restriction: CellRestriction,
+        mut f: impl FnMut(&[LevelValue], Content<'_>) -> Result<()>,
+    ) -> Result<u64> {
+        // Left-maximality: a cell this sequence was already assigned to has
+        // had its leftmost occurrence.
+        let leftmost_only = restriction != CellRestriction::AllMatchedGo;
+        let mut seen = self.seen.take();
+        seen.next_sequence();
+        let mut delivered = 0;
+        let out = self.scan(seq, None, &mut |cell, positions| {
+            if leftmost_only && !seen.first_time(cell, &self.codec) {
+                return Ok(true);
             }
-            crate::template::PatternKind::Subsequence => {
-                let mut positions: Vec<u32> = Vec::with_capacity(m);
-                let mut rows: Vec<RowId> = vec![0; m];
-                let mut cell: Vec<Option<LevelValue>> = vec![None; self.template.n()];
-                let mut stop = false;
-                self.dfs(
-                    seq,
-                    view,
-                    0,
-                    0,
-                    &mut positions,
-                    &mut rows,
-                    &mut cell,
-                    f,
-                    &mut stop,
-                )?;
-                Ok(())
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dfs(
-        &self,
-        seq: &Sequence,
-        view: &SeqView,
-        p: usize,
-        from: usize,
-        positions: &mut Vec<u32>,
-        rows: &mut Vec<RowId>,
-        cell: &mut Vec<Option<LevelValue>>,
-        f: &mut impl FnMut(&Occurrence) -> bool,
-        stop: &mut bool,
-    ) -> Result<()> {
-        self.tick()?;
-        let m = self.template.m();
-        if p == m {
-            let occ = Occurrence {
-                positions: positions.clone(),
-                cell: cell.iter().map(|c| c.expect("filled")).collect(),
+            delivered += 1;
+            let content = match restriction {
+                CellRestriction::LeftMaximalityDataGo => Content::WholeSequence,
+                _ => Content::Matched(positions),
             };
-            if !f(&occ) {
-                *stop = true;
-            }
-            return Ok(());
-        }
-        // Not enough events left to complete the pattern.
-        if view.len < m - p || from > view.len - (m - p) {
-            return Ok(());
-        }
-        let d = self.template.symbols[p];
-        let lane = self.dim_lane[d];
-        for i in from..=(view.len - (m - p)) {
-            let v = view.value(lane, i);
-            let had = cell[d];
-            if let Some(prev) = had {
-                if prev != v {
-                    continue;
-                }
-            }
-            cell[d] = Some(v);
-            positions.push(i as u32);
-            rows[p] = seq.rows[i];
-            // Prune with the conjuncts already determined.
-            if self.mpred.eval_prefix(self.db, rows, p + 1)? {
-                self.dfs(seq, view, p + 1, i + 1, positions, rows, cell, f, stop)?;
-            }
-            positions.pop();
-            cell[d] = had;
-            if *stop {
-                return Ok(());
-            }
-        }
-        Ok(())
+            f(cell, content).map(|()| true)
+        });
+        self.seen.set(seen);
+        out.map(|()| delivered)
     }
 
     /// Produces this sequence's cell assignments under `restriction`,
@@ -295,63 +420,17 @@ impl<'a> Matcher<'a> {
         restriction: CellRestriction,
     ) -> Result<Vec<Assignment>> {
         let mut out: Vec<Assignment> = Vec::new();
-        let mut seen: HashMap<Vec<LevelValue>, ()> = HashMap::new();
-        self.for_each_occurrence(seq, |occ| {
-            match restriction {
-                CellRestriction::AllMatchedGo => out.push(Assignment {
-                    cell: occ.cell.clone(),
-                    content: AssignedContent::Matched(occ.positions.clone()),
-                }),
-                CellRestriction::LeftMaximalityMatchedGo => {
-                    if seen.insert(occ.cell.clone(), ()).is_none() {
-                        out.push(Assignment {
-                            cell: occ.cell.clone(),
-                            content: AssignedContent::Matched(occ.positions.clone()),
-                        });
-                    }
-                }
-                CellRestriction::LeftMaximalityDataGo => {
-                    if seen.insert(occ.cell.clone(), ()).is_none() {
-                        out.push(Assignment {
-                            cell: occ.cell.clone(),
-                            content: AssignedContent::WholeSequence,
-                        });
-                    }
-                }
-            }
-            true
+        self.for_each_assignment(seq, restriction, |cell, content| {
+            out.push(Assignment {
+                cell: cell.to_vec(),
+                content: match content {
+                    Content::Matched(positions) => AssignedContent::Matched(positions.to_vec()),
+                    Content::WholeSequence => AssignedContent::WholeSequence,
+                },
+            });
+            Ok(())
         })?;
         Ok(out)
-    }
-
-    /// Finds the leftmost satisfying occurrence whose cell equals `cell`.
-    pub fn first_occurrence_of_cell(
-        &self,
-        seq: &Sequence,
-        cell: &[LevelValue],
-    ) -> Result<Option<Occurrence>> {
-        let mut found = None;
-        self.for_each_occurrence(seq, |occ| {
-            if occ.cell == cell {
-                found = Some(occ.clone());
-                false
-            } else {
-                true
-            }
-        })?;
-        Ok(found)
-    }
-
-    /// Counts satisfying occurrences whose cell equals `cell`.
-    pub fn count_occurrences_of_cell(&self, seq: &Sequence, cell: &[LevelValue]) -> Result<u64> {
-        let mut count = 0;
-        self.for_each_occurrence(seq, |occ| {
-            if occ.cell == cell {
-                count += 1;
-            }
-            true
-        })?;
-        Ok(count)
     }
 
     /// Whether `seq` contains the concrete length-`m` value string `values`
@@ -360,104 +439,20 @@ impl<'a> Matcher<'a> {
     /// verification scans use (Figure 15 line 9).
     pub fn contains_pattern(&self, seq: &Sequence, values: &[LevelValue]) -> Result<bool> {
         debug_assert_eq!(values.len(), self.template.m());
-        let view = self.view(seq)?;
-        let m = values.len();
-        if view.len < m {
-            return Ok(false);
-        }
-        match self.template.kind {
-            crate::template::PatternKind::Substring => {
-                'w: for start in 0..=(view.len - m) {
-                    self.tick()?;
-                    for (p, &v) in values.iter().enumerate() {
-                        if view.value(self.lane_of_pos(p), start + p) != v {
-                            continue 'w;
-                        }
-                    }
-                    return Ok(true);
-                }
-                Ok(false)
-            }
-            crate::template::PatternKind::Subsequence => {
-                // Fixed values: greedy leftmost matching decides existence.
-                let mut p = 0;
-                for i in 0..view.len {
-                    self.tick()?;
-                    if view.value(self.lane_of_pos(p), i) == values[p] {
-                        p += 1;
-                        if p == m {
-                            return Ok(true);
-                        }
-                    }
-                }
-                Ok(false)
-            }
-        }
-    }
-
-    /// Enumerates, ignoring the matching predicate, every **unique**
-    /// length-`m` value string of `seq` that instantiates the template
-    /// (Figure 9 line 4 of BUILDINDEX). `f` receives each unique string
-    /// once, in first-occurrence order.
-    pub fn for_each_unique_pattern(
-        &self,
-        seq: &Sequence,
-        mut f: impl FnMut(&[LevelValue]),
-    ) -> Result<()> {
-        let view = self.view(seq)?;
-        let m = self.template.m();
-        if view.len < m {
-            return Ok(());
-        }
-        let mut seen: HashMap<Vec<LevelValue>, ()> = HashMap::new();
-        match self.template.kind {
-            crate::template::PatternKind::Substring => {
-                let mut buf: Vec<LevelValue> = vec![0; m];
-                'w: for start in 0..=(view.len - m) {
-                    self.tick()?;
-                    let mut cell: Vec<Option<LevelValue>> = vec![None; self.template.n()];
-                    for p in 0..m {
-                        let v = view.value(self.lane_of_pos(p), start + p);
-                        let d = self.template.symbols[p];
-                        match cell[d] {
-                            Some(prev) if prev != v => continue 'w,
-                            Some(_) => {}
-                            None => cell[d] = Some(v),
-                        }
-                        *buf.get_mut(p).expect("buf sized m") = v;
-                    }
-                    if seen.insert(buf.clone(), ()).is_none() {
-                        f(&buf);
-                    }
-                }
-            }
-            crate::template::PatternKind::Subsequence => {
-                // Enumerate via the predicate-free DFS; dedupe value strings.
-                let trivial = MatchPred::True;
-                let mut free = Matcher::new(self.db, self.template, &trivial);
-                free.gov = self.gov;
-                let walked = free.for_each_occurrence_in_view(seq, &view, &mut |occ| {
-                    let values = self.template.expand_cell(&occ.cell);
-                    if seen.insert(values.clone(), ()).is_none() {
-                        f(&values);
-                    }
-                    true
-                });
-                // Fold the nested matcher's window count into ours so
-                // take_windows() sees the full enumeration cost.
-                self.windows.set(self.windows.get() + free.take_windows());
-                walked?;
-            }
-        }
-        Ok(())
+        let mut found = false;
+        self.scan(seq, Some(values), &mut |_, _| {
+            found = true;
+            Ok(false)
+        })?;
+        Ok(found)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::template::PatternKind;
     use solap_eventdb::{CmpOp, ColumnType, EventDbBuilder, Value};
+    use std::collections::HashMap;
 
     /// Builds a db holding one station-sequence per test sequence; action
     /// alternates in/out by position (as in Figure 8's note).
@@ -578,6 +573,38 @@ mod tests {
         assert_eq!(dg[0].content, AssignedContent::WholeSequence);
     }
 
+    /// More distinct cells in one sequence than the dedupe keeps inline:
+    /// the spill table must agree with a plain first-occurrence filter,
+    /// sequence after sequence.
+    #[test]
+    fn left_maximality_dedupe_survives_the_spill() {
+        let long: Vec<String> = (0..40).map(|i| format!("s{}", i % 25)).collect();
+        let long: Vec<&str> = long.iter().map(String::as_str).collect();
+        let (db, seqs) = db_and_seqs(&[&long, &long[5..], S1]);
+        let t = template(PatternKind::Subsequence, &["X", "Y"]);
+        let p = MatchPred::True;
+        let m = Matcher::new(&db, &t, &p);
+        for seq in &seqs {
+            let all = m.assignments(seq, CellRestriction::AllMatchedGo).unwrap();
+            let mut firsts: Vec<Assignment> = Vec::new();
+            for a in all {
+                if !firsts.iter().any(|f| f.cell == a.cell) {
+                    firsts.push(a);
+                }
+            }
+            let lm = m
+                .assignments(seq, CellRestriction::LeftMaximalityMatchedGo)
+                .unwrap();
+            assert_eq!(lm, firsts);
+        }
+        assert!(
+            m.assignments(&seqs[0], CellRestriction::LeftMaximalityMatchedGo)
+                .unwrap()
+                .len()
+                > SEEN_INLINE
+        );
+    }
+
     #[test]
     fn repeated_symbols_require_equal_values() {
         let (db, seqs) = db_and_seqs(&[S1]);
@@ -681,57 +708,6 @@ mod tests {
         let ts = template(PatternKind::Subsequence, &["X", "Y"]);
         let ms = Matcher::new(&db, &ts, &p);
         assert!(ms.contains_pattern(&seqs[0], &[glen, whea]).unwrap());
-    }
-
-    #[test]
-    fn first_and_count_of_cell() {
-        let (db, seqs) = db_and_seqs(&[S1]);
-        let t = template(PatternKind::Substring, &["X", "Y"]);
-        let p = MatchPred::True;
-        let m = Matcher::new(&db, &t, &p);
-        let pent = db.dict(0).unwrap().lookup("Pentagon").unwrap() as u64;
-        let whea = db.dict(0).unwrap().lookup("Wheaton").unwrap() as u64;
-        let first = m
-            .first_occurrence_of_cell(&seqs[0], &[pent, whea])
-            .unwrap()
-            .unwrap();
-        assert_eq!(first.positions, vec![2, 3]);
-        assert_eq!(
-            m.count_occurrences_of_cell(&seqs[0], &[pent, whea])
-                .unwrap(),
-            1
-        );
-        assert_eq!(
-            m.count_occurrences_of_cell(&seqs[0], &[pent, pent])
-                .unwrap(),
-            1
-        );
-        assert!(m
-            .first_occurrence_of_cell(&seqs[0], &[whea, whea])
-            .unwrap()
-            .is_some());
-    }
-
-    #[test]
-    fn unique_patterns_for_index_build() {
-        // Fig 10: L2 lists for s1 contain (Glenmont,Pentagon),
-        // (Pentagon,Pentagon), (Pentagon,Wheaton), (Wheaton,Wheaton),
-        // (Wheaton,Pentagon) — 5 unique pairs.
-        let (db, seqs) = db_and_seqs(&[S1]);
-        let t = template(PatternKind::Substring, &["X", "Y"]);
-        let p = MatchPred::True;
-        let m = Matcher::new(&db, &t, &p);
-        let mut uniq = Vec::new();
-        m.for_each_unique_pattern(&seqs[0], |v| uniq.push(v.to_vec()))
-            .unwrap();
-        assert_eq!(uniq.len(), 5);
-        // Repeated-symbol template restricts enumeration to instantiations.
-        let tx = template(PatternKind::Substring, &["X", "X"]);
-        let mx = Matcher::new(&db, &tx, &p);
-        let mut uniq2 = Vec::new();
-        mx.for_each_unique_pattern(&seqs[0], |v| uniq2.push(v.to_vec()))
-            .unwrap();
-        assert_eq!(uniq2.len(), 2); // (Pentagon,Pentagon) and (Wheaton,Wheaton)
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! intercepts them before dispatch and every other surface receives a
 //! typed `unsupported` error.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use solap_core::{Engine, PlanReport, Session};
+use solap_core::{Engine, PlanReport, Session, HISTORY_CAP};
 use solap_eventdb::CancelToken;
 
 use crate::command::{self, ArgError};
@@ -33,8 +34,10 @@ pub struct SessionCtx {
     pub show_profile: bool,
     /// Display labels for `.history`, one per navigation step (regex
     /// queries run outside [`Session`] history, so the surface keeps its
-    /// own parallel list).
-    labels: Vec<String>,
+    /// own parallel list), bounded like the session's history.
+    labels: VecDeque<String>,
+    /// Labels that aged out; `.history` numbers steps from here.
+    labels_forgotten: u64,
 }
 
 impl SessionCtx {
@@ -43,8 +46,17 @@ impl SessionCtx {
         SessionCtx {
             session: Session::new(engine),
             show_profile: false,
-            labels: Vec::new(),
+            labels: VecDeque::new(),
+            labels_forgotten: 0,
         }
+    }
+
+    fn label(&mut self, label: String) {
+        if self.labels.len() == HISTORY_CAP {
+            self.labels.pop_front();
+            self.labels_forgotten += 1;
+        }
+        self.labels.push_back(label);
     }
 
     /// The underlying navigation session.
@@ -432,8 +444,8 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
                 msg: "apply left no current spec".into(),
             })?;
             let table = result.cuboid.tabulate(&db.db(), 10, true);
-            ctx.labels
-                .push(format!("{} → {}", op.name(), spec.template.render_head()));
+            let label = format!("{} → {}", op.name(), spec.template.render_head());
+            ctx.label(label);
             Ok(Response::ok(format!(
                 "{}: {} cells via {} in {:?} ({} sequences scanned)\n{table}",
                 op.name(),
@@ -445,13 +457,17 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
         }
         "back" => {
             if ctx.session.back()? {
-                ctx.labels.pop();
+                ctx.labels.pop_back();
                 let head = ctx
                     .session
                     .spec()
                     .map(|s| s.template.render_head())
                     .unwrap_or_default();
                 Ok(Response::ok(format!("back to: {head}\n")))
+            } else if ctx.session.history_forgotten() > 0 {
+                Ok(Response::ok(format!(
+                    "at the oldest remembered step (history keeps the last {HISTORY_CAP})\n"
+                )))
             } else {
                 Ok(Response::ok("at the start of history\n"))
             }
@@ -510,8 +526,15 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
         }
         "history" => {
             let mut out = String::new();
+            if ctx.labels_forgotten > 0 {
+                let _ = writeln!(
+                    out,
+                    "  … {} earlier steps forgotten (the last {HISTORY_CAP} are kept)",
+                    ctx.labels_forgotten
+                );
+            }
             for (i, h) in ctx.labels.iter().enumerate() {
-                let _ = writeln!(out, "  {i:>3}. {h}");
+                let _ = writeln!(out, "  {:>3}. {h}", ctx.labels_forgotten + i as u64);
             }
             Ok(Response::ok(out))
         }
@@ -601,7 +624,8 @@ fn dispatch_query(ctx: &mut SessionCtx, text: &str) -> Result<Response, Fail> {
         msg: "query left no current spec".into(),
     })?;
     let table = result.cuboid.tabulate(&engine.db(), 15, true);
-    ctx.labels.push(spec.template.render_head());
+    let label = spec.template.render_head();
+    ctx.label(label);
     let mut body = format!(
         "{} cells via {} in {:?} ({} sequences scanned, {} KiB of indices built)\n",
         result.cuboid.len(),
@@ -654,7 +678,7 @@ fn dispatch_regex_query(ctx: &mut SessionCtx, text: &str) -> Result<Response, Fa
     let cuboid =
         solap_core::regexq::regex_cuboid(&db, &groups, &q.template, q.restriction, &mut meter)?;
     let table = cuboid.tabulate(&db, 15, true);
-    ctx.labels.push(format!("REGEX {}", q.template.render()));
+    ctx.label(format!("REGEX {}", q.template.render()));
     Ok(Response::ok(format!(
         "{} cells via regex/CB in {:?} ({} sequences scanned)\n{table}",
         cuboid.len(),
@@ -700,6 +724,34 @@ mod tests {
         assert!(r.ok && r.body.contains("back to:"), "{}", r.body);
         let r = dispatch(&mut c, ".history");
         assert!(r.ok && !r.body.contains("APPEND"), "{}", r.body);
+    }
+
+    #[test]
+    fn history_is_bounded_and_says_so_at_the_boundary() {
+        let mut c = ctx();
+        assert!(dispatch(&mut c, QUERY).ok);
+        for i in 0..HISTORY_CAP + 2 {
+            let r = dispatch(&mut c, &format!(".op minsup {}", 1 + i % 2));
+            assert!(r.ok, "{}", r.body);
+        }
+        let r = dispatch(&mut c, ".history");
+        assert!(r.body.contains("3 earlier steps forgotten"), "{}", r.body);
+        assert_eq!(r.body.lines().count(), HISTORY_CAP + 1);
+        assert!(
+            r.body.lines().nth(1).unwrap().contains("  3. "),
+            "{}",
+            r.body
+        );
+        for _ in 0..HISTORY_CAP - 1 {
+            let r = dispatch(&mut c, ".back");
+            assert!(r.body.contains("back to:"), "{}", r.body);
+        }
+        let r = dispatch(&mut c, ".back");
+        assert!(
+            r.ok && r.body.contains("oldest remembered step"),
+            "{}",
+            r.body
+        );
     }
 
     #[test]

@@ -391,3 +391,119 @@ fn failpoint_registry_round_trips() {
     let mut engine = Engine::with_config(build_db(), config(Strategy::CounterBased, 1));
     assert_matches_fresh(&mut engine);
 }
+
+/// A database with one sequence of `len` events cycling over 7 symbols —
+/// long enough that every kernel loop runs past one governor check
+/// interval inside a single sequence.
+fn one_long_sequence(len: usize) -> EventDb {
+    let mut db = EventDbBuilder::new()
+        .dimension("sid", ColumnType::Int)
+        .dimension("pos", ColumnType::Int)
+        .dimension("symbol", ColumnType::Str)
+        .build()
+        .unwrap();
+    for pos in 0..len {
+        db.push_row(&[
+            Value::Int(0),
+            Value::Int(pos as i64),
+            Value::Str(format!("s{}", pos % 7)),
+        ])
+        .unwrap();
+    }
+    db
+}
+
+/// Each construction kernel, called directly: an expired deadline aborts
+/// it from *inside* its loop, at the first governor check — exactly one
+/// check interval of ticks in — and a cell budget aborts it at the first
+/// cell beyond the limit.
+#[test]
+fn kernels_abort_inside_their_loops_within_one_check_interval() {
+    use s_olap::core::cb::{counter_based_governed, CounterMode};
+    use s_olap::core::stats::ScanMeter;
+    use s_olap::eventdb::{build_sequence_groups, build_sequence_groups_governed};
+    use s_olap::index::{build_index_governed, SetBackend};
+
+    let interval = u64::from(CHECK_INTERVAL);
+    let len = 3 * CHECK_INTERVAL as usize;
+    let db = one_long_sequence(len);
+    let xy = spec_for(0).with_mpred(MatchPred::True);
+    let groups = build_sequence_groups(&db, &xy.seq).unwrap();
+    let expired = || QueryGovernor::new(Some(Duration::ZERO), None, None);
+    let timed_out = |r: Result<(), Error>, gov: &QueryGovernor, kernel: &str| {
+        assert!(
+            matches!(
+                r,
+                Err(Error::ResourceExhausted {
+                    resource: "time_ms",
+                    ..
+                })
+            ),
+            "{kernel}: {r:?}"
+        );
+        assert_eq!(
+            gov.events_ticked(),
+            interval,
+            "{kernel}: aborted at the first check"
+        );
+    };
+
+    // Steps 1–2: one tick per event row.
+    let gov = expired();
+    let formed = build_sequence_groups_governed(&db, &xy.seq, &gov);
+    timed_out(formed.map(drop), &gov, "select/cluster");
+    // The window loop and the DFS, through BUILDINDEX: one tick per
+    // window / node.
+    for kind in [PatternKind::Substring, PatternKind::Subsequence] {
+        let mut t = xy.template.clone();
+        t.kind = kind;
+        let gov = expired();
+        let built = build_index_governed(&db, groups.iter_sequences(), &t, SetBackend::Auto, &gov);
+        timed_out(built.map(drop), &gov, "BUILDINDEX");
+    }
+    // The counter scan is a visitor of the same loop (its own per-group
+    // check would notice an expired deadline before the loop starts): it
+    // ticks once per window of the only sequence.
+    let mut meter = ScanMeter::new();
+    let gov = QueryGovernor::unbounded();
+    counter_based_governed(&db, &groups, &xy, CounterMode::Auto, &mut meter, &gov).unwrap();
+    assert_eq!(gov.events_ticked(), len as u64 - 1);
+
+    // Cell budgets. Hashed counters: the first distinct cell beyond the
+    // limit trips it. Dense counters: the whole 7 × 7 cell space is
+    // charged before the scan.
+    let cells_abort = |r: Result<(), Error>, consumed_at_abort: u64, what: &str| match r {
+        Err(Error::ResourceExhausted {
+            resource: "cells",
+            consumed,
+            ..
+        }) => assert_eq!(consumed, consumed_at_abort, "{what}"),
+        other => panic!("{what}: expected a cells abort, got {other:?}"),
+    };
+    for (mode, agg, limit, consumed, what) in [
+        (CounterMode::Hash, AggFunc::Count, 3, 4, "hashed COUNT"),
+        (CounterMode::Dense, AggFunc::Count, 48, 49, "dense COUNT"),
+        (CounterMode::Auto, AggFunc::Max(1), 3, 4, "hashed MAX"),
+    ] {
+        let gov = QueryGovernor::new(None, Some(limit), None);
+        let spec = xy.clone().with_agg(agg);
+        let r = counter_based_governed(&db, &groups, &spec, mode, &mut meter, &gov);
+        cells_abort(r.map(drop), consumed, what);
+        assert!(gov.events_ticked() <= interval, "{what}: no runaway scan");
+    }
+    // BUILDINDEX charges a sequence's new lists when the sequence ends:
+    // all 7 of the cycle's pairs at once.
+    let gov = QueryGovernor::new(None, Some(3), None);
+    let built = build_index_governed(
+        &db,
+        groups.iter_sequences(),
+        &xy.template,
+        SetBackend::Auto,
+        &gov,
+    );
+    cells_abort(built.map(drop), 7, "BUILDINDEX");
+    // Steps 1–2 charge each new cluster as it appears.
+    let gov = QueryGovernor::new(None, Some(0), None);
+    let formed = build_sequence_groups_governed(&db, &xy.seq, &gov);
+    cells_abort(formed.map(drop), 1, "select/cluster");
+}

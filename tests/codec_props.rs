@@ -57,7 +57,7 @@ fn edge_cases_round_trip_every_codec() {
     for v in edge_cases() {
         let list = SidSet::from_sorted(v.clone());
         assert_eq!(list.to_vec(), v, "list round-trip");
-        let bitmap = SidSet::Bitmap(v.iter().copied().collect::<Bitmap>());
+        let bitmap = SidSet::from(v.iter().copied().collect::<Bitmap>());
         assert_eq!(bitmap.to_vec(), v, "bitmap round-trip");
         let comp = CompressedSidSet::from_sorted(v.clone());
         assert_eq!(comp.to_vec(), v, "compressed round-trip");
@@ -98,7 +98,7 @@ proptest! {
         let v = sorted(raw);
         prop_assert_eq!(SidSet::from_sorted(v.clone()).to_vec(), v.clone());
         prop_assert_eq!(
-            SidSet::Bitmap(v.iter().copied().collect::<Bitmap>()).to_vec(),
+            SidSet::from(v.iter().copied().collect::<Bitmap>()).to_vec(),
             v.clone()
         );
         let bulk = CompressedSidSet::from_sorted(v.clone());
@@ -124,8 +124,8 @@ proptest! {
     ) {
         let v = sorted(raw);
         let list = SidSet::from_sorted(v.clone());
-        let bitmap = SidSet::Bitmap(v.iter().copied().collect::<Bitmap>());
-        let comp = SidSet::Compressed(CompressedSidSet::from_sorted(v.clone()));
+        let bitmap = SidSet::from(v.iter().copied().collect::<Bitmap>());
+        let comp = SidSet::from(CompressedSidSet::from_sorted(v.clone()));
         for set in [&list, &bitmap, &comp] {
             let mut seeker = set.seeker();
             // Model: the cursor is an index into v that only moves forward.

@@ -17,6 +17,13 @@ use s_olap::prelude::{
 /// A random event database: `n` sequences over an alphabet of ≤ 5 symbols,
 /// each event tagged `a`/`b` (for matching predicates), plus the two-level
 /// hierarchy symbol → parity group.
+///
+/// The last column, `code`, repeats each event's symbol as a raw integer —
+/// the very id the `symbol` dictionary assigns it. A raw integer has no
+/// finite domain, so a template over `code` cannot pack its cells into one
+/// `u64` and takes the generic `Vec`-keyed path of every kernel, while the
+/// same template over `symbol` takes the packed one: their cuboids must be
+/// equal cell for cell.
 fn build_db(seqs: &[Vec<(u8, bool)>]) -> EventDb {
     let mut db = EventDbBuilder::new()
         .dimension("sid", ColumnType::Int)
@@ -24,16 +31,24 @@ fn build_db(seqs: &[Vec<(u8, bool)>]) -> EventDb {
         .dimension("symbol", ColumnType::Str)
         .dimension("tag", ColumnType::Str)
         .measure("weight", ColumnType::Float)
+        .dimension("code", ColumnType::Int)
         .build()
         .unwrap();
+    // Dictionary ids are handed out in order of first appearance.
+    let mut seen: Vec<u8> = Vec::new();
     for (sid, seq) in seqs.iter().enumerate() {
         for (pos, &(sym, tag)) in seq.iter().enumerate() {
+            let id = seen.iter().position(|&s| s == sym).unwrap_or_else(|| {
+                seen.push(sym);
+                seen.len() - 1
+            });
             db.push_row(&[
                 Value::Int(sid as i64),
                 Value::Int(pos as i64),
                 Value::Str(format!("s{sym}")),
                 Value::from(if tag { "a" } else { "b" }),
                 Value::Float((sym as f64) + 0.5),
+                Value::Int(id as i64),
             ])
             .unwrap();
         }
@@ -90,14 +105,22 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         )
 }
 
+/// The `symbol` column (packed cells) and its raw-integer mirror (wide).
+const SYMBOL: u32 = 2;
+const CODE: u32 = 5;
+
 fn spec_for(db: &EventDb, case: &Case) -> SCuboidSpec {
+    spec_over(db, case, SYMBOL)
+}
+
+fn spec_over(db: &EventDb, case: &Case, attr: u32) -> SCuboidSpec {
     // Dimension names A, B, C; positions pick from them.
     let names = ["A", "B", "C"];
     let position_syms: Vec<&str> = case.symbols.iter().map(|&d| names[d]).collect();
     let mut bindings: Vec<(&str, u32, usize)> = Vec::new();
     for &s in &position_syms {
         if !bindings.iter().any(|(n, _, _)| *n == s) {
-            bindings.push((s, 2, case.level));
+            bindings.push((s, attr, case.level));
         }
     }
     let template = PatternTemplate::new(case.kind, &position_syms, &bindings).unwrap();
@@ -179,6 +202,14 @@ proptest! {
         let c = cells_of(&iib, &spec);
         prop_assert_eq!(&a, &b, "CB vs II(list)");
         prop_assert_eq!(&b, &c, "II(list) vs II(bitmap)");
+        // The same template over the raw-integer mirror of `symbol` (base
+        // level only: an integer column has no hierarchy) runs every kernel
+        // on its `Vec`-keyed fallback.
+        if case.level == 0 {
+            let wide = spec_over(&cb.db(), &case, CODE);
+            prop_assert_eq!(&a, &cells_of(&cb, &wide), "packed CB vs wide CB");
+            prop_assert_eq!(&a, &cells_of(&ii, &wide), "packed CB vs wide II");
+        }
     }
 
     /// Left-maximality counts never exceed all-matched counts, cell-wise,

@@ -36,8 +36,8 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
 fn encode(v: &[u32], e: u8) -> SidSet {
     match e {
         0 => SidSet::from_sorted(v.to_vec()),
-        1 => SidSet::Bitmap(v.iter().copied().collect::<Bitmap>()),
-        _ => SidSet::Compressed(CompressedSidSet::from_sorted(v.to_vec())),
+        1 => SidSet::from(v.iter().copied().collect::<Bitmap>()),
+        _ => SidSet::from(CompressedSidSet::from_sorted(v.to_vec())),
     }
 }
 

@@ -22,6 +22,11 @@ use s_olap::prelude::{
 /// A random event database: sequences over an alphabet of ≤ 5 symbols,
 /// each event tagged `a`/`b`, with a dyadic `weight` measure so SUM/AVG
 /// comparisons are bit-exact regardless of association order.
+///
+/// `code` mirrors `symbol` as a raw integer (the id the dictionary assigns
+/// it): no finite domain, so templates over it keep their cells as `Vec`s
+/// — the generic path of every kernel — while templates over `symbol`
+/// pack them into one `u64`.
 fn build_db(seqs: &[Vec<(u8, bool)>]) -> EventDb {
     let mut db = EventDbBuilder::new()
         .dimension("sid", ColumnType::Int)
@@ -29,16 +34,24 @@ fn build_db(seqs: &[Vec<(u8, bool)>]) -> EventDb {
         .dimension("symbol", ColumnType::Str)
         .dimension("tag", ColumnType::Str)
         .measure("weight", ColumnType::Float)
+        .dimension("code", ColumnType::Int)
         .build()
         .unwrap();
+    // Dictionary ids are handed out in order of first appearance.
+    let mut seen: Vec<u8> = Vec::new();
     for (sid, seq) in seqs.iter().enumerate() {
         for (pos, &(sym, tag)) in seq.iter().enumerate() {
+            let id = seen.iter().position(|&s| s == sym).unwrap_or_else(|| {
+                seen.push(sym);
+                seen.len() - 1
+            });
             db.push_row(&[
                 Value::Int(sid as i64),
                 Value::Int(pos as i64),
                 Value::Str(format!("s{sym}")),
                 Value::from(if tag { "a" } else { "b" }),
                 Value::Float((sym as f64) + 0.5),
+                Value::Int(id as i64),
             ])
             .unwrap();
         }
@@ -111,13 +124,21 @@ fn agg_for(code: u8) -> AggFunc {
     }
 }
 
+/// The `symbol` column (packed cells) and its raw-integer mirror (wide).
+const SYMBOL: u32 = 2;
+const CODE: u32 = 5;
+
 fn spec_for(db: &EventDb, case: &Case) -> SCuboidSpec {
+    spec_over(db, case, SYMBOL)
+}
+
+fn spec_over(db: &EventDb, case: &Case, attr: u32) -> SCuboidSpec {
     let names = ["A", "B", "C"];
     let position_syms: Vec<&str> = case.symbols.iter().map(|&d| names[d]).collect();
     let mut bindings: Vec<(&str, u32, usize)> = Vec::new();
     for &s in &position_syms {
         if !bindings.iter().any(|(n, _, _)| *n == s) {
-            bindings.push((s, 2, case.level));
+            bindings.push((s, attr, case.level));
         }
     }
     let template = PatternTemplate::new(case.kind, &position_syms, &bindings).unwrap();
@@ -202,6 +223,92 @@ proptest! {
             let (p_ii, p_ii_scans) = run(&engine(&case, EngineStrategy::InvertedIndex, threads), &spec);
             prop_assert_eq!(&p_ii, &ii_cells, "II threads={} vs sequential II", threads);
             prop_assert_eq!(p_ii_scans, ii_scans, "II threads={} scan accounting", threads);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Packed kernels ≡ the generic `Vec` path ≡ CB ≡ II at 1 and 8
+    /// threads, for every aggregate, restriction and template shape the
+    /// strategy draws (repeated symbols included).
+    #[test]
+    fn packed_kernels_equal_the_generic_path(mut case in case_strategy()) {
+        case.level = 0; // an integer column has no hierarchy to climb
+        let db = build_db(&case.seqs);
+        let (packed, wide) = (spec_over(&db, &case, SYMBOL), spec_over(&db, &case, CODE));
+        let (baseline, _) = run(&engine(&case, EngineStrategy::CounterBased, 1), &packed);
+        for strategy in [EngineStrategy::CounterBased, EngineStrategy::InvertedIndex] {
+            for threads in [1usize, 8] {
+                let e = engine(&case, strategy, threads);
+                prop_assert_eq!(&run(&e, &packed).0, &baseline, "packed {:?} t={}", strategy, threads);
+                prop_assert_eq!(&run(&e, &wide).0, &baseline, "wide {:?} t={}", strategy, threads);
+            }
+        }
+    }
+}
+
+/// The shapes the random cases rarely hit, fixed: the round-trip template
+/// `(X, Y, Y, X)`, substring and subsequence, all three restrictions and
+/// all five aggregates, over a database with single-event sequences and
+/// sequences shorter than the template (a sequence without events does
+/// not exist: clustering only sees events).
+#[test]
+fn packed_and_generic_agree_on_round_trips_and_degenerate_sequences() {
+    let seqs = vec![
+        vec![(0, true), (1, false), (1, true), (0, false), (1, true)],
+        vec![(2, true)],
+        vec![(0, false), (0, true), (0, false), (0, true)],
+        vec![(1, true), (2, false)],
+        vec![
+            (3, true),
+            (1, false),
+            (1, false),
+            (3, true),
+            (1, true),
+            (1, false),
+            (3, false),
+        ],
+    ];
+    for kind in [PatternKind::Substring, PatternKind::Subsequence] {
+        for restriction in [
+            CellRestriction::LeftMaximalityMatchedGo,
+            CellRestriction::LeftMaximalityDataGo,
+            CellRestriction::AllMatchedGo,
+        ] {
+            for agg in 0..5u8 {
+                let case = Case {
+                    seqs: seqs.clone(),
+                    symbols: vec![0, 1, 1, 0],
+                    level: 0,
+                    kind,
+                    restriction,
+                    pred_tag: None,
+                    agg,
+                    group_by_parity: false,
+                    bitmap: false,
+                };
+                let db = build_db(&case.seqs);
+                let (packed, wide) = (spec_over(&db, &case, SYMBOL), spec_over(&db, &case, CODE));
+                let (baseline, _) = run(&engine(&case, EngineStrategy::CounterBased, 1), &packed);
+                assert!(
+                    !baseline.is_empty(),
+                    "{kind:?} {restriction:?}: a round trip exists"
+                );
+                for strategy in [EngineStrategy::CounterBased, EngineStrategy::InvertedIndex] {
+                    for threads in [1usize, 8] {
+                        let e = engine(&case, strategy, threads);
+                        for (spec, path) in [(&packed, "packed"), (&wide, "generic")] {
+                            assert_eq!(
+                                run(&e, spec).0,
+                                baseline,
+                                "{path} {strategy:?} t={threads} {kind:?} {restriction:?} agg {agg}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -232,3 +232,33 @@ fn disabled_observability_changes_no_result() {
         }
     }
 }
+
+/// One governor tick per event row and per match window, whatever the
+/// aggregate and the thread count — the counts the parent of the packed
+/// kernels reported for the same queries, and the ground truth a reader
+/// can count: 22 rows and 17 windows for the counter scan; for the index
+/// path the same 22 + 17 to build `L2`, its 16 postings walked once, and
+/// the 17 windows of the sequences they name scanned again to apply the
+/// predicate.
+#[test]
+fn governor_ticks_for_fixed_queries_do_not_drift() {
+    let _g = lock();
+    metrics::set_enabled(true);
+    let db = measured_db();
+    for (strategy, want) in [
+        (Strategy::CounterBased, 22 + 17),
+        (Strategy::InvertedIndex, 22 + 17 + 16 + 17),
+    ] {
+        for threads in [1usize, 8] {
+            for agg in aggregates(&db) {
+                let spec = spec_with(&db, agg);
+                let ticks = engine(db.clone(), strategy, threads)
+                    .execute(&spec)
+                    .unwrap()
+                    .profile
+                    .counter(Counter::GovernorTicks);
+                assert_eq!(ticks, want, "{strategy:?} t={threads} {agg:?}");
+            }
+        }
+    }
+}
