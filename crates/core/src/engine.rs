@@ -2,7 +2,6 @@
 //! index store, the cuboid repository and the two construction strategies.
 
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -434,6 +433,9 @@ pub struct StoreReport {
     /// existing cluster ([`Error::ClusterInvalidated`]) or the extension
     /// failed — the next query rebuilds them from scratch.
     pub rebuild_fallbacks: usize,
+    /// Superseded-version entries retired from the sequence cache, the
+    /// index store and the cuboid repository after the carry-forward.
+    pub entries_retired: usize,
 }
 
 /// The S-OLAP engine.
@@ -538,6 +540,9 @@ impl Engine {
     /// invariants allow; a batch that lands in an existing cluster trips
     /// [`Error::ClusterInvalidated`] internally and falls back to
     /// rebuild-on-next-query (counted in the report, never an error).
+    /// Then every entry of the sequence cache, the index store and the
+    /// cuboid repository stamped with an older database version is
+    /// retired, so the caches hold only what a lookup can still hit.
     /// Runs under the configured [`QueryGovernor`] limits and the same
     /// panic isolation as [`Engine::execute`].
     pub fn append_events_configured(
@@ -594,8 +599,16 @@ impl Engine {
             durable,
             ..Default::default()
         };
-        if new_version != old_version {
-            self.maintain_caches(old_version, new_version, from_row, &mut report);
+        {
+            let db = self.db.read();
+            if new_version != old_version {
+                self.maintain_caches(&db, old_version, new_version, from_row, &mut report);
+            }
+            // Retire only now, once the carry-forward has read the entries
+            // it extends: no lookup asks for an older version again.
+            report.entries_retired = self.seq_cache.retire_before(new_version)
+                + self.index_store.retire_before(new_version)
+                + self.cuboid_repo.retire_before(new_version);
         }
         if let Some(rec) = &recorder {
             if !rows.is_empty() {
@@ -611,6 +624,7 @@ impl Engine {
                     Counter::IngestRebuildFallbacks,
                     report.rebuild_fallbacks as u64,
                 );
+                rec.add(Counter::IngestEntriesRetired, report.entries_retired as u64);
                 rec.add(Counter::GovernorTicks, gov.events_ticked());
                 metrics::global().record(&QueryProfile::from_recorder(rec));
             }
@@ -626,21 +640,18 @@ impl Engine {
     /// extend*, never *right vs wrong*.
     fn maintain_caches(
         &self,
+        db: &EventDb,
         old_version: u64,
         new_version: u64,
         from_row: RowId,
         report: &mut StoreReport,
     ) {
         let live: Vec<SCuboidSpec> = self.live.lock().clone();
-        if live.is_empty() {
-            return;
-        }
-        let db = self.db.read();
         for spec in &live {
             let Some(old_groups) = self.seq_cache.cached(&spec.seq, old_version) else {
                 continue;
             };
-            match incremental::extend_groups(&db, &spec.seq, &old_groups, from_row) {
+            match incremental::extend_groups(db, &spec.seq, &old_groups, from_row) {
                 Ok((extended, new_sids)) => {
                     let renumbered = new_sids
                         .iter()
@@ -651,12 +662,12 @@ impl Engine {
                     report.groups_extended += 1;
                     if renumbered {
                         // Existing sids shifted: the stored per-group
-                        // indices no longer line up, so let them age out
-                        // of the LRU and rebuild on demand.
+                        // indices no longer line up, so leave them to be
+                        // retired and rebuild on demand.
                         continue;
                     }
                     report.indexes_extended += self.carry_indexes_forward(
-                        &db,
+                        db,
                         spec,
                         &extended,
                         &new_sids,
@@ -673,9 +684,9 @@ impl Engine {
     }
 
     /// Extends the stored base inverted indices of `spec` (one per
-    /// sequence group, at `slice_fp = 0`) with the newly appended
-    /// sequences and re-keys them under the post-append fingerprint.
-    /// Returns how many indices were carried forward.
+    /// sequence group, unsliced) with the newly appended sequences and
+    /// re-keys them under the post-append database version. Returns how
+    /// many indices were carried forward.
     fn carry_indexes_forward(
         &self,
         db: &EventDb,
@@ -685,13 +696,12 @@ impl Engine {
         old_version: u64,
         new_version: u64,
     ) -> usize {
-        let old_fp = groups_fp(spec, old_version);
-        let new_fp = groups_fp(spec, new_version);
+        let groups_fp = spec.seq.fingerprint();
         let sig = spec.template.signature();
         let fresh_sids: HashSet<Sid> = new_sids.iter().copied().collect();
         let mut carried = 0;
         for (group_idx, group) in extended.groups.iter().enumerate() {
-            let key = IndexKey::unsliced(old_fp, group_idx, sig.clone());
+            let key = IndexKey::unsliced(groups_fp, old_version, group_idx, sig.clone());
             let Some(base) = self.index_store.get(&key) else {
                 continue;
             };
@@ -709,8 +719,10 @@ impl Engine {
                     Err(_) => continue,
                 }
             };
-            self.index_store
-                .insert(IndexKey::unsliced(new_fp, group_idx, sig.clone()), next);
+            self.index_store.insert(
+                IndexKey::unsliced(groups_fp, new_version, group_idx, sig.clone()),
+                next,
+            );
             carried += 1;
         }
         carried
@@ -791,11 +803,11 @@ impl Engine {
     /// the full template signature or any cached prefix of length ≥ 2, at
     /// `slice 0` of the first sequence group. Non-touching probes only.
     fn base_index_cached(&self, db: &EventDb, spec: &SCuboidSpec) -> bool {
-        let gfp = groups_fp(spec, db.version());
+        let (gfp, version) = (spec.seq.fingerprint(), db.version());
         let sig = spec.template.signature();
         (2..=spec.template.m()).rev().any(|k| {
             self.index_store
-                .contains(&IndexKey::unsliced(gfp, 0, sig.prefix(k)))
+                .contains(&IndexKey::unsliced(gfp, version, 0, sig.prefix(k)))
         })
     }
 
@@ -1242,7 +1254,7 @@ impl Engine {
             let ex = IiExecutor::new(
                 &db,
                 &groups,
-                groups_fp(spec, db.version()),
+                spec.seq.fingerprint(),
                 &self.index_store,
                 config.backend,
             )
@@ -1334,24 +1346,13 @@ impl Engine {
         let ex = IiExecutor::new(
             &db,
             &groups,
-            groups_fp(spec, db.version()),
+            spec.seq.fingerprint(),
             &self.index_store,
             self.config.backend,
         )
         .with_threads(self.config.threads);
         ex.precompute_generic(attr, level, m, spec.template.kind)
     }
-}
-
-/// Fingerprint identifying the sequence groups of `spec` at a database
-/// version — the index store's `groups_fp` key component. A free function
-/// (not a method) so the store path can compute pre- and post-append
-/// fingerprints without touching the lock.
-fn groups_fp(spec: &SCuboidSpec, db_version: u64) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    spec.seq.fingerprint().hash(&mut h);
-    db_version.hash(&mut h);
-    h.finish()
 }
 
 #[cfg(test)]
@@ -1867,6 +1868,9 @@ mod tests {
         assert_eq!(report.groups_extended, 1, "cached groups carried forward");
         assert_eq!(report.rebuild_fallbacks, 0);
         assert!(report.indexes_extended >= 1, "base II carried forward");
+        // Groups, base index and cuboid of the superseded version retired.
+        assert!(report.entries_retired >= 3, "{report:?}");
+        assert_only_current(&e);
         // The carried-forward caches must answer identically to a fresh
         // engine rebuilt over the same post-append data.
         let after = e.execute(&spec).unwrap();
@@ -1893,6 +1897,9 @@ mod tests {
         assert_eq!(report.appended, 1);
         assert_eq!(report.groups_extended, 0);
         assert_eq!(report.rebuild_fallbacks, 1);
+        // Retirement runs even when every live spec fell back.
+        assert!(report.entries_retired >= 3, "{report:?}");
+        assert_only_current(&e);
         let after = e.execute(&spec).unwrap();
         let fresh = Engine::new(e.db().clone());
         assert_eq!(
@@ -1900,6 +1907,51 @@ mod tests {
             fresh.execute(&spec).unwrap().cuboid.cells,
             "rebuild-on-demand must see the appended event"
         );
+    }
+
+    /// Each version-stamped cache holds entries of `e`'s current database
+    /// version only (or nothing).
+    fn assert_only_current(e: &Engine) {
+        let v = e.db().version();
+        for (name, span) in [
+            ("sequence cache", e.sequence_cache().versions()),
+            ("index store", e.index_store().versions()),
+            ("cuboid repo", e.cuboid_repo().versions()),
+        ] {
+            assert!(
+                span.is_none_or(|(lo, _)| lo >= v),
+                "{name} holds {span:?} at {v}"
+            );
+        }
+    }
+
+    #[test]
+    fn store_retires_even_without_live_specs() {
+        let e = fig8_engine(EngineConfig::default());
+        let spec = q3(&e.db());
+        // Precomputation fills the sequence cache and the index store
+        // without registering a live spec: nothing is carried forward.
+        e.precompute_index(&spec, 2, 0, 2).unwrap();
+        let cached = e.sequence_cache().len() + e.index_store().len();
+        assert!(cached >= 2);
+        let report = e.append_events(&[ev(9, 0, "Pentagon")]).unwrap();
+        assert_eq!(report.groups_extended, 0);
+        assert_eq!(report.entries_retired, cached);
+        assert!(e.sequence_cache().is_empty() && e.index_store().is_empty());
+    }
+
+    #[test]
+    fn explain_and_store_leave_sequence_cache_stats_unchanged() {
+        let e = fig8_engine(EngineConfig::default());
+        let spec = q3(&e.db());
+        e.execute(&spec).unwrap();
+        let before = e.sequence_cache().stats();
+        e.explain(&spec).unwrap();
+        // The carry-forward probes the pre-append groups and re-inserts
+        // them extended: neither is a lookup.
+        let report = e.append_events(&[ev(9, 0, "Pentagon")]).unwrap();
+        assert_eq!(report.groups_extended, 1);
+        assert_eq!(e.sequence_cache().stats(), before);
     }
 
     #[test]

@@ -42,7 +42,8 @@ pub use solap_index::PosSlice;
 pub struct IiExecutor<'a> {
     db: &'a EventDb,
     groups: &'a SequenceGroups,
-    /// Fingerprint identifying `groups` in the index store.
+    /// Fingerprint of the spec that formed `groups` (with `db`'s version,
+    /// their identity in the index store).
     pub groups_fp: u64,
     store: &'a IndexStore,
     backend: SetBackend,
@@ -100,7 +101,7 @@ impl<'a> IiExecutor<'a> {
         sig: TemplateSignature,
         slice: &[Option<(usize, LevelValue)>],
     ) -> IndexKey {
-        IndexKey::new(self.groups_fp, group_idx, sig, slice)
+        IndexKey::new(self.groups_fp, self.db.version(), group_idx, sig, slice)
     }
 
     /// Fetches or assembles `L_m^T` for one group (Figure 15 lines 5–9),
@@ -137,17 +138,19 @@ impl<'a> IiExecutor<'a> {
         let m = sig.m();
         // Start from the largest cached prefix (at length m: the index
         // itself); build L_2 of the first two positions if there is none.
-        let (mut current, mut k) =
-            match self
-                .store
-                .largest_prefix(self.groups_fp, group_idx, &sig, pos_slice)
-            {
-                Some(found) => found,
-                None => {
-                    let base = PatternTemplate::from_signature(&sig.prefix(m.min(2)));
-                    (self.build_base(group_idx, &base, meter, stats)?, base.m())
-                }
-            };
+        let (mut current, mut k) = match self.store.largest_prefix(
+            self.groups_fp,
+            self.db.version(),
+            group_idx,
+            &sig,
+            pos_slice,
+        ) {
+            Some(found) => found,
+            None => {
+                let base = PatternTemplate::from_signature(&sig.prefix(m.min(2)));
+                (self.build_base(group_idx, &base, meter, stats)?, base.m())
+            }
+        };
         let matches_slice =
             |pattern: &[LevelValue]| self.positions_match_slice(template, pos_slice, pattern);
         while k < m {

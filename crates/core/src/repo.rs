@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
+use solap_eventdb::seqcache::version_span;
 
 use crate::cuboid::SCuboid;
 
@@ -248,6 +249,31 @@ impl CuboidRepo {
         }
     }
 
+    /// Drops every cuboid computed at a database version older than
+    /// `version` and returns how many went (neither hits nor evictions
+    /// count them). A superseded cuboid can never be hit again, yet its
+    /// benefit-per-byte score — demand it collected while current — would
+    /// otherwise outrank every fresh entry, whose demand starts at zero.
+    pub fn retire_before(&self, version: u64) -> usize {
+        let mut inner = self.inner.lock();
+        let before = inner.map.len();
+        let mut freed = 0;
+        inner.map.retain(|k, e| {
+            let keep = k.db_version >= version;
+            if !keep {
+                freed += e.bytes;
+            }
+            keep
+        });
+        inner.bytes = inner.bytes.saturating_sub(freed);
+        before - inner.map.len()
+    }
+
+    /// The oldest and newest database versions held (`None` when empty).
+    pub fn versions(&self) -> Option<(u64, u64)> {
+        version_span(self.inner.lock().map.keys().map(|k| k.db_version))
+    }
+
     /// Number of cached cuboids.
     pub fn len(&self) -> usize {
         self.inner.lock().map.len()
@@ -345,6 +371,25 @@ mod tests {
         assert!(!repo.contains(9, 10));
         let stats = repo.stats();
         assert_eq!((stats.hits, stats.misses), (0, 0));
+    }
+
+    #[test]
+    fn retire_before_drops_only_older_versions() {
+        let repo = CuboidRepo::default();
+        repo.insert(1, 10, sized(2), 5_000);
+        assert!(repo.get(1, 10).is_some());
+        repo.insert(2, 10, sized(3), 5_000);
+        repo.insert(1, 11, sized(2), 5_000);
+        assert_eq!(repo.versions(), Some((10, 11)));
+        assert_eq!(repo.retire_before(10), 0, "nothing is older than 10");
+        assert_eq!(repo.retire_before(11), 2);
+        assert_eq!(repo.versions(), Some((11, 11)));
+        assert!(repo.contains(1, 11), "current entry kept");
+        let stats = repo.stats();
+        assert_eq!((stats.entries, stats.evictions), (1, 0));
+        assert_eq!(stats.bytes, sized(2).heap_bytes());
+        assert_eq!(repo.retire_before(12), 1);
+        assert_eq!((repo.versions(), repo.total_bytes()), (None, 0));
     }
 
     #[test]

@@ -189,9 +189,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.weight = 0;
     }
 
-    /// Removes all entries for which `pred` returns true (used for cache
-    /// invalidation on incremental update).
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
+    /// Removes every entry for which `keep` returns false, returning how
+    /// many were removed (explicit removals: not counted as evictions).
+    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
         let doomed: Vec<K> = self
             .map
             .iter()
@@ -203,9 +203,10 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             })
             .map(|(k, _)| k.clone())
             .collect();
-        for k in doomed {
-            self.remove(&k);
+        for k in &doomed {
+            self.remove(k);
         }
+        doomed.len()
     }
 
     fn evict_over_budget(&mut self, just_inserted: usize) {
@@ -358,8 +359,9 @@ mod tests {
         for i in 0..6 {
             c.insert(i, i * 10);
         }
-        c.retain(|k, _| k % 2 == 0);
+        assert_eq!(c.retain(|k, _| k % 2 == 0), 3);
         assert_eq!(c.len(), 3);
+        assert_eq!(c.evictions(), 0, "retain is not a budget eviction");
         assert!(c.contains(&4) && !c.contains(&3));
         // Cache still functions after retain.
         c.insert(7, 70);

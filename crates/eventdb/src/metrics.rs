@@ -87,6 +87,10 @@ pub enum Counter {
     /// touched an existing cluster — [`crate::Error::ClusterInvalidated`]
     /// — or the extension failed); the next query rebuilds from scratch.
     IngestRebuildFallbacks,
+    /// Superseded-version entries a store retired from the sequence cache,
+    /// the index store and the cuboid repository (keys at an older
+    /// database version can never be hit again).
+    IngestEntriesRetired,
     /// Execution alternatives the cost-based planner enumerated and costed
     /// for this query (0 when the planner is off).
     PlanAlternativesConsidered,
@@ -99,7 +103,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (array sizing).
-    pub const COUNT: usize = 27;
+    pub const COUNT: usize = 28;
 
     /// Every counter, in render order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -127,6 +131,7 @@ impl Counter {
         Counter::IngestGroupsExtended,
         Counter::IngestIndexesExtended,
         Counter::IngestRebuildFallbacks,
+        Counter::IngestEntriesRetired,
         Counter::PlanAlternativesConsidered,
         Counter::PlanAncestorReuses,
         Counter::PlanCellsMerged,
@@ -159,6 +164,7 @@ impl Counter {
             Counter::IngestGroupsExtended => "ingest_groups_extended",
             Counter::IngestIndexesExtended => "ingest_indexes_extended",
             Counter::IngestRebuildFallbacks => "ingest_rebuild_fallbacks",
+            Counter::IngestEntriesRetired => "ingest_entries_retired",
             Counter::PlanAlternativesConsidered => "plan_alternatives_considered",
             Counter::PlanAncestorReuses => "plan_ancestor_reuses",
             Counter::PlanCellsMerged => "plan_cells_merged",

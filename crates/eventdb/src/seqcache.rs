@@ -88,15 +88,17 @@ impl SequenceCache {
     }
 
     /// Peeks the entry for `spec` at an explicit database version without
-    /// building on a miss. The store path uses this to find carry-forward
-    /// candidates: groups cached at the pre-append version that
-    /// incremental update (§6) can extend instead of rebuilding.
+    /// building on a miss and without touching recency or the hit/miss
+    /// counters. The store path uses this to find carry-forward
+    /// candidates — groups cached at the pre-append version that
+    /// incremental update (§6) can extend instead of rebuilding — and
+    /// EXPLAIN to learn the sequence count without perturbing the cache.
     pub fn cached(&self, spec: &SeqQuerySpec, db_version: u64) -> Option<Arc<SequenceGroups>> {
         let key = Key {
             spec: spec.fingerprint(),
             db_version,
         };
-        self.inner.lock().get(&key).cloned()
+        self.inner.lock().peek(&key).cloned()
     }
 
     /// Inserts pre-built groups for `spec` at an explicit database version
@@ -119,6 +121,23 @@ impl SequenceCache {
         self.inner.lock().evictions()
     }
 
+    /// Drops every entry stamped with a database version older than
+    /// `version` and returns how many went. Such entries can never be hit
+    /// again: every lookup asks for the version it reads.
+    pub fn retire_before(&self, version: u64) -> usize {
+        self.inner.lock().retain(|k, _| k.db_version >= version)
+    }
+
+    /// The oldest and newest database versions held (`None` when empty).
+    pub fn versions(&self) -> Option<(u64, u64)> {
+        version_span(self.inner.lock().iter().map(|(k, _)| k.db_version))
+    }
+
+    /// Approximate payload bytes held (the LRU weight).
+    pub fn total_bytes(&self) -> usize {
+        self.inner.lock().weight()
+    }
+
     /// Number of cached entries.
     pub fn len(&self) -> usize {
         self.inner.lock().len()
@@ -133,6 +152,15 @@ impl SequenceCache {
     pub fn clear(&self) {
         self.inner.lock().clear()
     }
+}
+
+/// The `(oldest, newest)` of a cache's version stamps — the shared helper
+/// behind every version-stamped cache's `versions()` gauge.
+pub fn version_span(versions: impl Iterator<Item = u64>) -> Option<(u64, u64)> {
+    versions.fold(None, |span, v| match span {
+        None => Some((v, v)),
+        Some((lo, hi)) => Some((lo.min(v), hi.max(v))),
+    })
 }
 
 impl Default for SequenceCache {
@@ -239,6 +267,36 @@ mod tests {
         assert!(cache.is_empty());
         let ok = cache.get_or_build(&db, &spec()).unwrap();
         assert_eq!(ok.total_sequences, 2);
+    }
+
+    #[test]
+    fn cached_is_a_peek() {
+        let db = db();
+        let cache = SequenceCache::default();
+        cache.get_or_build(&db, &spec()).unwrap();
+        let before = cache.stats();
+        assert!(cache.cached(&spec(), db.version()).is_some());
+        assert!(cache.cached(&spec(), db.version() + 1).is_none());
+        assert_eq!(cache.stats(), before, "probes must not count");
+    }
+
+    #[test]
+    fn retire_before_drops_only_older_versions() {
+        let mut db = db();
+        let cache = SequenceCache::default();
+        let v0 = db.version();
+        cache.get_or_build(&db, &spec()).unwrap();
+        db.push_row(&[Value::Int(3), Value::from("c")]).unwrap();
+        let v1 = db.version();
+        cache.get_or_build(&db, &spec()).unwrap();
+        assert_eq!(cache.versions(), Some((v0, v1)));
+        assert!(cache.total_bytes() > 0);
+        assert_eq!(cache.retire_before(v0), 0, "nothing is older than v0");
+        assert_eq!(cache.retire_before(v1), 1);
+        assert_eq!(cache.versions(), Some((v1, v1)));
+        assert!(cache.cached(&spec(), v1).is_some(), "current entry kept");
+        assert_eq!(cache.retire_before(v1 + 1), 1);
+        assert_eq!((cache.versions(), cache.total_bytes()), (None, 0));
     }
 
     #[test]

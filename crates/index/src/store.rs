@@ -11,6 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use solap_eventdb::lru::LruCache;
+use solap_eventdb::seqcache::version_span;
 use solap_eventdb::LevelValue;
 use solap_pattern::TemplateSignature;
 
@@ -21,14 +22,17 @@ use crate::inverted::InvertedIndex;
 /// `slice_level`); `None` leaves it free.
 pub type PosSlice = Vec<Option<(usize, LevelValue)>>;
 
-/// Identifies an index: which sequence-group set it was built over, which
+/// Identifies an index: which sequence-group set it was built over (the
+/// spec that forms the groups and the database version they cover), which
 /// group within it, the structural signature of its patterns, and — for
 /// slice-restricted assemblies — the position slice its lists were
 /// filtered by (empty = unsliced, covering every pattern).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct IndexKey {
-    /// Fingerprint of the sequence groups (spec fingerprint ⊕ db version).
+    /// Fingerprint of the sequence-group spec (`SeqQuerySpec::fingerprint`).
     pub groups_fp: u64,
+    /// Database version the groups — and so the index — cover.
+    pub db_version: u64,
     /// Ordinal of the group within the sequence groups.
     pub group_idx: usize,
     /// Structural identity of the index's patterns.
@@ -44,6 +48,7 @@ impl IndexKey {
     /// the shorter one and every unsliced key carries the empty slice.
     pub fn new(
         groups_fp: u64,
+        db_version: u64,
         group_idx: usize,
         sig: TemplateSignature,
         slice: &[Option<(usize, LevelValue)>],
@@ -51,6 +56,7 @@ impl IndexKey {
         let fixed = slice.iter().take(sig.m()).rposition(Option::is_some);
         IndexKey {
             groups_fp,
+            db_version,
             group_idx,
             slice: fixed.map_or_else(Vec::new, |last| slice[..=last].to_vec()),
             sig,
@@ -58,8 +64,13 @@ impl IndexKey {
     }
 
     /// The key of the complete (unsliced) index over `sig`.
-    pub fn unsliced(groups_fp: u64, group_idx: usize, sig: TemplateSignature) -> Self {
-        IndexKey::new(groups_fp, group_idx, sig, &[])
+    pub fn unsliced(
+        groups_fp: u64,
+        db_version: u64,
+        group_idx: usize,
+        sig: TemplateSignature,
+    ) -> Self {
+        IndexKey::new(groups_fp, db_version, group_idx, sig, &[])
     }
 
     /// Whether an index cached under this key can serve `slice` by
@@ -116,6 +127,7 @@ impl IndexStore {
     pub fn largest_prefix(
         &self,
         groups_fp: u64,
+        db_version: u64,
         group_idx: usize,
         sig: &TemplateSignature,
         slice: &[Option<(usize, LevelValue)>],
@@ -128,6 +140,7 @@ impl IndexStore {
             .map(|(key, _)| key)
             .filter(|key| {
                 key.groups_fp == groups_fp
+                    && key.db_version == db_version
                     && key.group_idx == group_idx
                     && prefixes.contains(&key.sig)
                     && key.refined_by(slice)
@@ -135,7 +148,7 @@ impl IndexStore {
             .max_by_key(|key| (key.sig.m(), key.slice.iter().flatten().count()))
             .cloned()
             // Nothing to start from: counted as a miss on the index asked for.
-            .unwrap_or_else(|| IndexKey::new(groups_fp, group_idx, sig.clone(), slice));
+            .unwrap_or_else(|| IndexKey::new(groups_fp, db_version, group_idx, sig.clone(), slice));
         guard.get(&best).map(|ix| (Arc::clone(ix), best.sig.m()))
     }
 
@@ -154,10 +167,16 @@ impl IndexStore {
         self.inner.lock().is_empty()
     }
 
-    /// Drops indices belonging to sequence groups other than `keep_fp`
-    /// (e.g. after incremental updates invalidate old groups).
-    pub fn retain_groups(&self, keep_fp: impl Fn(u64) -> bool) {
-        self.inner.lock().retain(|k, _| keep_fp(k.groups_fp));
+    /// Drops every index keyed to a database version older than
+    /// `version` and returns how many went — see
+    /// [`solap_eventdb::seqcache::SequenceCache::retire_before`].
+    pub fn retire_before(&self, version: u64) -> usize {
+        self.inner.lock().retain(|k, _| k.db_version >= version)
+    }
+
+    /// The oldest and newest database versions held (`None` when empty).
+    pub fn versions(&self) -> Option<(u64, u64)> {
+        version_span(self.inner.lock().iter().map(|(k, _)| k.db_version))
     }
 
     /// Drops everything.
@@ -197,7 +216,7 @@ mod tests {
     }
 
     fn key(syms: &[&str]) -> IndexKey {
-        IndexKey::unsliced(42, 0, sig(syms))
+        IndexKey::unsliced(42, 1, 0, sig(syms))
     }
 
     fn empty_index(syms: &[&str]) -> Arc<InvertedIndex> {
@@ -220,11 +239,12 @@ mod tests {
         store.insert(key(&["X", "Y"]), empty_index(&["X", "Y"]));
         store.insert(key(&["X", "Y", "Y"]), empty_index(&["X", "Y", "Y"]));
         let target = sig(&["X", "Y", "Y", "X"]);
-        let (_, k) = store.largest_prefix(42, 0, &target, &[]).unwrap();
+        let (_, k) = store.largest_prefix(42, 1, 0, &target, &[]).unwrap();
         assert_eq!(k, 3, "the length-3 prefix (X,Y,Y) must win over (X,Y)");
-        // A different group sees nothing.
-        assert!(store.largest_prefix(42, 1, &target, &[]).is_none());
-        assert!(store.largest_prefix(7, 0, &target, &[]).is_none());
+        // A different group, spec or database version sees nothing.
+        assert!(store.largest_prefix(42, 1, 1, &target, &[]).is_none());
+        assert!(store.largest_prefix(7, 1, 0, &target, &[]).is_none());
+        assert!(store.largest_prefix(42, 2, 0, &target, &[]).is_none());
     }
 
     #[test]
@@ -234,7 +254,7 @@ mod tests {
         // identical, so it must be found.
         store.insert(key(&["A", "B"]), empty_index(&["A", "B"]));
         let target = sig(&["P", "Q", "Q", "P"]);
-        let (_, k) = store.largest_prefix(42, 0, &target, &[]).unwrap();
+        let (_, k) = store.largest_prefix(42, 1, 0, &target, &[]).unwrap();
         assert_eq!(k, 2);
     }
 
@@ -246,37 +266,40 @@ mod tests {
         let on_xz: PosSlice = vec![Some((0, 7)), None, Some((0, 9))];
         store.insert(key(&["X", "Y"]), empty_index(&["X", "Y"]));
         store.insert(
-            IndexKey::new(42, 0, xyz.clone(), &on_x),
+            IndexKey::new(42, 1, 0, xyz.clone(), &on_x),
             empty_index(&["X", "Y", "Z"]),
         );
         // {X, Z} refines {X}: the length-3 index serves it by filtering …
-        assert_eq!(store.largest_prefix(42, 0, &xyz, &on_xz).unwrap().1, 3);
+        assert_eq!(store.largest_prefix(42, 1, 0, &xyz, &on_xz).unwrap().1, 3);
         // … a slice on another value of X does not, and falls back to the
         // unsliced (X, Y); so does the unsliced request itself.
         let other: PosSlice = vec![Some((0, 8))];
-        assert_eq!(store.largest_prefix(42, 0, &xyz, &other).unwrap().1, 2);
-        assert_eq!(store.largest_prefix(42, 0, &xyz, &[]).unwrap().1, 2);
+        assert_eq!(store.largest_prefix(42, 1, 0, &xyz, &other).unwrap().1, 2);
+        assert_eq!(store.largest_prefix(42, 1, 0, &xyz, &[]).unwrap().1, 2);
         // Keys only carry the positions their signature has.
         assert_eq!(
-            IndexKey::new(42, 0, sig(&["X", "Y"]), &on_xz),
-            IndexKey::new(42, 0, sig(&["X", "Y"]), &on_x)
+            IndexKey::new(42, 1, 0, sig(&["X", "Y"]), &on_xz),
+            IndexKey::new(42, 1, 0, sig(&["X", "Y"]), &on_x)
         );
         assert_eq!(
-            IndexKey::new(42, 0, sig(&["X", "Y"]), &[None, None, Some((0, 9))]),
+            IndexKey::new(42, 1, 0, sig(&["X", "Y"]), &[None, None, Some((0, 9))]),
             key(&["X", "Y"])
         );
     }
 
     #[test]
-    fn retain_groups_invalidates() {
+    fn retire_before_drops_only_older_versions() {
         let store = IndexStore::default();
-        store.insert(key(&["X", "Y"]), empty_index(&["X", "Y"]));
-        let mut other = key(&["X", "Y"]);
-        other.groups_fp = 7;
-        store.insert(other, empty_index(&["X", "Y"]));
-        store.retain_groups(|fp| fp == 42);
-        assert_eq!(store.len(), 1);
-        store.clear();
-        assert!(store.is_empty());
+        let at = |version: u64, syms: &[&str]| IndexKey::unsliced(42, version, 0, sig(syms));
+        store.insert(at(1, &["X", "Y"]), empty_index(&["X", "Y"]));
+        store.insert(at(1, &["X", "Y", "Y"]), empty_index(&["X", "Y", "Y"]));
+        store.insert(at(2, &["X", "Y"]), empty_index(&["X", "Y"]));
+        assert_eq!(store.versions(), Some((1, 2)));
+        assert_eq!(store.retire_before(1), 0, "nothing is older than 1");
+        assert_eq!(store.retire_before(2), 2);
+        assert_eq!(store.versions(), Some((2, 2)));
+        assert!(store.contains(&at(2, &["X", "Y"])), "current entry kept");
+        assert_eq!(store.retire_before(3), 1);
+        assert_eq!((store.versions(), store.len()), (None, 0));
     }
 }

@@ -257,7 +257,7 @@ pub fn help_text() -> &'static str {
   .back            step back to the previous cuboid in this session
   .show [n]        re-tabulate the current cuboid
   .spec            print the current query text
-  .stats           cache statistics
+  .stats           cache entries, bytes, versions held, hits
   .repo            cuboid-repository statistics and retention policy
   .index           index-store statistics and the session's list encoding
   .profile on|off  print each query's per-stage profile (on enables detailed counters)

@@ -286,6 +286,15 @@ fn usage(msg: impl Into<String>) -> Fail {
     }
 }
 
+/// Renders a cache's `(oldest, newest)` database versions for `.stats`.
+fn versions_held(span: Option<(u64, u64)>) -> String {
+    match span {
+        None => "no version".to_string(),
+        Some((lo, hi)) if lo == hi => format!("version {lo}"),
+        Some((lo, hi)) => format!("versions {lo}–{hi}"),
+    }
+}
+
 /// Executes one statement against the session context.
 ///
 /// Never panics on bad input and never returns transport-level errors:
@@ -491,18 +500,23 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
         }
         "stats" => {
             let engine = ctx.session.engine();
-            let (sh, sm) = engine.sequence_cache().stats();
-            let (ih, im) = engine.index_store().stats();
+            let (seqs, store) = (engine.sequence_cache(), engine.index_store());
+            let (sh, sm) = seqs.stats();
+            let (ih, im) = store.stats();
             let cr = engine.cuboid_repo().stats();
             Ok(Response::ok(format!(
-                "sequence cache: {} entries, {sh} hits / {sm} misses\n\
-                 index store:    {} indices, {:.1} KiB, {ih} hits / {im} misses\n\
-                 cuboid repo:    {} cuboids, {:.1} KiB, {} hits / {} misses\n",
-                engine.sequence_cache().len(),
-                engine.index_store().len(),
-                engine.index_store().total_bytes() as f64 / 1024.0,
+                "sequence cache: {} entries, {:.1} KiB, {}, {sh} hits / {sm} misses\n\
+                 index store:    {} indices, {:.1} KiB, {}, {ih} hits / {im} misses\n\
+                 cuboid repo:    {} cuboids, {:.1} KiB, {}, {} hits / {} misses\n",
+                seqs.len(),
+                seqs.total_bytes() as f64 / 1024.0,
+                versions_held(seqs.versions()),
+                store.len(),
+                store.total_bytes() as f64 / 1024.0,
+                versions_held(store.versions()),
                 cr.entries,
                 cr.bytes as f64 / 1024.0,
+                versions_held(engine.cuboid_repo().versions()),
                 cr.hits,
                 cr.misses,
             )))

@@ -366,7 +366,10 @@ fn a_refining_slice_reuses_the_cached_sliced_index() {
     assert!(built.stats.index_bytes_built > 0);
     // Slicing further — on Z, at its level and one level up — refines it.
     let z = built.cuboid.top_k(1)[0].0.pattern[2];
-    for (level, value) in [(0, z), (1, ii.db().map_up(2, 0, z, 1).unwrap())] {
+    // Its own statement: a `db()` guard in the loop header would live
+    // through every `execute` below, a re-entrant read.
+    let z_up = ii.db().map_up(2, 0, z, 1).unwrap();
+    for (level, value) in [(0, z), (1, z_up)] {
         let mut refined = xyz.clone();
         refined.pattern_slice.insert(2, (level, value));
         let out = ii.execute(&refined).unwrap();
