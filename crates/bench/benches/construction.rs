@@ -1,11 +1,10 @@
 //! End-to-end S-cuboid construction: counter-based vs inverted-index on
-//! the same query (the core comparison of §5.2), plus dense vs hash
-//! counters.
+//! the same query (the core comparison of §5.2). `matching` has the hash
+//! vs dense counter layouts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use solap_bench::plans::synthetic_spec;
-use solap_core::cb::CounterMode;
 use solap_core::{Engine, EngineConfig, Strategy};
 use solap_datagen::{generate_synthetic, SyntheticConfig};
 use solap_eventdb::build_sequence_groups;
@@ -27,10 +26,9 @@ fn bench_construction(c: &mut Criterion) {
     let data = db(2_000);
     let mut g = c.benchmark_group("construction");
     g.sample_size(10);
-    for (label, strategy, mode) in [
-        ("cb-hash", Strategy::CounterBased, CounterMode::Hash),
-        ("cb-dense", Strategy::CounterBased, CounterMode::Dense),
-        ("ii", Strategy::InvertedIndex, CounterMode::Auto),
+    for (label, strategy) in [
+        ("cb", Strategy::CounterBased),
+        ("ii", Strategy::InvertedIndex),
     ] {
         g.bench_function(BenchmarkId::new("xy-query", label), |b| {
             b.iter_with_setup(
@@ -39,7 +37,6 @@ fn bench_construction(c: &mut Criterion) {
                         data.clone(),
                         EngineConfig {
                             strategy,
-                            counter_mode: mode,
                             use_cuboid_repo: false,
                             ..Default::default()
                         },

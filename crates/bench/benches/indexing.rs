@@ -1,12 +1,12 @@
 //! Inverted-index primitives: BUILDINDEX, list joins, and list- vs
 //! bitmap- vs block-compressed intersections (the §6 bitmap optimisation
-//! plus the DESIGN §12 codec).
+//! plus the DESIGN §12 codec) — the encodings one index mixes per list.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 
 use solap_datagen::{generate_synthetic, SyntheticConfig};
 use solap_eventdb::{build_sequence_groups, AttrLevel, Pred, SeqQuerySpec, SortKey};
-use solap_index::{build_index, join::join, Bitmap, CompressedSidSet, SetBackend, SidSet};
+use solap_index::{build_index, join::join, Bitmap, CompressedSidSet, SidSet};
 use solap_pattern::{PatternKind, PatternTemplate};
 
 fn fixture() -> (solap_eventdb::EventDb, solap_eventdb::SequenceGroups) {
@@ -53,41 +53,17 @@ fn bench_indexing(c: &mut Criterion) {
     let (db, groups) = fixture();
     let mut g = c.benchmark_group("indexing");
     g.sample_size(10);
-    for backend in [
-        SetBackend::List,
-        SetBackend::Bitmap,
-        SetBackend::Compressed,
-        SetBackend::Auto,
-    ] {
-        g.bench_function(BenchmarkId::new("build-l2", format!("{backend:?}")), |b| {
-            b.iter(|| {
-                build_index(
-                    &db,
-                    groups.iter_sequences(),
-                    &template(&["X", "Y"]),
-                    backend,
-                )
+    g.bench_function("build-l2", |b| {
+        b.iter(|| {
+            build_index(&db, groups.iter_sequences(), &template(&["X", "Y"]))
                 .unwrap()
                 .0
                 .list_count()
-            })
-        });
-    }
-    let (l2, _) = build_index(
-        &db,
-        groups.iter_sequences(),
-        &template(&["X", "Y"]),
-        SetBackend::List,
-    )
-    .unwrap();
+        })
+    });
+    let (l2, _) = build_index(&db, groups.iter_sequences(), &template(&["X", "Y"])).unwrap();
     let txyy = template(&["X", "Y", "Y"]);
-    let (lyy, _) = build_index(
-        &db,
-        groups.iter_sequences(),
-        &template(&["Y", "Y"]),
-        SetBackend::List,
-    )
-    .unwrap();
+    let (lyy, _) = build_index(&db, groups.iter_sequences(), &template(&["Y", "Y"])).unwrap();
     g.bench_function("join-l2-lyy", |b| {
         b.iter(|| {
             join(
@@ -120,15 +96,10 @@ fn bench_indexing(c: &mut Criterion) {
     let (db8k, groups8k) = fixture_of(100, 8_000);
     g.bench_function("build-l2-d8k", |b| {
         b.iter(|| {
-            build_index(
-                &db8k,
-                groups8k.iter_sequences(),
-                &template(&["X", "Y"]),
-                SetBackend::Auto,
-            )
-            .unwrap()
-            .0
-            .list_count()
+            build_index(&db8k, groups8k.iter_sequences(), &template(&["X", "Y"]))
+                .unwrap()
+                .0
+                .list_count()
         })
     });
     g.bench_function("intersect-lists", |b| b.iter(|| la.intersect(&lb).len()));

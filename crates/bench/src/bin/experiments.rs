@@ -5,25 +5,20 @@
 //! ```
 //!
 //! Experiments: `table1`, `fig16`, `qa-vary-l`, `qb`, `qc`, `vary-theta`,
-//! `vary-i`, `subsequence`, `ablation`, `threads`, `profile` (per-stage
-//! timings dumped to `BENCH_profile.json`), `serve` (concurrent wire
-//! clients against the TCP server, dumped to `BENCH_serve.json`), `index`
-//! (list vs bitmap vs compressed posting-list backends, dumped to
-//! `BENCH_index.json`), `plan` (cost-based planner vs fixed strategies,
-//! dumped to `BENCH_plan.json`), or `all`. `--scale s` multiplies
-//! the paper's sequence counts `D` (1.0 = the paper's 100K–1M sizes;
-//! default 0.05 finishes in a few minutes).
+//! `vary-i`, `subsequence`, `ablation`, `threads`, or `all`. `--scale s`
+//! multiplies the paper's sequence counts `D` (1.0 = the paper's 100K–1M
+//! sizes; default 0.05 finishes in a few minutes). End-to-end serving,
+//! planning and ingest numbers come from the wire-level benchmark in
+//! `benchmark/`, not from here.
 
 use std::time::Instant;
 
 use solap_bench::plans::{clickstream_plan, query_set_a, query_set_b, query_set_c, synthetic_spec};
-use solap_bench::report::{format_comparison, format_cumulative, format_profiles, format_run};
-use solap_bench::runner::{run_plan, RunReport};
-use solap_core::cb::CounterMode;
+use solap_bench::report::{format_comparison, format_cumulative};
+use solap_bench::runner::run_plan;
 use solap_core::{Engine, EngineConfig, Strategy};
 use solap_datagen::{generate_clickstream, generate_synthetic, ClickstreamConfig, SyntheticConfig};
 use solap_eventdb::EventDb;
-use solap_index::SetBackend;
 use solap_pattern::{AggFunc, PatternKind, SumMode};
 
 fn cfg(strategy: Strategy) -> EngineConfig {
@@ -160,50 +155,7 @@ fn subsequence(scale: f64) {
 /// Ablations of this implementation's design choices.
 fn ablation(scale: f64) {
     let d = ((200_000.0 * scale) as usize).max(100);
-    println!("=== Ablation: list vs bitmap inverted lists (QuerySet A) ===");
     let db = synthetic(100, 20.0, 0.9, d, false);
-    let plan = query_set_a(&db, PatternKind::Substring, 5).expect("plan");
-    let list = run_plan(
-        db.clone(),
-        &plan,
-        EngineConfig {
-            strategy: Strategy::InvertedIndex,
-            backend: SetBackend::List,
-            ..Default::default()
-        },
-        "II/list",
-    )
-    .expect("run");
-    let bitmap = run_plan(
-        db.clone(),
-        &plan,
-        EngineConfig {
-            strategy: Strategy::InvertedIndex,
-            backend: SetBackend::Bitmap,
-            ..Default::default()
-        },
-        "II/bitmap",
-    )
-    .expect("run");
-    println!("{}", format_run(&list));
-    println!("{}", format_run(&bitmap));
-
-    println!("=== Ablation: dense vs hash counters (CB, single (X, Y) query) ===");
-    for (mode, label) in [(CounterMode::Hash, "hash"), (CounterMode::Dense, "dense")] {
-        let engine = Engine::builder(db.clone())
-            .strategy(Strategy::CounterBased)
-            .counter_mode(mode)
-            .build();
-        let spec =
-            synthetic_spec(&engine.db(), PatternKind::Substring, &["X", "Y"], 0).expect("spec");
-        let out = engine.execute(&spec).expect("query");
-        println!(
-            "  CB/{label:<6} runtime {:>8.1} ms, {} cells",
-            out.stats.elapsed.as_secs_f64() * 1000.0,
-            out.cuboid.len()
-        );
-    }
-
     thread_scaling(scale);
 
     println!("=== Ablation: iceberg minimum support (§6) ===");
@@ -224,76 +176,6 @@ fn ablation(scale: f64) {
             out.stats.elapsed.as_secs_f64() * 1000.0
         );
     }
-}
-
-/// Per-stage profiling of the paper's comparison workloads: runs the
-/// QuerySet A/B/C plans and the clickstream plan under both strategies
-/// with detailed counters forced on, prints each step's profile, and dumps
-/// everything to `BENCH_profile.json` for offline analysis.
-fn profile_dump(scale: f64) {
-    println!("=== Profile: per-stage timings and counters for the comparison workloads ===");
-    solap_eventdb::metrics::set_enabled(true);
-    let d = ((200_000.0 * scale) as usize).max(100);
-    let mut runs: Vec<RunReport> = Vec::new();
-    {
-        let db = synthetic(100, 20.0, 0.9, d, true);
-        for (plan, db) in [
-            (
-                query_set_a(&db, PatternKind::Substring, 4).expect("plan"),
-                db.clone(),
-            ),
-            (query_set_b(&db).expect("plan"), db.clone()),
-            (query_set_c(&db).expect("plan"), db),
-        ] {
-            runs.push(
-                run_plan(db.clone(), &plan, cfg(Strategy::CounterBased), "CB").expect("CB run"),
-            );
-            runs.push(run_plan(db, &plan, cfg(Strategy::InvertedIndex), "II").expect("II run"));
-        }
-    }
-    {
-        let sessions = ((50_524.0 * scale.max(0.02)) as usize).max(1_000);
-        let db = generate_clickstream(&ClickstreamConfig {
-            sessions,
-            ..Default::default()
-        })
-        .expect("generator");
-        let plan = clickstream_plan(&db).expect("plan");
-        runs.push(run_plan(db.clone(), &plan, cfg(Strategy::CounterBased), "CB").expect("CB run"));
-        runs.push(run_plan(db, &plan, cfg(Strategy::InvertedIndex), "II").expect("II run"));
-    }
-    let mut json = String::from("{\"runs\":[");
-    for (i, r) in runs.iter().enumerate() {
-        println!("{}", format_profiles(r));
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"plan\":\"{}\",\"config\":\"{}\",\"steps\":[",
-            r.name, r.config
-        ));
-        for (j, s) in r.steps.iter().enumerate() {
-            if j > 0 {
-                json.push(',');
-            }
-            json.push_str(&format!(
-                "{{\"label\":\"{}\",\"runtime_ms\":{:.3},\"scanned\":{},\"cells\":{},\"index_bytes\":{},\"profile\":{}}}",
-                s.label,
-                s.runtime.as_secs_f64() * 1000.0,
-                s.scanned,
-                s.cells,
-                s.index_bytes,
-                s.profile
-                    .as_ref()
-                    .map(|p| p.to_json())
-                    .unwrap_or_else(|| "null".into()),
-            ));
-        }
-        json.push_str("]}");
-    }
-    json.push_str("]}\n");
-    std::fs::write("BENCH_profile.json", &json).expect("write BENCH_profile.json");
-    println!("wrote BENCH_profile.json ({} runs)", runs.len());
 }
 
 /// Thread scaling of parallel construction on the §5.2 synthetic workload:
@@ -354,483 +236,6 @@ fn thread_scaling(scale: f64) {
     }
 }
 
-/// Concurrent serving: boots the readiness-driven TCP server on a
-/// loopback port over a transit dataset and drives it with concurrent
-/// wire clients issuing the round-trip query, at client counts
-/// {1, 4, 16, 64, 256, 1024} × engine worker threads {1, 8} (the
-/// `SOLAP_THREADS` axis of the thread matrix) — sequential round trips
-/// plus pipelined rows (batches of 8 statements in flight) at the three
-/// largest client counts. Every client is its own server-side session;
-/// the cuboid repository is disabled so each request re-aggregates
-/// instead of answering from cache. Writes `BENCH_serve.json`.
-fn serve_bench(scale: f64) {
-    use solap_server::client::Client;
-    use solap_server::server::{Server, ServerConfig};
-
-    const QUERY: &str = r#"SELECT COUNT(*) FROM Event CLUSTER BY card-id AT individual, time AT day SEQUENCE BY time ASCENDING CUBOID BY SUBSTRING (X, Y) WITH X AS location AT station, Y AS location AT station LEFT-MAXIMALITY (x1, y1) WITH x1.action = "in" AND y1.action = "out""#;
-    const CLIENT_COUNTS: [usize; 6] = [1, 4, 16, 64, 256, 1024];
-    /// Pipelined variants run where sequential round trips plateau.
-    const PIPELINED_COUNTS: [usize; 3] = [64, 256, 1024];
-    const PIPELINE_DEPTH: usize = 8;
-
-    /// Per-client request count, shrunk at large client counts so the
-    /// total stays bounded (≥ 2048 requests per row from 64 clients up).
-    fn requests_per_client(clients: usize) -> usize {
-        (2048 / clients).clamp(4, 20)
-    }
-
-    println!("=== Serve: concurrent wire clients against one shared engine ===");
-    let passengers = ((4_000.0 * scale) as usize).max(100);
-    let db = solap_datagen::generate_transit(&solap_datagen::TransitConfig {
-        passengers,
-        days: 7,
-        ..Default::default()
-    })
-    .expect("generator");
-    println!("transit: {passengers} passengers, {} events", db.len());
-    println!(
-        "  {:>7} {:>7} {:>8} {:>9} {:>9} {:>9} {:>9} {:>7}",
-        "threads", "clients", "pipeline", "requests", "qps", "mean ms", "p95 ms", "errors"
-    );
-
-    let mut json = String::from("{\"results\":[");
-    let mut first = true;
-    for threads in [1usize, 8] {
-        // The cuboid repo is ON: this is the paper's serving
-        // configuration (repeated aggregate queries answered from
-        // materialized cuboids, ~15µs each), and it is what makes this
-        // a *serving* benchmark — with the repo off, recomputing Q3
-        // costs ~0.8ms and the engine saturates one core near 1.2k qps
-        // before the serving layer is ever the bottleneck.
-        let engine = std::sync::Arc::new(
-            Engine::builder(db.clone())
-                .threads(threads)
-                .use_cuboid_repo(true)
-                .build(),
-        );
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_owned(),
-            max_conn: 2048,
-            max_inflight: 16,
-            // The bench saturates the pool on purpose; don't let the
-            // admission gate reject queued requests and skew the numbers.
-            queue_timeout: std::time::Duration::from_secs(120),
-            ..Default::default()
-        };
-        let (handle, join) = Server::spawn(engine, config).expect("server spawn");
-        let addr = handle.local_addr();
-        let mut row = |clients: usize, depth: usize| {
-            let requests = requests_per_client(clients);
-            // Connect everyone first, then release them together so the
-            // wall clock measures serving, not connection setup.
-            let barrier = std::sync::Arc::new(std::sync::Barrier::new(clients + 1));
-            let workers: Vec<_> = (0..clients)
-                .map(|_| {
-                    let barrier = std::sync::Arc::clone(&barrier);
-                    std::thread::spawn(move || -> (Vec<f64>, usize) {
-                        let mut client = Client::connect(addr).expect("connect");
-                        barrier.wait();
-                        let mut latencies_ms = Vec::with_capacity(requests);
-                        let mut errors = 0usize;
-                        let mut done = 0usize;
-                        while done < requests {
-                            let n = depth.min(requests - done);
-                            let batch = vec![QUERY; n];
-                            let q0 = Instant::now();
-                            match client.pipeline(&batch) {
-                                Ok(responses) => {
-                                    // Per-request latency: the batch's
-                                    // wall clock amortized over it.
-                                    let each = q0.elapsed().as_secs_f64() * 1000.0 / n as f64;
-                                    for r in &responses {
-                                        if r.ok {
-                                            latencies_ms.push(each);
-                                        } else {
-                                            errors += 1;
-                                        }
-                                    }
-                                }
-                                Err(_) => errors += n,
-                            }
-                            done += n;
-                        }
-                        (latencies_ms, errors)
-                    })
-                })
-                .collect();
-            barrier.wait();
-            let t0 = Instant::now();
-            let mut latencies_ms: Vec<f64> = Vec::new();
-            let mut errors = 0usize;
-            for w in workers {
-                let (l, e) = w.join().expect("client thread");
-                latencies_ms.extend(l);
-                errors += e;
-            }
-            let wall_s = t0.elapsed().as_secs_f64();
-            latencies_ms.sort_by(f64::total_cmp);
-            let done = latencies_ms.len();
-            let qps = done as f64 / wall_s.max(1e-9);
-            let mean_ms = latencies_ms.iter().sum::<f64>() / (done.max(1) as f64);
-            let p95_ms = if done == 0 {
-                0.0
-            } else {
-                latencies_ms[(((done as f64) * 0.95).ceil() as usize).clamp(1, done) - 1]
-            };
-            println!(
-                "  {threads:>7} {clients:>7} {depth:>8} {done:>9} {qps:>9.1} {mean_ms:>9.2} {p95_ms:>9.2} {errors:>7}"
-            );
-            if !first {
-                json.push(',');
-            }
-            first = false;
-            json.push_str(&format!(
-                "{{\"threads\":{threads},\"clients\":{clients},\"pipeline\":{depth},\
-                 \"requests\":{done},\"wall_s\":{wall_s:.4},\"throughput_qps\":{qps:.2},\
-                 \"mean_ms\":{mean_ms:.3},\"p95_ms\":{p95_ms:.3},\"errors\":{errors}}}"
-            ));
-        };
-        for clients in CLIENT_COUNTS {
-            row(clients, 1);
-        }
-        for clients in PIPELINED_COUNTS {
-            row(clients, PIPELINE_DEPTH);
-        }
-        handle.shutdown();
-        join.join().expect("event loop").expect("serve");
-    }
-    json.push_str("]}\n");
-    std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
-    println!("wrote BENCH_serve.json");
-}
-
-/// Index-backend comparison: runs the QuerySet A and B workloads on the
-/// II engine under every `SetBackend`, reporting per-backend index bytes
-/// built and query runtimes (the §6 "bitmap-encoded lists" axis extended
-/// with the block-compressed codec). Cell counts are asserted identical
-/// across backends — the encodings may only trade space and time. Writes
-/// `BENCH_index.json`.
-fn index_bench(scale: f64) {
-    println!("=== Index backends: list vs bitmap vs compressed (QuerySet A/B) ===");
-    const BACKENDS: [(SetBackend, &str); 4] = [
-        (SetBackend::List, "list"),
-        (SetBackend::Bitmap, "bitmap"),
-        (SetBackend::Compressed, "compressed"),
-        (SetBackend::Auto, "auto"),
-    ];
-    let d = ((200_000.0 * scale) as usize).max(100);
-    let workloads: Vec<(EventDb, solap_bench::plans::Plan)> = {
-        let db_a = synthetic(100, 20.0, 0.9, d, false);
-        let plan_a = query_set_a(&db_a, PatternKind::Substring, 5).expect("plan");
-        let db_b = synthetic(100, 20.0, 0.9, d, true);
-        let plan_b = query_set_b(&db_b).expect("plan");
-        vec![(db_a, plan_a), (db_b, plan_b)]
-    };
-    let mut json = String::from("{\"runs\":[");
-    let mut first = true;
-    for (db, plan) in &workloads {
-        println!("--- {} ---", plan.name);
-        println!(
-            "  {:<12} {:>12} {:>12} {:>10}",
-            "backend", "index bytes", "runtime ms", "cells"
-        );
-        let mut baseline_cells: Option<Vec<usize>> = None;
-        for (backend, name) in BACKENDS {
-            let config = EngineConfig {
-                strategy: Strategy::InvertedIndex,
-                backend,
-                ..Default::default()
-            };
-            let r = run_plan(db.clone(), plan, config, name).expect("II run");
-            let cells: Vec<usize> = r.steps.iter().map(|s| s.cells).collect();
-            match &baseline_cells {
-                None => baseline_cells = Some(cells.clone()),
-                Some(base) => assert_eq!(
-                    base, &cells,
-                    "backend {name} changed the cuboid on {}",
-                    plan.name
-                ),
-            }
-            let bytes = r.total_index_bytes();
-            let ms = r.total_runtime().as_secs_f64() * 1000.0;
-            println!(
-                "  {:<12} {:>12} {:>12.1} {:>10}",
-                name,
-                bytes,
-                ms,
-                cells.iter().sum::<usize>()
-            );
-            if !first {
-                json.push(',');
-            }
-            first = false;
-            json.push_str(&format!(
-                "{{\"plan\":\"{}\",\"backend\":\"{}\",\"index_bytes_built\":{},\"total_runtime_ms\":{:.3},\"steps\":[",
-                plan.name, name, bytes, ms
-            ));
-            for (j, s) in r.steps.iter().enumerate() {
-                if j > 0 {
-                    json.push(',');
-                }
-                json.push_str(&format!(
-                    "{{\"label\":\"{}\",\"runtime_ms\":{:.3},\"scanned\":{},\"cells\":{},\"index_bytes\":{}}}",
-                    s.label,
-                    s.runtime.as_secs_f64() * 1000.0,
-                    s.scanned,
-                    s.cells,
-                    s.index_bytes
-                ));
-            }
-            json.push_str("]}");
-        }
-    }
-    json.push_str("]}\n");
-    std::fs::write("BENCH_index.json", &json).expect("write BENCH_index.json");
-    println!("wrote BENCH_index.json");
-}
-
-/// Cost-based planner vs fixed strategies (DESIGN.md §15): runs the
-/// QuerySet A and B workloads under the planner (`Auto` + `plan`) and
-/// under fixed CB / fixed II with planning off, best-of-3 on fresh
-/// engines. Results must be identical cell-for-cell; the planner's total
-/// runtime must be within 10% of the best fixed strategy on every
-/// workload (the PR 10 acceptance bar — asserted, not just recorded).
-/// Writes `BENCH_plan.json`.
-fn plan_bench(scale: f64) {
-    println!("=== Plan: cost-based planner vs fixed strategies (QuerySet A/B) ===");
-    const REPS: usize = 3;
-    let d = ((200_000.0 * scale) as usize).max(100);
-    let workloads: Vec<(EventDb, solap_bench::plans::Plan)> = {
-        let db_a = synthetic(100, 20.0, 0.9, d, false);
-        let plan_a = query_set_a(&db_a, PatternKind::Substring, 5).expect("plan");
-        let db_b = synthetic(100, 20.0, 0.9, d, true);
-        let plan_b = query_set_b(&db_b).expect("plan");
-        vec![(db_a, plan_a), (db_b, plan_b)]
-    };
-    let configs: [(&str, Strategy, bool); 3] = [
-        ("planner", Strategy::Auto, true),
-        ("CB", Strategy::CounterBased, false),
-        ("II", Strategy::InvertedIndex, false),
-    ];
-    let mut json = String::from("{\"runs\":[");
-    let mut summary = String::from("\"summary\":[");
-    let mut first = true;
-    for (db, plan) in &workloads {
-        println!("--- {} ---", plan.name);
-        println!(
-            "  {:<8} {:>12} {:>10}   strategies taken",
-            "config", "runtime ms", "cells"
-        );
-        let mut runs: Vec<RunReport> = Vec::new();
-        for (label, strategy, use_planner) in configs {
-            // Best of REPS on fresh engines: the cost model re-seeds each
-            // time, so every rep measures the same plan, not a warm cache.
-            let best = (0..REPS)
-                .map(|_| {
-                    let config = EngineConfig {
-                        strategy,
-                        plan: use_planner,
-                        ..Default::default()
-                    };
-                    run_plan(db.clone(), plan, config, label).expect("run")
-                })
-                .min_by(|a, b| a.total_runtime().cmp(&b.total_runtime()))
-                .expect("REPS > 0");
-            let taken: Vec<String> = best
-                .steps
-                .iter()
-                .map(|s| format!("{}:{:.1}ms", s.strategy, s.runtime.as_secs_f64() * 1000.0))
-                .collect();
-            println!(
-                "  {:<8} {:>12.1} {:>10}   {}",
-                label,
-                best.total_runtime().as_secs_f64() * 1000.0,
-                best.steps.iter().map(|s| s.cells).sum::<usize>(),
-                taken.join(" ")
-            );
-            runs.push(best);
-        }
-        // The planner is a pure optimizer: identical cells per step.
-        for fixed in &runs[1..] {
-            for (p, f) in runs[0].steps.iter().zip(&fixed.steps) {
-                assert_eq!(
-                    p.cells, f.cells,
-                    "planner changed the answer on {} step {}",
-                    plan.name, p.label
-                );
-            }
-        }
-        let planner_ms = runs[0].total_runtime().as_secs_f64() * 1000.0;
-        let fixed_ms: Vec<f64> = runs[1..]
-            .iter()
-            .map(|r| r.total_runtime().as_secs_f64() * 1000.0)
-            .collect();
-        let best_fixed_ms = fixed_ms.iter().copied().fold(f64::INFINITY, f64::min);
-        let ratio = planner_ms / best_fixed_ms;
-        println!("  planner / best fixed = {ratio:.3}");
-        assert!(
-            ratio <= 1.10,
-            "planner lost more than 10% to a fixed strategy on {}: {planner_ms:.1} ms vs {best_fixed_ms:.1} ms",
-            plan.name
-        );
-        for r in &runs {
-            if !first {
-                json.push(',');
-            }
-            first = false;
-            json.push_str(&format!(
-                "{{\"plan\":\"{}\",\"config\":\"{}\",\"total_runtime_ms\":{:.3},\"steps\":[",
-                r.name,
-                r.config,
-                r.total_runtime().as_secs_f64() * 1000.0
-            ));
-            for (j, s) in r.steps.iter().enumerate() {
-                if j > 0 {
-                    json.push(',');
-                }
-                json.push_str(&format!(
-                    "{{\"label\":\"{}\",\"strategy\":\"{}\",\"runtime_ms\":{:.3},\"scanned\":{},\"cells\":{}}}",
-                    s.label,
-                    s.strategy,
-                    s.runtime.as_secs_f64() * 1000.0,
-                    s.scanned,
-                    s.cells
-                ));
-            }
-            json.push_str("]}");
-        }
-        if summary.len() > "\"summary\":[".len() {
-            summary.push(',');
-        }
-        summary.push_str(&format!(
-            "{{\"plan\":\"{}\",\"planner_ms\":{planner_ms:.3},\"cb_ms\":{:.3},\"ii_ms\":{:.3},\
-             \"best_fixed_ms\":{best_fixed_ms:.3},\"planner_over_best_fixed\":{ratio:.4}}}",
-            plan.name, fixed_ms[0], fixed_ms[1]
-        ));
-    }
-    summary.push(']');
-    json.push_str("],");
-    json.push_str(&summary);
-    json.push_str("}\n");
-    std::fs::write("BENCH_plan.json", &json).expect("write BENCH_plan.json");
-    println!("wrote BENCH_plan.json");
-}
-
-/// Streaming-ingestion throughput: events/second through the engine's
-/// store path at each durability level — pure in-memory, and write-ahead
-/// logged with `off`/`batch`/`always` fsync — with a live cuboid
-/// registered so every batch also exercises incremental maintenance.
-/// Emits `BENCH_ingest.json`.
-fn ingest_bench(scale: f64) {
-    use solap_core::SCuboidSpec;
-    use solap_eventdb::{AttrLevel, ColumnType, EventDbBuilder, FsyncPolicy, SortKey, Value};
-    use solap_pattern::PatternTemplate;
-
-    let batches = ((4_000.0 * scale) as usize).max(50);
-    let batch_size = 8usize;
-
-    fn schema() -> EventDb {
-        EventDbBuilder::new()
-            .dimension("sid", ColumnType::Int)
-            .dimension("pos", ColumnType::Int)
-            .dimension("symbol", ColumnType::Str)
-            .build()
-            .unwrap()
-    }
-
-    fn spec() -> SCuboidSpec {
-        let t = PatternTemplate::new(
-            PatternKind::Substring,
-            &["X", "Y"],
-            &[("X", 2, 0), ("Y", 2, 0)],
-        )
-        .unwrap();
-        SCuboidSpec::new(
-            t,
-            vec![AttrLevel::new(0, 0)],
-            vec![SortKey {
-                attr: 1,
-                ascending: true,
-            }],
-        )
-    }
-
-    println!("=== streaming ingestion (events/sec by durability) ===");
-    println!(
-        "  {:<10} {:>10} {:>12} {:>10} {:>10} {:>10}",
-        "policy", "events", "events/sec", "extended", "indexes", "fallbacks"
-    );
-    let mut json = String::from("{\"runs\":[");
-    let policies: [(&str, Option<FsyncPolicy>); 4] = [
-        ("memory", None),
-        ("off", Some(FsyncPolicy::Off)),
-        ("batch", Some(FsyncPolicy::Batch)),
-        ("always", Some(FsyncPolicy::Always)),
-    ];
-    for (i, (name, policy)) in policies.iter().enumerate() {
-        let dir =
-            std::env::temp_dir().join(format!("solap-bench-ingest-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let engine = match policy {
-            None => Engine::new(schema()),
-            Some(p) => Engine::builder(schema())
-                .durable_with_policy(&dir, *p)
-                .expect("open durable engine")
-                .build(),
-        };
-        // Prime a live cuboid so every append drives the incremental
-        // maintenance path, not just the log.
-        for sid in 0..4i64 {
-            engine
-                .append_events(&[
-                    vec![Value::Int(sid), Value::Int(0), Value::from("s0")],
-                    vec![Value::Int(sid), Value::Int(1), Value::from("s1")],
-                ])
-                .expect("seed batch");
-        }
-        engine.execute(&spec()).expect("prime live spec");
-        let (mut extended, mut indexes, mut fallbacks) = (0usize, 0usize, 0usize);
-        let t0 = Instant::now();
-        for b in 0..batches {
-            let sid = 100 + b as i64;
-            let batch: Vec<Vec<Value>> = (0..batch_size)
-                .map(|p| {
-                    vec![
-                        Value::Int(sid),
-                        Value::Int(p as i64),
-                        Value::from(if (b + p) % 2 == 0 { "s0" } else { "s1" }),
-                    ]
-                })
-                .collect();
-            let report = engine.append_events(&batch).expect("stream batch");
-            extended += report.groups_extended;
-            indexes += report.indexes_extended;
-            fallbacks += report.rebuild_fallbacks;
-        }
-        let elapsed = t0.elapsed();
-        let events = batches * batch_size;
-        let eps = events as f64 / elapsed.as_secs_f64();
-        println!(
-            "  {:<10} {:>10} {:>12.0} {:>10} {:>10} {:>10}",
-            name, events, eps, extended, indexes, fallbacks
-        );
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"policy\":\"{name}\",\"events\":{events},\"batches\":{batches},\
-             \"elapsed_ms\":{:.3},\"events_per_sec\":{:.0},\"groups_extended\":{extended},\
-             \"indexes_extended\":{indexes},\"rebuild_fallbacks\":{fallbacks}}}",
-            elapsed.as_secs_f64() * 1000.0,
-            eps
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    json.push_str("]}\n");
-    std::fs::write("BENCH_ingest.json", &json).expect("write BENCH_ingest.json");
-    println!("wrote BENCH_ingest.json");
-}
-
 fn main() {
     // Arm SOLAP_FAILPOINTS before any measurement code runs: parts of the
     // harness touch eventdb/index paths without constructing an `Engine`,
@@ -867,11 +272,6 @@ fn main() {
             "subsequence" => subsequence(scale),
             "ablation" => ablation(scale),
             "threads" => thread_scaling(scale),
-            "profile" => profile_dump(scale),
-            "serve" => serve_bench(scale),
-            "index" => index_bench(scale),
-            "plan" => plan_bench(scale),
-            "ingest" => ingest_bench(scale),
             "all" => {
                 table1(scale);
                 fig16(scale);
@@ -885,7 +285,7 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "unknown experiment `{other}` — table1|fig16|qa-vary-l|qb|qc|vary-theta|vary-i|subsequence|ablation|threads|profile|serve|index|plan|ingest|all"
+                    "unknown experiment `{other}` — table1|fig16|qa-vary-l|qb|qc|vary-theta|vary-i|subsequence|ablation|threads|all"
                 );
                 std::process::exit(2);
             }

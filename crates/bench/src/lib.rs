@@ -13,9 +13,8 @@
 //!   (P-ROLL-UP / P-DRILL-DOWN with the 3-level hierarchy) varying `D` and
 //!   `L`, QuerySet C (restricted template `(X, Y, Y, X)`), varying `θ`,
 //!   varying `I`, and subsequence patterns.
-//! * **Ablations** this reproduction adds: list- vs bitmap-encoded
-//!   inverted lists, dense vs hash counters, iceberg thresholds, and
-//!   parallel counter scans.
+//! * **Ablations** this reproduction adds: iceberg thresholds and
+//!   parallel construction.
 //!
 //! Run `cargo run -p solap-bench --release --bin experiments -- all` to
 //! regenerate everything (use `--scale` to shrink `D`; the default 0.05
@@ -29,5 +28,5 @@ pub mod report;
 pub mod runner;
 
 pub use plans::{Plan, PreSlice, Step};
-pub use report::{format_comparison, format_run};
+pub use report::format_comparison;
 pub use runner::{run_plan, RunReport, StepReport};

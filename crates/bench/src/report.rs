@@ -8,42 +8,6 @@ fn ms(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64() * 1000.0)
 }
 
-/// Formats one run as a per-step table.
-pub fn format_run(r: &RunReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{} — {}\n", r.name, r.config));
-    if let Some((t, bytes)) = r.precompute {
-        out.push_str(&format!(
-            "  precompute: {} ms, {:.3} MB of indices\n",
-            ms(t),
-            bytes as f64 / 1e6
-        ));
-    }
-    out.push_str(&format!(
-        "  {:<6} {:>12} {:>12} {:>10} {:>12} {:>8}\n",
-        "query", "runtime(ms)", "scanned", "cells", "index(MB)", "path"
-    ));
-    for s in &r.steps {
-        out.push_str(&format!(
-            "  {:<6} {:>12} {:>12} {:>10} {:>12.3} {:>8}\n",
-            s.label,
-            ms(s.runtime),
-            s.scanned,
-            s.cells,
-            s.index_bytes as f64 / 1e6,
-            s.strategy
-        ));
-    }
-    let total: Duration = r.total_runtime();
-    out.push_str(&format!(
-        "  {:<6} {:>12} {:>12}\n",
-        "Σ",
-        ms(total),
-        r.cumulative_scanned().last().copied().unwrap_or(0)
-    ));
-    out
-}
-
 /// Formats a CB-vs-II comparison in the layout of Table 1: one row per
 /// query, both approaches side by side.
 pub fn format_comparison(cb: &RunReport, ii: &RunReport) -> String {
@@ -80,23 +44,6 @@ pub fn format_comparison(cb: &RunReport, ii: &RunReport) -> String {
             ms(t),
             bytes as f64 / 1e6
         ));
-    }
-    out
-}
-
-/// Formats the per-stage profiles of every step of a run, one block per
-/// step (the observability annex of a report).
-pub fn format_profiles(r: &RunReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("{} — {} (profiles)\n", r.name, r.config));
-    for s in &r.steps {
-        let Some(p) = &s.profile else { continue };
-        out.push_str(&format!("  {}\n", s.label));
-        for line in p.render_text(false).lines() {
-            out.push_str("    ");
-            out.push_str(line);
-            out.push('\n');
-        }
     }
     out
 }
@@ -155,15 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn run_table_contains_rows_and_total() {
-        let s = format_run(&fake_run("II"));
-        assert!(s.contains("Q1") && s.contains("Q2"));
-        assert!(s.contains("precompute"));
-        assert!(s.contains("15.0"), "{s}"); // Σ runtime
-        assert!(s.contains("120"), "{s}"); // Σ scanned
-    }
-
-    #[test]
     fn comparison_pairs_rows() {
         let s = format_comparison(&fake_run("CB"), &fake_run("II"));
         assert!(s.contains("CB run(ms)"));
@@ -176,12 +114,5 @@ mod tests {
         let s = format_cumulative(&fake_run("II"));
         assert!(s.contains("cum-runtime"));
         assert!(s.contains("(cum-scanned 120)"));
-    }
-
-    #[test]
-    fn profiles_block_skips_missing_profiles() {
-        let s = format_profiles(&fake_run("II"));
-        assert!(s.contains("Q1") && s.contains("profile:"), "{s}");
-        assert!(!s.contains("Q2"), "profile-less steps are skipped: {s}");
     }
 }

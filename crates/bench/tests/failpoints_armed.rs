@@ -1,56 +1,51 @@
 //! Regression: every binary must arm `SOLAP_FAILPOINTS` at process entry.
 //!
 //! `EngineBuilder::build()` seeds the failpoint registry, but binaries do
-//! real work before (or without) constructing an engine — the experiments
-//! harness streams through the WAL, `solap --connect` never builds a local
-//! engine at all. A binary that forgets `failpoint::init()` silently runs
-//! chaos configurations with no faults injected, which is worse than
-//! failing: the chaos run *passes vacuously*. So: spawn the real binary
-//! with a failpoint armed via the environment and require the fault to
-//! actually fire.
+//! real work before (or without) constructing an engine — `solap
+//! --connect` never builds a local engine at all. A binary that forgets
+//! `failpoint::init()` silently runs chaos configurations with no faults
+//! injected, which is worse than failing: the chaos run *passes
+//! vacuously*. So: spawn the real binary with a failpoint armed via the
+//! environment and require the fault to actually fire.
 
-use std::process::Command;
+use std::process::{Command, Output};
+
+/// Runs `experiments -- table1 --scale 0.01`, with `SOLAP_FAILPOINTS` set
+/// to `failpoints` or cleared.
+fn table1(failpoints: Option<&str>) -> Output {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
+    cmd.args(["table1", "--scale", "0.01"])
+        .current_dir(std::env::temp_dir());
+    match failpoints {
+        Some(spec) => cmd.env("SOLAP_FAILPOINTS", spec),
+        None => cmd.env_remove("SOLAP_FAILPOINTS"),
+    };
+    cmd.output().expect("spawn experiments")
+}
 
 #[test]
 fn experiments_binary_arms_env_failpoints() {
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["ingest", "--scale", "0.01"])
-        .env("SOLAP_FAILPOINTS", "wal.append=error")
-        .current_dir(std::env::temp_dir())
-        .output()
-        .expect("spawn experiments");
+    let out = table1(Some("seqcache.build=error"));
     assert!(
         !out.status.success(),
-        "armed wal.append failpoint did not fire:\nstdout: {}\nstderr: {}",
+        "armed seqcache.build failpoint did not fire:\nstdout: {}\nstderr: {}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr),
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        stderr.contains("failpoint wal.append"),
+        stderr.contains("failpoint seqcache.build"),
         "failure must come from the injected fault, got:\n{stderr}"
     );
 }
 
 #[test]
-fn experiments_ingest_runs_clean_without_failpoints() {
-    let dir = std::env::temp_dir().join(format!("solap-ingest-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["ingest", "--scale", "0.01"])
-        .env_remove("SOLAP_FAILPOINTS")
-        .current_dir(&dir)
-        .output()
-        .expect("spawn experiments");
+fn experiments_table1_runs_clean_without_failpoints() {
+    let out = table1(None);
     assert!(
         out.status.success(),
-        "ingest bench failed:\nstdout: {}\nstderr: {}",
+        "table1 failed:\nstdout: {}\nstderr: {}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr),
     );
-    let json = std::fs::read_to_string(dir.join("BENCH_ingest.json")).expect("BENCH_ingest.json");
-    for policy in ["memory", "off", "batch", "always"] {
-        assert!(json.contains(&format!("\"policy\":\"{policy}\"")), "{json}");
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -378,12 +378,7 @@ mod tests {
     #[test]
     fn config_commands_are_session_scoped() {
         let mut repl = setup();
-        for cmd in [
-            ".strategy cb",
-            ".strategy ii",
-            ".backend bitmap",
-            ".counters dense",
-        ] {
+        for cmd in [".strategy cb", ".strategy ii", ".strategy auto"] {
             let mut out = Vec::new();
             repl.handle(cmd, &mut out).unwrap();
             assert!(out.is_empty(), "{cmd}: {}", String::from_utf8_lossy(&out));

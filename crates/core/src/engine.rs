@@ -15,8 +15,7 @@ use solap_eventdb::{
     fail_point, panic_message, CancelToken, Error, EventDb, EventLog, FsyncPolicy, Pred,
     QueryGovernor, RecoveryReport, Result, RowId, Sequence, SequenceGroups, Sid, Value,
 };
-use solap_index::{IndexKey, IndexStore, SetBackend};
-use solap_pattern::PatternKind;
+use solap_index::{IndexKey, IndexStore};
 
 use crate::incremental;
 
@@ -28,7 +27,7 @@ use crate::ops::{self, Op};
 use crate::plan::{
     self, CostModel, PlanAlternative, PlanChoice, PlanInputs, PlanReport, Planner, QueryPlan,
 };
-use crate::repo::{CuboidRepo, RetentionPolicy};
+use crate::repo::CuboidRepo;
 use crate::spec::SCuboidSpec;
 use crate::stats::{ExecStats, ScanMeter};
 
@@ -39,9 +38,8 @@ pub enum Strategy {
     CounterBased,
     /// The inverted-index approach of §4.2.2.
     InvertedIndex,
-    /// Inverted indices, except for long subsequence templates whose index
-    /// enumeration would be combinatorial (`m > 3` subsequences fall back
-    /// to counters).
+    /// The cost-based planner: CB, II or ancestor reuse, whichever the
+    /// engine's calibrated [`CostModel`] predicts cheapest.
     #[default]
     Auto,
 }
@@ -51,13 +49,6 @@ pub enum Strategy {
 pub struct EngineConfig {
     /// Construction strategy.
     pub strategy: Strategy,
-    /// Sid-set encoding for inverted lists. [`SetBackend::Auto`] (the
-    /// default, overridable via `SOLAP_INDEX`) picks per list by density:
-    /// bitmaps above 1-in-8, block-compressed when sparse but non-tiny,
-    /// plain lists otherwise.
-    pub backend: SetBackend,
-    /// Counter layout for the counter-based path.
-    pub counter_mode: CounterMode,
     /// Whether the cuboid repository answers repeated queries.
     pub use_cuboid_repo: bool,
     /// Worker threads for parallel construction — both counter scans and
@@ -73,38 +64,19 @@ pub struct EngineConfig {
     /// thread to abort in-flight and future queries until
     /// [`CancelToken::reset`].
     pub cancel: CancelToken,
-    /// Whether [`Strategy::Auto`] uses the cost-based planner (CB vs II vs
-    /// ancestor reuse, costed by the engine's calibrated [`CostModel`]).
-    /// When `false`, `Auto` falls back to the legacy fixed heuristic
-    /// (subsequences with `m > 3` → CB, everything else → II). Defaults to
-    /// the `SOLAP_PLAN` environment variable (`off`/`0`/`false` disable).
-    pub plan: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             strategy: Strategy::Auto,
-            backend: backend_from_env(),
-            counter_mode: CounterMode::Auto,
             use_cuboid_repo: true,
             threads: threads_from_env(),
             timeout: timeout_from_env(),
             budget_cells: budget_from_env(),
             cancel: CancelToken::new(),
-            plan: plan_from_env(),
         }
     }
-}
-
-/// Default inverted-list encoding: the `SOLAP_INDEX` environment variable
-/// (`list` | `bitmap` | `compressed` | `auto`) when set to a valid
-/// spelling, otherwise per-list density auto-selection.
-fn backend_from_env() -> SetBackend {
-    std::env::var("SOLAP_INDEX")
-        .ok()
-        .and_then(|v| SetBackend::parse(&v))
-        .unwrap_or(SetBackend::Auto)
 }
 
 /// Default worker count: the `SOLAP_THREADS` environment variable when set
@@ -133,18 +105,6 @@ fn budget_from_env() -> Option<u64> {
         .ok()
         .and_then(|v| v.trim().parse::<u64>().ok())
         .filter(|&c| c > 0)
-}
-
-/// Default planner switch: on unless the `SOLAP_PLAN` environment variable
-/// is `off`, `0` or `false`.
-fn plan_from_env() -> bool {
-    !matches!(
-        std::env::var("SOLAP_PLAN")
-            .ok()
-            .map(|v| v.trim().to_ascii_lowercase())
-            .as_deref(),
-        Some("off" | "0" | "false")
-    )
 }
 
 /// The result of one query: the cuboid plus execution statistics and the
@@ -201,7 +161,6 @@ pub struct EngineBuilder {
     seq_cache: (usize, usize),
     index_store: (usize, usize),
     cuboid_repo: (usize, usize),
-    retention_policy: RetentionPolicy,
     model_path: Option<PathBuf>,
     log: Option<EventLog>,
     recovery: Option<RecoveryReport>,
@@ -215,7 +174,6 @@ impl EngineBuilder {
             seq_cache: (64, 256 << 20),
             index_store: (256, 512 << 20),
             cuboid_repo: (128, 256 << 20),
-            retention_policy: RetentionPolicy::from_env(),
             model_path: None,
             log: None,
             recovery: None,
@@ -280,18 +238,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sid-set encoding for inverted lists.
-    pub fn backend(mut self, backend: SetBackend) -> Self {
-        self.config.backend = backend;
-        self
-    }
-
-    /// Counter layout for the counter-based path.
-    pub fn counter_mode(mut self, mode: CounterMode) -> Self {
-        self.config.counter_mode = mode;
-        self
-    }
-
     /// Worker threads for parallel construction (values below 1 clamp
     /// to 1 = sequential).
     pub fn threads(mut self, threads: usize) -> Self {
@@ -351,19 +297,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Which cuboids the repository sacrifices when over budget (defaults
-    /// to `SOLAP_REPO_POLICY`, falling back to benefit-per-byte).
-    pub fn retention_policy(mut self, policy: RetentionPolicy) -> Self {
-        self.retention_policy = policy;
-        self
-    }
-
-    /// Whether [`Strategy::Auto`] uses the cost-based planner.
-    pub fn plan(mut self, on: bool) -> Self {
-        self.config.plan = on;
-        self
-    }
-
     /// Replaces the whole configuration at once (the builder's setters
     /// then refine it). Bench matrices that already hold an
     /// [`EngineConfig`] use this instead of poking fields.
@@ -394,11 +327,7 @@ impl EngineBuilder {
             config: self.config,
             seq_cache: SequenceCache::new(self.seq_cache.0, self.seq_cache.1),
             index_store: IndexStore::new(self.index_store.0, self.index_store.1),
-            cuboid_repo: CuboidRepo::new(
-                self.cuboid_repo.0,
-                self.cuboid_repo.1,
-                self.retention_policy,
-            ),
+            cuboid_repo: CuboidRepo::new(self.cuboid_repo.0, self.cuboid_repo.1),
             live: Mutex::ranked(parking_lot::rank::ENGINE_LIVE, "engine.live", Vec::new()),
             cost_model,
             model_path: self.model_path,
@@ -780,23 +709,10 @@ impl Engine {
         self.seq_cache.get_or_build(&db, &spec.seq)
     }
 
-    fn effective_strategy(config: &EngineConfig, spec: &SCuboidSpec) -> Strategy {
-        match config.strategy {
-            Strategy::Auto => {
-                if spec.template.kind == PatternKind::Subsequence && spec.template.m() > 3 {
-                    Strategy::CounterBased
-                } else {
-                    Strategy::InvertedIndex
-                }
-            }
-            s => s,
-        }
-    }
-
-    /// Whether the cost-based planner decides `Strategy::Auto` queries
-    /// under this configuration (vs the legacy fixed heuristic).
+    /// Whether the cost-based planner decides this configuration's
+    /// queries (it does unless a strategy is fixed).
     fn planner_active(config: &EngineConfig) -> bool {
-        config.plan && config.strategy == Strategy::Auto
+        config.strategy == Strategy::Auto
     }
 
     /// Whether a base inverted index usable for `spec` is already stored —
@@ -998,15 +914,13 @@ impl Engine {
             .cached(&spec.seq, db.version())
             .map(|g| g.total_sequences as u64);
         let (cost_idx, plans) = self.plan_query(&db, spec, sequences, None, config);
-        let chosen_idx = if planner_on {
-            cost_idx
-        } else {
-            // Alternatives are still enumerated and costed for visibility,
-            // but the choice is forced: CB is plan 0, II is plan 1.
-            match Engine::effective_strategy(config, spec) {
-                Strategy::CounterBased => 0,
-                _ => 1,
-            }
+        // A fixed strategy still has every alternative enumerated and
+        // costed for visibility, but the choice is forced: CB is plan 0,
+        // II plan 1.
+        let chosen_idx = match config.strategy {
+            Strategy::Auto => cost_idx,
+            Strategy::CounterBased => 0,
+            Strategy::InvertedIndex => 1,
         };
         let strategy = plans
             .get(chosen_idx)
@@ -1019,15 +933,6 @@ impl Engine {
                     "cost model: {strategy} predicted cheapest of {} alternatives",
                     plans.len()
                 ),
-            )
-        } else if config.strategy == Strategy::Auto {
-            (
-                "heuristic",
-                if strategy == "CB" {
-                    "auto: subsequence template with m > 3".to_string()
-                } else {
-                    "auto: indexable template".to_string()
-                },
             )
         } else {
             ("configured", "configured".to_string())
@@ -1047,7 +952,6 @@ impl Engine {
             mode,
             strategy,
             why,
-            backend: format!("{:?}", config.backend),
             threads: config.threads,
             events: db.len() as u64,
             filter: if spec.seq.filter == Pred::True {
@@ -1175,9 +1079,8 @@ impl Engine {
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
         // Cost-based planning: enumerate and cost the alternatives, then
-        // execute the predicted-cheapest one. When the planner is off
-        // (fixed strategy, or `plan: false`) the legacy heuristic decides
-        // and no costing happens.
+        // execute the predicted-cheapest one. A fixed strategy runs as
+        // configured and nothing is costed.
         let planner_on = Engine::planner_active(config);
         let planned = planner_on
             .then(|| self.plan_query(&db, spec, Some(groups.total_sequences as u64), hint, config));
@@ -1188,7 +1091,7 @@ impl Engine {
             .as_ref()
             .and_then(|(idx, plans)| plans.get(*idx))
             .map(|p| p.choice.clone())
-            .unwrap_or_else(|| match Engine::effective_strategy(config, spec) {
+            .unwrap_or(match config.strategy {
                 Strategy::CounterBased => PlanChoice::CounterBased,
                 _ => PlanChoice::InvertedIndex,
             });
@@ -1247,19 +1150,13 @@ impl Engine {
                     &gov,
                 )?
             } else {
-                counter_based_governed(&db, &groups, spec, config.counter_mode, &mut meter, &gov)?
+                counter_based_governed(&db, &groups, spec, CounterMode::Auto, &mut meter, &gov)?
             }
         } else {
             stats.strategy = "II";
-            let ex = IiExecutor::new(
-                &db,
-                &groups,
-                spec.seq.fingerprint(),
-                &self.index_store,
-                config.backend,
-            )
-            .with_threads(config.threads)
-            .with_governor(&gov);
+            let ex = IiExecutor::new(&db, &groups, spec.seq.fingerprint(), &self.index_store)
+                .with_threads(config.threads)
+                .with_governor(&gov);
             if let Some((prev, op)) = hint {
                 // Preparation only touches the index store; on any
                 // refusal the generic QUERYINDICES path takes over.
@@ -1343,14 +1240,8 @@ impl Engine {
     ) -> Result<usize> {
         let db = self.db.read();
         let groups = self.seq_cache.get_or_build(&db, &spec.seq)?;
-        let ex = IiExecutor::new(
-            &db,
-            &groups,
-            spec.seq.fingerprint(),
-            &self.index_store,
-            self.config.backend,
-        )
-        .with_threads(self.config.threads);
+        let ex = IiExecutor::new(&db, &groups, spec.seq.fingerprint(), &self.index_store)
+            .with_threads(self.config.threads);
         ex.precompute_generic(attr, level, m, spec.template.kind)
     }
 }
@@ -1359,7 +1250,7 @@ impl Engine {
 mod tests {
     use super::*;
     use solap_eventdb::{AttrLevel, CmpOp, ColumnType, EventDbBuilder, SortKey, Value};
-    use solap_pattern::{CellRestriction, MatchPred, PatternTemplate};
+    use solap_pattern::{CellRestriction, MatchPred, PatternKind, PatternTemplate};
 
     fn fig8_engine(config: EngineConfig) -> Engine {
         let mut db = EventDbBuilder::new()
@@ -1636,20 +1527,6 @@ mod tests {
         assert_eq!(plan.strategy, "CB");
         assert_eq!(plan.mode, "cost");
         assert!(plan.alternatives.len() >= 2);
-        // With the planner disabled, the legacy heuristic reaches the same
-        // answer and says why in its own words.
-        let legacy = e
-            .explain_configured(
-                &spec,
-                &EngineConfig {
-                    plan: false,
-                    ..EngineConfig::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(legacy.strategy, "CB");
-        assert_eq!(legacy.mode, "heuristic");
-        assert_eq!(legacy.why, "auto: subsequence template with m > 3");
     }
 
     /// The Figure-8 sequences replicated `reps` times under fresh sids:
@@ -1787,42 +1664,6 @@ mod tests {
         assert_eq!(name, "cb_scan_ns");
         assert!((unit - 296.0).abs() < 1e-9, "{unit}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn planner_off_keeps_legacy_heuristic() {
-        let e = fig8_engine(EngineConfig {
-            plan: false,
-            ..Default::default()
-        });
-        let mut spec = q3(&e.db());
-        spec.template = PatternTemplate::new(
-            PatternKind::Subsequence,
-            &["A", "B", "C", "D"],
-            &[("A", 2, 0), ("B", 2, 0), ("C", 2, 0), ("D", 2, 0)],
-        )
-        .unwrap();
-        spec.mpred = MatchPred::True;
-        let out = e.execute(&spec).unwrap();
-        assert_eq!(out.stats.strategy, "CB");
-        if out.profile.detailed {
-            assert_eq!(
-                out.profile
-                    .counter(solap_eventdb::Counter::PlanAlternativesConsidered),
-                0,
-                "no costing when the planner is off"
-            );
-        }
-        let on = fig8_engine(EngineConfig::default());
-        let q = q3(&on.db());
-        let out = on.execute(&q).unwrap();
-        if out.profile.detailed {
-            assert!(
-                out.profile
-                    .counter(solap_eventdb::Counter::PlanAlternativesConsidered)
-                    >= 2
-            );
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use solap_eventdb::{
 };
 use solap_index::{
     build_index_governed, join::join, join::rollup_merge, IndexKey, IndexStore, InvertedIndex,
-    SetBackend,
+    SidSet,
 };
 use solap_pattern::{
     AggFunc, CellRestriction, MatchPred, Matcher, PatternTemplate, TemplateSignature,
@@ -46,7 +46,6 @@ pub struct IiExecutor<'a> {
     /// their identity in the index store).
     pub groups_fp: u64,
     store: &'a IndexStore,
-    backend: SetBackend,
     threads: usize,
     gov: Option<&'a QueryGovernor>,
     /// Unbounded stand-in used when no governor is attached, so internal
@@ -62,14 +61,12 @@ impl<'a> IiExecutor<'a> {
         groups: &'a SequenceGroups,
         groups_fp: u64,
         store: &'a IndexStore,
-        backend: SetBackend,
     ) -> Self {
         IiExecutor {
             db,
             groups,
             groups_fp,
             store,
-            backend,
             threads: 1,
             gov: None,
             fallback_gov: QueryGovernor::unbounded(),
@@ -204,13 +201,8 @@ impl<'a> IiExecutor<'a> {
                     .iter()
                     .map(|&s| self.groups.sequence(s))
                     .collect::<Result<Vec<_>>>()?;
-                let (mut raw, _) = build_index_governed(
-                    self.db,
-                    seqs,
-                    &target_template,
-                    self.backend,
-                    self.gov(),
-                )?;
+                let (mut raw, _) =
+                    build_index_governed(self.db, seqs, &target_template, self.gov())?;
                 raw.lists.retain(|pattern, _| matches_slice(pattern));
                 raw
             } else {
@@ -245,7 +237,7 @@ impl<'a> IiExecutor<'a> {
         if !sliced || current.lists.keys().all(|pattern| matches_slice(pattern)) {
             return Ok(current);
         }
-        let mut cut = InvertedIndex::new(current.sig.clone(), current.backend);
+        let mut cut = InvertedIndex::new(current.sig.clone());
         // solint: allow(governor-tick) filters a cached index; bounded by its list count
         for (pattern, set) in &current.lists {
             if matches_slice(pattern) {
@@ -308,14 +300,7 @@ impl<'a> IiExecutor<'a> {
         let index = if self.threads > 1 && group.sequences.len() > 1 {
             self.build_base_parallel(group, template)?
         } else {
-            build_index_governed(
-                self.db,
-                &group.sequences,
-                template,
-                self.backend,
-                self.gov(),
-            )?
-            .0
+            build_index_governed(self.db, &group.sequences, template, self.gov())?.0
         };
         // solint: allow(governor-tick) O(1) meter touch per sequence; the build above ticked per event and check_now ran at entry
         for seq in &group.sequences {
@@ -349,8 +334,7 @@ impl<'a> IiExecutor<'a> {
                         if let Some(rec) = gov.recorder() {
                             rec.add(Counter::WorkersSpawned, 1);
                         }
-                        build_index_governed(self.db, seqs, template, self.backend, gov)
-                            .map(|(ix, _)| ix)
+                        build_index_governed(self.db, seqs, template, gov).map(|(ix, _)| ix)
                     })
                 })
                 .collect();
@@ -365,7 +349,7 @@ impl<'a> IiExecutor<'a> {
                 })
                 .collect()
         });
-        let mut merged = InvertedIndex::new(template.signature(), self.backend);
+        let mut merged = InvertedIndex::new(template.signature());
         for partial in partials {
             // Shard order = ascending sid ranges, so per-pattern pushes
             // arrive in the same nondecreasing sid order as a full scan.
@@ -400,10 +384,10 @@ impl<'a> IiExecutor<'a> {
         let _span = metrics::span(rec, Stage::IndexVerify);
         let trivial = MatchPred::True;
         let matcher = Matcher::new(self.db, template, &trivial).with_governor(self.gov());
-        let mut out = InvertedIndex::new(candidate.sig.clone(), candidate.backend);
+        let mut out = InvertedIndex::new(candidate.sig.clone());
         // solint: allow(governor-tick) contains_pattern below ticks per window/DFS node through the attached governor
         for (pattern, sids) in candidate.lists {
-            let mut kept = self.backend.empty();
+            let mut kept = SidSet::empty_list();
             // solint: allow(governor-tick) governed inside contains_pattern (matcher carries the governor)
             for sid in sids.iter() {
                 meter.touch(sid);
@@ -418,8 +402,8 @@ impl<'a> IiExecutor<'a> {
         if let Some(rec) = rec {
             rec.add(Counter::MatchWindows, matcher.take_windows());
         }
-        // Canonicalize before the caller caches it (compressed tails are
-        // flushed; auto settles each list's final encoding).
+        // Canonicalize before the caller caches it: each list settles on
+        // its density encoding.
         out.seal();
         Ok(out)
     }
@@ -538,9 +522,9 @@ impl<'a> IiExecutor<'a> {
                 let d_new = new.dim_at(pos);
                 self.db.map_up(d_prev.attr, d_prev.level, v, d_new.level)
             })?;
-            // List unions keep the first-seen encoding, which under Auto
-            // depends on map iteration order; sealing restores the
-            // canonical (deterministic) form before caching.
+            // List unions keep the first-seen encoding, which depends on
+            // map iteration order; sealing restores the canonical
+            // (deterministic) form before caching.
             merged.seal();
             let merged = Arc::new(merged);
             stats.indices_built += 1;
@@ -617,7 +601,7 @@ impl<'a> IiExecutor<'a> {
                 meter.touch(sid);
             }
             let _span = metrics::span(self.gov().recorder(), Stage::IndexBuild);
-            let (mut fine, _) = build_index_governed(self.db, seqs, new, self.backend, self.gov())?;
+            let (mut fine, _) = build_index_governed(self.db, seqs, new, self.gov())?;
             // Keep only fine lists compatible with the slice (the scan
             // enumerated every pattern of the visited sequences).
             fine.lists
@@ -807,7 +791,7 @@ mod tests {
         let mut m1 = ScanMeter::new();
         let cb = counter_based(db, &groups, spec, CounterMode::Hash, &mut m1).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(db, &groups, 42, &store, SetBackend::List);
+        let ex = IiExecutor::new(db, &groups, 42, &store);
         let mut m2 = ScanMeter::new();
         let mut stats = ExecStats::default();
         let ii = ex.execute(spec, &mut m2, &mut stats).unwrap();
@@ -873,7 +857,7 @@ mod tests {
             build_sequence_groups(&db, &spec.seq).unwrap()
         };
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store, SetBackend::List);
+        let ex = IiExecutor::new(&db, &groups, 42, &store);
         // Qa = (X, Y).
         let qa = spec_with(&db, &["X", "Y"], 0, true);
         let mut meter = ScanMeter::new();
@@ -906,7 +890,7 @@ mod tests {
         let spec = spec_with(&db, &["X", "Y"], 0, false); // trivial predicate
         let groups = build_sequence_groups(&db, &spec.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store, SetBackend::List);
+        let ex = IiExecutor::new(&db, &groups, 42, &store);
         // Precompute the index, then measure the query alone.
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
@@ -933,7 +917,7 @@ mod tests {
         let coarse = spec_with(&db, &["X", "Y"], 1, false);
         let groups = build_sequence_groups(&db, &fine.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store, SetBackend::List);
+        let ex = IiExecutor::new(&db, &groups, 42, &store);
         // Run the fine query to populate its index.
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
@@ -960,7 +944,7 @@ mod tests {
         let coarse = spec_with(&db, &["X", "Y", "Y", "X"], 1, false);
         let groups = build_sequence_groups(&db, &fine.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store, SetBackend::List);
+        let ex = IiExecutor::new(&db, &groups, 42, &store);
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
         ex.execute(&fine, &mut meter, &mut stats).unwrap();
@@ -982,7 +966,7 @@ mod tests {
         let fine = spec_with(&db, &["X", "Y"], 0, false);
         let groups = build_sequence_groups(&db, &coarse.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store, SetBackend::List);
+        let ex = IiExecutor::new(&db, &groups, 42, &store);
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
         ex.execute(&coarse, &mut meter, &mut stats).unwrap();
@@ -1006,7 +990,7 @@ mod tests {
         let new = spec_with(&db, &["Z", "X", "Y"], 0, false);
         let groups = build_sequence_groups(&db, &prev.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store, SetBackend::List);
+        let ex = IiExecutor::new(&db, &groups, 42, &store);
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
         ex.execute(&prev, &mut meter, &mut stats).unwrap();
@@ -1024,30 +1008,12 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_backend_equals_list_backend() {
-        let db = fig8_db();
-        let spec = spec_with(&db, &["X", "Y", "Y"], 0, true);
-        let groups = build_sequence_groups(&db, &spec.seq).unwrap();
-        let store_l = IndexStore::default();
-        let ex_l = IiExecutor::new(&db, &groups, 1, &store_l, SetBackend::List);
-        let store_b = IndexStore::default();
-        let ex_b = IiExecutor::new(&db, &groups, 2, &store_b, SetBackend::Bitmap);
-        let mut m = ScanMeter::new();
-        let mut s = ExecStats::default();
-        let a = ex_l.execute(&spec, &mut m, &mut s).unwrap();
-        let mut m2 = ScanMeter::new();
-        let mut s2 = ExecStats::default();
-        let b = ex_b.execute(&spec, &mut m2, &mut s2).unwrap();
-        assert_eq!(a.cells, b.cells);
-    }
-
-    #[test]
     fn precompute_generic_builds_l2() {
         let db = fig8_db();
         let spec = spec_with(&db, &["X", "Y"], 0, true);
         let groups = build_sequence_groups(&db, &spec.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store, SetBackend::List);
+        let ex = IiExecutor::new(&db, &groups, 42, &store);
         let bytes = ex
             .precompute_generic(2, 0, 2, PatternKind::Substring)
             .unwrap();

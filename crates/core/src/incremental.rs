@@ -51,7 +51,7 @@ pub fn extend_index(
             bad.sid, max_old
         )));
     }
-    let (fresh, _) = build_index(db, new_sequences, template, base.backend)?;
+    let (fresh, _) = build_index(db, new_sequences, template)?;
     let mut out = base.clone();
     out.append(fresh);
     Ok(out)
@@ -211,7 +211,6 @@ pub fn rebuild_reference(db: &EventDb, spec: &SeqQuerySpec) -> Result<SequenceGr
 mod tests {
     use super::*;
     use solap_eventdb::{AttrLevel, ColumnType, EventDbBuilder, Pred, SortKey, Value};
-    use solap_index::SetBackend;
     use solap_pattern::PatternKind;
 
     fn db_with_days(days: &[&[(&str, i64)]]) -> EventDb {
@@ -304,8 +303,7 @@ mod tests {
         let mut db = db_with_days(&[day1]);
         let old_groups = build_sequence_groups(&db, &spec()).unwrap();
         let t = template();
-        let (old_index, _) =
-            build_index(&db, old_groups.iter_sequences(), &t, SetBackend::List).unwrap();
+        let (old_index, _) = build_index(&db, old_groups.iter_sequences(), &t).unwrap();
         let from_row = db.len() as u32;
         for (i, item) in ["b", "a"].iter().enumerate() {
             db.push_row(&[Value::Int(2), Value::Int(i as i64), Value::from(*item)])
@@ -319,8 +317,7 @@ mod tests {
             .collect();
         assert_eq!(new_seqs.len(), 1);
         let extended = extend_index(&db, &old_index, &new_seqs, &t).unwrap();
-        let (rebuilt, _) =
-            build_index(&db, extended_groups.iter_sequences(), &t, SetBackend::List).unwrap();
+        let (rebuilt, _) = build_index(&db, extended_groups.iter_sequences(), &t).unwrap();
         assert_eq!(extended.list_count(), rebuilt.list_count());
         for (k, v) in &rebuilt.lists {
             assert_eq!(extended.lists[k].to_vec(), v.to_vec(), "pattern {k:?}");
@@ -393,7 +390,7 @@ mod tests {
         let db = db_with_days(&[day1]);
         let groups = build_sequence_groups(&db, &spec()).unwrap();
         let t = template();
-        let (index, _) = build_index(&db, groups.iter_sequences(), &t, SetBackend::List).unwrap();
+        let (index, _) = build_index(&db, groups.iter_sequences(), &t).unwrap();
         let stale = groups.iter_sequences().next().unwrap().clone();
         assert!(extend_index(&db, &index, &[stale], &t).is_err());
     }

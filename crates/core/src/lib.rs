@@ -33,15 +33,13 @@
 //! * [`plan`] — cost-based planning over the S-cube lattice: a calibrated
 //!   [`plan::CostModel`], a [`plan::Planner`] that enumerates CB / II /
 //!   ancestor-reuse alternatives, and the index-materialization advisor
-//!   (§4.2.2's open problem; the deprecated [`advisor`] façade remains for
-//!   one release).
+//!   ([`plan::Planner::advise`], §4.2.2's open problem).
 //! * Future-work prototypes the paper calls out: [`regexq`]
 //!   (regular-expression pattern templates, §3.2).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod cb;
 pub mod cuboid;
 pub mod engine;
@@ -68,7 +66,7 @@ pub use plan::{
     CostEstimate, CostModel, PlanAlternative, PlanChoice, PlanContext, PlanReport, Planner,
     QueryPlan,
 };
-pub use repo::{RepoStats, RetentionPolicy};
+pub use repo::RepoStats;
 pub use session::{HistoryEntry, Session, HISTORY_CAP};
 pub use spec::SCuboidSpec;
 pub use stats::ExecStats;

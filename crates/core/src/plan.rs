@@ -18,11 +18,10 @@
 //! elapsed time back into the model, closing the loop the ROADMAP's
 //! "cost-based planning" item left open.
 //!
-//! The module also owns the index-materialization advisor (formerly
-//! `advisor.rs`): [`Planner::advise`] answers §4.2.2's open problem of
-//! which generic indices to precompute for a workload, with its inputs
-//! gathered into a [`PlanContext`] so future knobs stop multiplying
-//! function arities.
+//! The module also owns the index-materialization advisor:
+//! [`Planner::advise`] answers §4.2.2's open problem of which generic
+//! indices to precompute for a workload, with its inputs gathered into a
+//! [`PlanContext`].
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -30,7 +29,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use solap_eventdb::{AttrId, Error, EventDb, QueryGovernor, Result, SequenceGroups};
-use solap_index::{build_index, SetBackend};
+use solap_index::build_index;
 use solap_pattern::{AggFunc, AggValue, CellRestriction, PatternKind, PatternTemplate};
 
 use crate::cuboid::{CellKey, SCuboid};
@@ -47,10 +46,9 @@ const EWMA_ALPHA: f64 = 0.2;
 const ESTIMATED_EVENTS_PER_SEQUENCE: u64 = 4;
 
 /// Seed unit costs in nanoseconds. The *ratios* are what matters — they
-/// are chosen so that, before any calibration, the planner reproduces the
-/// legacy `Strategy::Auto` heuristic exactly (II for indexable templates,
-/// CB for subsequence templates with `m > 3`); absolute values converge to
-/// the host machine via the EWMA.
+/// are chosen so that, before any calibration, the planner picks II for
+/// indexable templates and CB for subsequence templates with `m > 3`;
+/// absolute values converge to the host machine via the EWMA.
 const SEED_CB_SCAN_NS: f64 = 120.0;
 /// Seed per-event cost of the II base-index build scan.
 const SEED_II_BUILD_NS: f64 = 60.0;
@@ -73,8 +71,8 @@ const MIN_CALIBRATION_UNITS: u64 = 1_000;
 /// The join-ladder rung count per sequence, as a function of template
 /// length and kind: a SUBSTRING ladder joins adjacent positions (`m - 1`
 /// rungs), while a SUBSEQUENCE ladder must enumerate gapped combinations,
-/// which grows combinatorially — modeled as `4^(m-1)`, matching the
-/// legacy heuristic's crossover at `m > 3`.
+/// which grows combinatorially — modeled as `4^(m-1)`, which puts the
+/// seeded CB/II crossover at `m > 3`.
 fn ladder(m: usize, kind: PatternKind) -> f64 {
     match kind {
         PatternKind::Substring => m.saturating_sub(1).max(1) as f64,
@@ -178,15 +176,13 @@ pub struct PlanAlternative {
 pub struct PlanReport {
     /// The query, rendered in the Figure-3 language.
     pub query: String,
-    /// How the strategy was chosen: `"cost"` (planner), `"heuristic"`
-    /// (`SOLAP_PLAN=off` legacy auto rule) or `"configured"` (fixed).
+    /// How the strategy was chosen: `"cost"` (the planner, under
+    /// `Strategy::Auto`) or `"configured"` (a fixed strategy).
     pub mode: &'static str,
     /// The chosen strategy label.
     pub strategy: String,
     /// Why it was chosen.
     pub why: String,
-    /// Sid-set backend, rendered.
-    pub backend: String,
     /// Worker threads.
     pub threads: usize,
     /// Events the select/cluster steps scan.
@@ -275,7 +271,7 @@ impl CostModel {
     }
 
     /// The current unit costs as `(name, nanoseconds)` pairs — the
-    /// persistence format and the `.repo`/bench surfaces use these names.
+    /// persistence format uses these names.
     pub fn units(&self) -> [(&'static str, f64); 4] {
         [
             ("cb_scan_ns", Self::read(&self.cb_scan_ns)),
@@ -709,22 +705,13 @@ impl<'a> Planner<'a> {
     }
 
     /// Recommends which generic indices to precompute for the workload in
-    /// `ctx`, within its byte budget — the one advisory entry point (the
-    /// former `advisor::advise` / `advise_with_backend` pair).
+    /// `ctx`, within its byte budget.
     pub fn advise(ctx: &PlanContext<'_>) -> Result<Advice> {
         let total_seqs = ctx.groups.total_sequences as f64;
         let mut candidates = Vec::new();
         for (attr, level, kind, m) in candidates_for(ctx.workload, 6) {
-            let estimated_bytes = estimate_bytes(
-                ctx.db,
-                ctx.groups,
-                attr,
-                level,
-                kind,
-                m,
-                ctx.sample,
-                ctx.backend,
-            )?;
+            let estimated_bytes =
+                estimate_bytes(ctx.db, ctx.groups, attr, level, kind, m, ctx.sample)?;
             // Benefit: every query on this lane with template length ≥ m
             // avoids the full base-build scan (D sequences) on its first
             // run, and deeper prefixes save join/verify rungs —
@@ -798,8 +785,6 @@ pub struct PlanContext<'a> {
     pub byte_budget: usize,
     /// Sequences to sample for size estimation.
     pub sample: usize,
-    /// Sid-set encoding the estimates are sized under.
-    pub backend: SetBackend,
 }
 
 /// A candidate generic index.
@@ -876,7 +861,6 @@ fn estimate_bytes(
     kind: PatternKind,
     m: usize,
     sample: usize,
-    backend: SetBackend,
 ) -> Result<usize> {
     let names: Vec<String> = (0..m).map(|i| format!("P{i}")).collect();
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
@@ -886,7 +870,7 @@ fn estimate_bytes(
     let total = groups.total_sequences.max(1);
     let take = sample.min(total);
     let seqs = groups.iter_sequences().take(take);
-    let (index, _) = build_index(db, seqs, &template, backend)?;
+    let (index, _) = build_index(db, seqs, &template)?;
     Ok(index.heap_bytes() * total / take.max(1))
 }
 
@@ -987,7 +971,7 @@ mod tests {
     }
 
     #[test]
-    fn seed_costs_reproduce_the_legacy_auto_heuristic() {
+    fn seed_costs_pick_ii_unless_a_subsequence_is_long() {
         let model = CostModel::seeded();
         let planner = Planner::new(&model);
         // Indexable substring: II wins cold (fig-8 shape, E=16, D=4).
@@ -1236,29 +1220,168 @@ mod tests {
         assert_eq!(picked[0].1, 7);
     }
 
+    /// `d` sequences of up to `2l` symbols drawn from `i`, under a
+    /// symbol → group hierarchy: big enough for the advisor's sampling.
+    fn synthetic(i: usize, l: usize, d: usize) -> EventDb {
+        let mut db = EventDbBuilder::new()
+            .dimension("seq-id", ColumnType::Int)
+            .dimension("pos", ColumnType::Int)
+            .dimension("symbol", ColumnType::Str)
+            .build()
+            .unwrap();
+        let mut state = 123456789u64;
+        let mut rand = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) as usize
+        };
+        for sid in 0..d {
+            for pos in 0..1 + rand() % (2 * l) {
+                let sym = rand() % i;
+                db.push_row(&[
+                    Value::Int(sid as i64),
+                    Value::Int(pos as i64),
+                    Value::Str(format!("s{sym:02}")),
+                ])
+                .unwrap();
+            }
+        }
+        db.set_base_level_name(2, "symbol");
+        db.attach_str_level(2, "group", |name| format!("g{}", &name[1..2]))
+            .unwrap();
+        db
+    }
+
+    /// A substring query over `syms` on the symbol lane at `level`.
+    fn lane_query(syms: &[&str], level: usize, frequency: f64) -> WorkloadQuery {
+        let mut bindings: Vec<(&str, u32, usize)> = Vec::new();
+        for &s in syms {
+            if !bindings.iter().any(|(n, _, _)| *n == s) {
+                bindings.push((s, 2, level));
+            }
+        }
+        let t = PatternTemplate::new(PatternKind::Substring, syms, &bindings).unwrap();
+        WorkloadQuery {
+            spec: SCuboidSpec::new(
+                t,
+                vec![AttrLevel::new(0, 0)],
+                vec![SortKey {
+                    attr: 1,
+                    ascending: true,
+                }],
+            ),
+            frequency,
+        }
+    }
+
+    fn advise(db: &EventDb, workload: &[WorkloadQuery], byte_budget: usize) -> Advice {
+        let groups = solap_eventdb::build_sequence_groups(db, &workload[0].spec.seq).unwrap();
+        Planner::advise(&PlanContext {
+            db,
+            groups: &groups,
+            workload,
+            byte_budget,
+            sample: 50,
+        })
+        .unwrap()
+    }
+
     #[test]
-    fn planner_advise_matches_the_legacy_entry_points() {
-        let db = db();
-        let workload = vec![WorkloadQuery {
-            spec: spec(&["X", "Y"], &[0, 0], PatternKind::Substring),
-            frequency: 1.0,
-        }];
-        let groups = solap_eventdb::build_sequence_groups(&db, &workload[0].spec.seq).unwrap();
-        let ctx = PlanContext {
-            db: &db,
+    fn advise_respects_the_budget_and_covers_the_hot_lane() {
+        let db = synthetic(40, 10, 400);
+        let workload = vec![
+            lane_query(&["X", "Y"], 0, 10.0),
+            lane_query(&["X", "Y", "Z"], 0, 2.0),
+            lane_query(&["X", "Y"], 1, 1.0),
+        ];
+        let advice = advise(&db, &workload, 64 << 20);
+        assert!(!advice.chosen.is_empty());
+        assert!(advice.total_bytes <= 64 << 20);
+        assert_eq!(
+            advice.total_bytes,
+            advice
+                .chosen
+                .iter()
+                .map(|c| c.estimated_bytes)
+                .sum::<usize>()
+        );
+        assert!(
+            advice.chosen.iter().any(|c| c.level == 0 && c.m >= 2),
+            "{advice:?}"
+        );
+        for c in advice.chosen.iter().chain(&advice.rejected) {
+            assert!(c.estimated_bytes > 0);
+        }
+    }
+
+    #[test]
+    fn advise_with_a_zero_budget_picks_nothing() {
+        let db = synthetic(40, 10, 400);
+        let workload = vec![lane_query(&["X", "Y"], 0, 1.0)];
+        let advice = advise(&db, &workload, 0);
+        assert!(advice.chosen.is_empty());
+        assert!(!advice.rejected.is_empty());
+        assert_eq!(advice.total_bytes, 0);
+    }
+
+    /// A larger budget covers every lane a smaller one covers, at least as
+    /// deep — it never gives up an index the smaller budget could afford.
+    #[test]
+    fn a_larger_budget_covers_a_superset() {
+        let db = synthetic(40, 10, 400);
+        let workload = vec![
+            lane_query(&["X", "Y", "Z"], 0, 1.0),
+            lane_query(&["X", "Y"], 1, 1.0),
+        ];
+        let coverage = |advice: &Advice| {
+            let mut deepest: HashMap<(AttrId, usize), usize> = HashMap::new();
+            for c in &advice.chosen {
+                let m = deepest.entry((c.attr, c.level)).or_insert(0);
+                *m = (*m).max(c.m);
+            }
+            deepest
+        };
+        let generous = advise(&db, &workload, usize::MAX);
+        let mut sizes: Vec<usize> = generous
+            .chosen
+            .iter()
+            .chain(&generous.rejected)
+            .map(|c| c.estimated_bytes)
+            .collect();
+        sizes.sort_unstable();
+        let mut previous = coverage(&advise(&db, &workload, 0));
+        for budget in sizes.into_iter().chain([usize::MAX]) {
+            let advice = advise(&db, &workload, budget);
+            assert!(advice.total_bytes <= budget);
+            let now = coverage(&advice);
+            for (lane, m) in &previous {
+                assert!(
+                    now.get(lane).is_some_and(|n| n >= m),
+                    "budget {budget} dropped {lane:?} (m = {m}): {advice:?}"
+                );
+            }
+            previous = now;
+        }
+        assert!(!previous.is_empty());
+    }
+
+    #[test]
+    fn applied_advice_makes_the_first_query_hit_the_store() {
+        let workload = vec![lane_query(&["X", "Y"], 0, 1.0)];
+        let engine = crate::engine::Engine::new(synthetic(40, 10, 400));
+        let groups = engine.sequence_groups(&workload[0].spec).unwrap();
+        let advice = Planner::advise(&PlanContext {
+            db: &engine.db(),
             groups: &groups,
             workload: &workload,
             byte_budget: usize::MAX,
-            sample: 10,
-            backend: SetBackend::default(),
-        };
-        let advice = Planner::advise(&ctx).unwrap();
-        assert!(!advice.chosen.is_empty());
-        let zero = Planner::advise(&PlanContext {
-            byte_budget: 0,
-            ..ctx
+            sample: 50,
         })
         .unwrap();
-        assert!(zero.chosen.is_empty());
+        assert!(apply_advice(&engine, &workload, &advice).unwrap() > 0);
+        let (hits, _) = engine.index_store().stats();
+        let out = engine.execute(&workload[0].spec).unwrap();
+        assert_eq!(out.stats.indices_built, 0, "precomputed index serves it");
+        assert_eq!(out.stats.sequences_scanned, 0);
+        assert!(engine.index_store().stats().0 > hits);
     }
 }

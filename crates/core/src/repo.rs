@@ -5,10 +5,9 @@
 //! (If storage space is limited, the Cuboid Repository could be implemented
 //! as a cache with an appropriate replacement policy such as LRU.)"
 //!
-//! The paper leaves the replacement policy open; this implementation offers
-//! two. [`RetentionPolicy::Lru`] is the paper's parenthetical. The default
-//! [`RetentionPolicy::BenefitPerByte`] keeps the cuboids whose loss would
-//! hurt most per byte of heap they occupy: the victim minimizes
+//! The paper leaves the replacement policy open; this implementation keeps
+//! the cuboids whose loss would hurt most per byte of heap they occupy
+//! (benefit per byte): the victim minimizes
 //! `rebuild_nanos × (1 + hits) / bytes` — cost-to-rebuild (measured when
 //! the cuboid was constructed) times observed demand, per byte — with ties
 //! broken toward the least recently used. DE-HEAD and DE-TAIL lean on this
@@ -31,45 +30,6 @@ struct Key {
     db_version: u64,
 }
 
-/// Which cuboid the repository sacrifices when over budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetentionPolicy {
-    /// Evict the least recently used entry (the paper's suggestion).
-    Lru,
-    /// Evict the entry with the least `rebuild cost × (1 + hits)` per
-    /// byte, i.e. keep what is expensive to lose and cheap to hold.
-    #[default]
-    BenefitPerByte,
-}
-
-impl RetentionPolicy {
-    /// Parses a policy name: `"lru"` or `"benefit"` (benefit-per-byte).
-    pub fn parse(s: &str) -> Option<RetentionPolicy> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "lru" => Some(RetentionPolicy::Lru),
-            "benefit" | "benefit-per-byte" | "bpb" => Some(RetentionPolicy::BenefitPerByte),
-            _ => None,
-        }
-    }
-
-    /// Reads `SOLAP_REPO_POLICY` (`lru` | `benefit`), defaulting to
-    /// benefit-per-byte.
-    pub fn from_env() -> RetentionPolicy {
-        std::env::var("SOLAP_REPO_POLICY")
-            .ok()
-            .and_then(|s| RetentionPolicy::parse(&s))
-            .unwrap_or_default()
-    }
-
-    /// The policy's display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RetentionPolicy::Lru => "lru",
-            RetentionPolicy::BenefitPerByte => "benefit-per-byte",
-        }
-    }
-}
-
 /// A point-in-time snapshot of the repository's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepoStats {
@@ -81,25 +41,11 @@ pub struct RepoStats {
     pub hits: u64,
     /// Lookups that did not.
     pub misses: u64,
-    /// Entries sacrificed by the retention policy.
+    /// Entries sacrificed to stay within capacity.
     pub evictions: u64,
-    /// The active retention policy.
-    pub policy: RetentionPolicy,
 }
 
-impl RepoStats {
-    /// Hit fraction in `[0, 1]`; `0` before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// One cached cuboid plus the bookkeeping the retention policy scores.
+/// One cached cuboid plus the bookkeeping eviction scores.
 struct Entry {
     cuboid: Arc<SCuboid>,
     bytes: usize,
@@ -130,13 +76,12 @@ pub struct CuboidRepo {
     inner: Mutex<Inner>,
     capacity: usize,
     max_bytes: usize,
-    policy: RetentionPolicy,
 }
 
 impl CuboidRepo {
     /// Creates a repository bounded by entry count and approximate bytes,
-    /// evicting under `policy`. A zero capacity is clamped to one.
-    pub fn new(capacity: usize, max_bytes: usize, policy: RetentionPolicy) -> Self {
+    /// evicting by benefit per byte. A zero capacity is clamped to one.
+    pub fn new(capacity: usize, max_bytes: usize) -> Self {
         CuboidRepo {
             inner: Mutex::ranked(
                 parking_lot::rank::CORE_CUBOID_REPO,
@@ -152,7 +97,6 @@ impl CuboidRepo {
             ),
             capacity: capacity.max(1),
             max_bytes,
-            policy,
         }
     }
 
@@ -203,7 +147,7 @@ impl CuboidRepo {
     }
 
     /// Stores a computed cuboid along with what it cost to build (the
-    /// benefit-per-byte policy's rebuild-cost input), then evicts until
+    /// benefit-per-byte score's rebuild-cost input), then evicts until
     /// back under budget. A single entry larger than `max_bytes` is kept —
     /// matching the LRU cache's contract elsewhere in the engine.
     pub fn insert(&self, spec_fp: u64, db_version: u64, cuboid: Arc<SCuboid>, build_nanos: u64) {
@@ -231,16 +175,16 @@ impl CuboidRepo {
         while inner.map.len() > self.capacity
             || (inner.bytes > self.max_bytes && inner.map.len() > 1)
         {
-            let victim = match self.policy {
-                RetentionPolicy::Lru => inner.map.iter().min_by_key(|(_, e)| e.tick),
-                RetentionPolicy::BenefitPerByte => inner.map.iter().min_by(|(_, a), (_, b)| {
+            let victim = inner
+                .map
+                .iter()
+                .min_by(|(_, a), (_, b)| {
                     a.score()
                         .partial_cmp(&b.score())
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(a.tick.cmp(&b.tick))
-                }),
-            }
-            .map(|(k, _)| *k);
+                })
+                .map(|(k, _)| *k);
             let Some(victim) = victim else { break };
             if let Some(e) = inner.map.remove(&victim) {
                 inner.bytes = inner.bytes.saturating_sub(e.bytes);
@@ -289,11 +233,6 @@ impl CuboidRepo {
         self.inner.lock().bytes
     }
 
-    /// The active retention policy.
-    pub fn policy(&self) -> RetentionPolicy {
-        self.policy
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> RepoStats {
         let inner = self.inner.lock();
@@ -303,7 +242,6 @@ impl CuboidRepo {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,
-            policy: self.policy,
         }
     }
 
@@ -317,7 +255,7 @@ impl CuboidRepo {
 
 impl Default for CuboidRepo {
     fn default() -> Self {
-        CuboidRepo::new(128, 256 << 20, RetentionPolicy::default())
+        CuboidRepo::new(128, 256 << 20)
     }
 }
 
@@ -356,7 +294,6 @@ mod tests {
         let stats = repo.stats();
         assert_eq!((stats.entries, stats.hits, stats.misses), (1, 1, 2));
         assert!(stats.bytes > 0);
-        assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-9);
         repo.clear();
         assert!(repo.is_empty());
     }
@@ -393,21 +330,19 @@ mod tests {
     }
 
     #[test]
-    fn lru_policy_evicts_least_recent() {
-        let repo = CuboidRepo::new(2, usize::MAX, RetentionPolicy::Lru);
+    fn equal_scores_evict_the_least_recent() {
+        let repo = CuboidRepo::new(2, usize::MAX);
         repo.insert(1, 0, cuboid(), 1);
         repo.insert(2, 0, cuboid(), 1);
-        assert!(repo.get(1, 0).is_some()); // refresh 1 → victim is 2
         repo.insert(3, 0, cuboid(), 1);
-        assert!(repo.contains(1, 0));
-        assert!(!repo.contains(2, 0));
-        assert!(repo.contains(3, 0));
+        assert!(!repo.contains(1, 0), "oldest of three equal scores goes");
+        assert!(repo.contains(2, 0) && repo.contains(3, 0));
         assert_eq!(repo.stats().evictions, 1);
     }
 
     #[test]
     fn benefit_policy_keeps_expensive_hot_entries() {
-        let repo = CuboidRepo::new(2, usize::MAX, RetentionPolicy::BenefitPerByte);
+        let repo = CuboidRepo::new(2, usize::MAX);
         // Entry 1: expensive to rebuild and frequently hit, but stale.
         repo.insert(1, 0, sized(4), 1_000_000);
         for _ in 0..5 {
@@ -419,27 +354,14 @@ mod tests {
         assert!(repo.contains(1, 0), "high-benefit entry survives");
         assert!(!repo.contains(2, 0), "cheap cold entry is the victim");
         assert!(repo.contains(3, 0));
-        assert_eq!(repo.stats().policy, RetentionPolicy::BenefitPerByte);
     }
 
     #[test]
     fn byte_budget_keeps_one_oversized_entry() {
-        let repo = CuboidRepo::new(8, 1, RetentionPolicy::BenefitPerByte);
+        let repo = CuboidRepo::new(8, 1);
         repo.insert(1, 0, sized(4), 1);
         assert_eq!(repo.len(), 1, "single oversized entry is kept");
         repo.insert(2, 0, sized(4), 1);
         assert_eq!(repo.len(), 1, "second entry forces eviction to budget");
-    }
-
-    #[test]
-    fn policy_parsing() {
-        assert_eq!(RetentionPolicy::parse("lru"), Some(RetentionPolicy::Lru));
-        assert_eq!(
-            RetentionPolicy::parse(" Benefit "),
-            Some(RetentionPolicy::BenefitPerByte)
-        );
-        assert_eq!(RetentionPolicy::parse("fifo"), None);
-        assert_eq!(RetentionPolicy::Lru.name(), "lru");
-        assert_eq!(RetentionPolicy::BenefitPerByte.name(), "benefit-per-byte");
     }
 }

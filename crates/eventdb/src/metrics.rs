@@ -92,7 +92,7 @@ pub enum Counter {
     /// database version can never be hit again).
     IngestEntriesRetired,
     /// Execution alternatives the cost-based planner enumerated and costed
-    /// for this query (0 when the planner is off).
+    /// for this query (0 under a fixed strategy).
     PlanAlternativesConsidered,
     /// Whether the planner answered by rolling up a materialized finer
     /// ancestor cuboid instead of scanning or joining (0/1).

@@ -11,44 +11,6 @@ use solap_pattern::{
 /// by pattern code; larger spaces collect in a hash map keyed by the code.
 const LIST_SLOTS: u64 = 1 << 16;
 
-/// Which [`crate::sidset::SidSet`] encoding an index uses for its lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SetBackend {
-    /// Sorted sid lists (the paper's inverted lists).
-    #[default]
-    List,
-    /// Bitmaps (§6 optimisation).
-    Bitmap,
-    /// Block-compressed lists with skip tables ([`crate::codec`]).
-    Compressed,
-    /// Per-list choice by the [`crate::sidset::choose_encoding`] density
-    /// rule, settled when the index is sealed.
-    Auto,
-}
-
-impl SetBackend {
-    /// An empty [`crate::sidset::SidSet`] in this backend's build-time
-    /// encoding. `Auto` stages in a plain list; sealing settles the encoding.
-    pub fn empty(self) -> crate::sidset::SidSet {
-        match self {
-            SetBackend::List | SetBackend::Auto => crate::sidset::SidSet::empty_list(),
-            SetBackend::Bitmap => crate::sidset::SidSet::empty_bitmap(),
-            SetBackend::Compressed => crate::sidset::SidSet::empty_compressed(),
-        }
-    }
-
-    /// Parses the `SOLAP_INDEX` / `.backend` spelling of a backend.
-    pub fn parse(name: &str) -> Option<SetBackend> {
-        match name.trim().to_ascii_lowercase().as_str() {
-            "list" => Some(SetBackend::List),
-            "bitmap" => Some(SetBackend::Bitmap),
-            "compressed" => Some(SetBackend::Compressed),
-            "auto" => Some(SetBackend::Auto),
-            _ => None,
-        }
-    }
-}
-
 /// A size-`m` inverted index over one sequence group: pattern → sid set.
 ///
 /// An inverted list `L_m[v1, …, vm]` stores the sids of all sequences that
@@ -61,19 +23,18 @@ pub struct InvertedIndex {
     /// The structural identity: per-position `(attr, level)` bindings, the
     /// symbol-equality classes, and substring/subsequence kind.
     pub sig: TemplateSignature,
-    /// The non-empty inverted lists.
+    /// The non-empty inverted lists, each in the encoding
+    /// [`crate::sidset::choose_encoding`] picks for its density once the
+    /// index is sealed.
     pub lists: HashMap<Vec<LevelValue>, crate::sidset::SidSet>,
-    /// Encoding used for new lists.
-    pub backend: SetBackend,
 }
 
 impl InvertedIndex {
     /// An empty index with the given identity.
-    pub fn new(sig: TemplateSignature, backend: SetBackend) -> Self {
+    pub fn new(sig: TemplateSignature) -> Self {
         InvertedIndex {
             sig,
             lists: HashMap::new(),
-            backend,
         }
     }
 
@@ -109,9 +70,11 @@ impl InvertedIndex {
     /// are concatenated, so appending shards in sid order reproduces the
     /// lists of one pass over all of them.
     pub fn append(&mut self, later: InvertedIndex) {
-        let backend = self.backend;
         for (pattern, set) in later.lists {
-            let slot = self.lists.entry(pattern).or_insert_with(|| backend.empty());
+            let slot = self
+                .lists
+                .entry(pattern)
+                .or_insert_with(crate::sidset::SidSet::empty_list);
             for sid in set.iter() {
                 slot.push(sid);
             }
@@ -119,15 +82,14 @@ impl InvertedIndex {
     }
 
     /// Canonicalizes every list for long-term storage (see
-    /// [`crate::sidset::SidSet::sealed`]): compressed tails are flushed,
-    /// auto settles each list's encoding from its final content, and
-    /// stray encodings left by joins/unions are coerced to the backend's
-    /// own. Executors call this before caching an index, so
+    /// [`crate::sidset::SidSet::sealed`]): each list settles on the
+    /// encoding its final content calls for, whatever encoding a join or
+    /// union left it in. Executors call this before caching an index, so
     /// [`InvertedIndex::heap_bytes`] accounts the stored form exactly.
     pub fn seal(&mut self) {
         for v in self.lists.values_mut() {
             let s = std::mem::replace(v, crate::sidset::SidSet::empty_list());
-            *v = s.sealed(self.backend);
+            *v = s.sealed();
         }
     }
 
@@ -153,15 +115,8 @@ pub fn build_index<'a>(
     db: &EventDb,
     sequences: impl IntoIterator<Item = &'a Sequence>,
     template: &PatternTemplate,
-    backend: SetBackend,
 ) -> Result<(InvertedIndex, u64)> {
-    build_index_governed(
-        db,
-        sequences,
-        template,
-        backend,
-        &QueryGovernor::unbounded(),
-    )
+    build_index_governed(db, sequences, template, &QueryGovernor::unbounded())
 }
 
 /// [`build_index`] under a [`QueryGovernor`]: pattern enumeration ticks per
@@ -171,7 +126,6 @@ pub fn build_index_governed<'a>(
     db: &EventDb,
     sequences: impl IntoIterator<Item = &'a Sequence>,
     template: &PatternTemplate,
-    backend: SetBackend,
     gov: &QueryGovernor,
 ) -> Result<(InvertedIndex, u64)> {
     let trivial = MatchPred::True;
@@ -225,7 +179,7 @@ pub fn build_index_governed<'a>(
     // position order (no repeats, no PREPEND reordering) a cell is its own
     // pattern.
     let cell_is_pattern = template.symbols.iter().copied().eq(0..template.n());
-    let mut index = InvertedIndex::new(template.signature(), backend);
+    let mut index = InvertedIndex::new(template.signature());
     index.lists.reserve(last_sid.len());
     for (cell, list) in list_of.into_cells() {
         let sids = sorted[starts[list as usize]..starts[list as usize + 1]].to_vec();
@@ -302,7 +256,7 @@ mod tests {
     fn l1_matches_figure_10() {
         let (db, seqs) = fig8();
         let t = template(&db, PatternKind::Substring, &["X"]);
-        let (l1, scanned) = build_index(&db, &seqs, &t, SetBackend::List).unwrap();
+        let (l1, scanned) = build_index(&db, &seqs, &t).unwrap();
         assert_eq!(scanned, 4);
         let expect = [
             ("Clarendon", vec![2, 3]),
@@ -325,7 +279,7 @@ mod tests {
     fn l2_matches_figure_10() {
         let (db, seqs) = fig8();
         let t = template(&db, PatternKind::Substring, &["X", "Y"]);
-        let (l2, _) = build_index(&db, &seqs, &t, SetBackend::List).unwrap();
+        let (l2, _) = build_index(&db, &seqs, &t).unwrap();
         let expect = [
             (("Clarendon", "Deanwood"), vec![3]),
             (("Clarendon", "Pentagon"), vec![2]),
@@ -359,7 +313,7 @@ mod tests {
     fn repeated_symbol_template_restricts_lists() {
         let (db, seqs) = fig8();
         let t = template(&db, PatternKind::Substring, &["X", "X"]);
-        let (lxx, _) = build_index(&db, &seqs, &t, SetBackend::List).unwrap();
+        let (lxx, _) = build_index(&db, &seqs, &t).unwrap();
         // Footnote 7: L2^(X,X) = {l5, l9} = (Pentagon,Pentagon), (Wheaton,Wheaton).
         assert_eq!(lxx.list_count(), 2);
         assert!(lxx
@@ -379,59 +333,18 @@ mod tests {
         prepended.symbols = vec![1, 0]; // (Y, X) over dims [X, Y]
         let canonical = PatternTemplate::from_signature(&prepended.signature());
         assert_eq!(canonical.symbols, vec![0, 1]);
-        let (a, _) = build_index(&db, &seqs, &prepended, SetBackend::List).unwrap();
-        let (b, _) = build_index(&db, &seqs, &canonical, SetBackend::List).unwrap();
+        let (a, _) = build_index(&db, &seqs, &prepended).unwrap();
+        let (b, _) = build_index(&db, &seqs, &canonical).unwrap();
         assert_eq!(a.lists, b.lists);
         let glenmont_pentagon = [station(&db, "Glenmont"), station(&db, "Pentagon")];
         assert_eq!(a.list(&glenmont_pentagon).unwrap().to_vec(), vec![0]);
     }
 
     #[test]
-    fn bitmap_backend_builds_identical_sets() {
-        let (db, seqs) = fig8();
-        let t = template(&db, PatternKind::Substring, &["X", "Y"]);
-        let (ll, _) = build_index(&db, &seqs, &t, SetBackend::List).unwrap();
-        let (lb, _) = build_index(&db, &seqs, &t, SetBackend::Bitmap).unwrap();
-        assert_eq!(ll.list_count(), lb.list_count());
-        for (k, v) in &ll.lists {
-            assert_eq!(lb.lists[k].to_vec(), v.to_vec(), "pattern {k:?}");
-        }
-    }
-
-    #[test]
-    fn compressed_and_auto_backends_build_identical_sets() {
-        let (db, seqs) = fig8();
-        let t = template(&db, PatternKind::Substring, &["X", "Y"]);
-        let (ll, _) = build_index(&db, &seqs, &t, SetBackend::List).unwrap();
-        for backend in [SetBackend::Compressed, SetBackend::Auto] {
-            let (lc, _) = build_index(&db, &seqs, &t, backend).unwrap();
-            assert_eq!(ll.list_count(), lc.list_count(), "{backend:?}");
-            for (k, v) in &ll.lists {
-                assert_eq!(lc.lists[k].to_vec(), v.to_vec(), "{backend:?} {k:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn build_seals_compressed_lists() {
-        let (db, seqs) = fig8();
-        let t = template(&db, PatternKind::Substring, &["X"]);
-        let (lc, _) = build_index(&db, &seqs, &t, SetBackend::Compressed).unwrap();
-        for (k, v) in &lc.lists {
-            match v {
-                crate::sidset::SidSet::Compressed(c) => {
-                    assert!(c.is_sealed(), "unsealed list for {k:?}")
-                }
-                other => panic!("non-compressed list {other:?} for {k:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn subsequence_index_includes_gapped_patterns() {
         let (db, seqs) = fig8();
         let t = template(&db, PatternKind::Subsequence, &["X", "Y"]);
-        let (l2, _) = build_index(&db, &seqs, &t, SetBackend::List).unwrap();
+        let (l2, _) = build_index(&db, &seqs, &t).unwrap();
         // s0 contains (Glenmont, Wheaton) only as a gapped subsequence.
         let l = l2
             .list(&[station(&db, "Glenmont"), station(&db, "Wheaton")])
@@ -443,7 +356,7 @@ mod tests {
     fn iter_sorted_is_deterministic() {
         let (db, seqs) = fig8();
         let t = template(&db, PatternKind::Substring, &["X", "Y"]);
-        let (l2, _) = build_index(&db, &seqs, &t, SetBackend::List).unwrap();
+        let (l2, _) = build_index(&db, &seqs, &t).unwrap();
         let a: Vec<Vec<u64>> = l2.iter_sorted().iter().map(|(k, _)| (*k).clone()).collect();
         let mut b = a.clone();
         b.sort();

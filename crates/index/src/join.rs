@@ -56,7 +56,7 @@ pub fn join(
             by_first.entry(k[0]).or_default().push((k, v));
         }
     }
-    let mut out = InvertedIndex::new(target_sig, left.backend);
+    let mut out = InvertedIndex::new(target_sig);
     let mut candidate: Vec<LevelValue> = Vec::new();
     for (lk, lv) in &left.lists {
         if !admitted(lk, 0) {
@@ -94,7 +94,7 @@ pub fn rollup_merge(
     mut map_value: impl FnMut(usize, LevelValue) -> Result<LevelValue>,
 ) -> Result<InvertedIndex> {
     assert_eq!(target_sig.m(), index.m());
-    let mut out = InvertedIndex::new(target_sig, index.backend);
+    let mut out = InvertedIndex::new(target_sig);
     let mut coarse: Vec<LevelValue> = Vec::with_capacity(index.m());
     for (k, v) in &index.lists {
         coarse.clear();
@@ -114,7 +114,7 @@ pub fn rollup_merge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inverted::{build_index, SetBackend};
+    use crate::inverted::build_index;
     use solap_pattern::{PatternKind, PatternTemplate};
 
     /// Rebuild the Figure 8/10 fixtures locally (unit-test scope).
@@ -171,8 +171,8 @@ mod tests {
     #[test]
     fn join_produces_figure_13_candidates() {
         let (db, seqs) = fig8();
-        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
-        let (lyy, _) = build_index(&db, &seqs, &template(&["Y", "Y"]), SetBackend::List).unwrap();
+        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"])).unwrap();
+        let (lyy, _) = build_index(&db, &seqs, &template(&["Y", "Y"])).unwrap();
         let txyy = template(&["X", "Y", "Y"]);
         let joined = join(
             &l2,
@@ -205,8 +205,8 @@ mod tests {
     #[test]
     fn join_to_xyyx_yields_figure_14() {
         let (db, seqs) = fig8();
-        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
-        let (lyy, _) = build_index(&db, &seqs, &template(&["Y", "Y"]), SetBackend::List).unwrap();
+        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"])).unwrap();
+        let (lyy, _) = build_index(&db, &seqs, &template(&["Y", "Y"])).unwrap();
         let txyy = template(&["X", "Y", "Y"]);
         let l3 = join(
             &l2,
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn prepend_join_shape() {
         let (db, seqs) = fig8();
-        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
+        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"])).unwrap();
         let tzxy = template(&["Z", "X", "Y"]);
         let joined = join(
             &l2,
@@ -266,7 +266,7 @@ mod tests {
     #[test]
     fn sliced_join_is_the_admitted_subset() {
         let (db, seqs) = fig8();
-        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
+        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"])).unwrap();
         let txyz = template(&["X", "Y", "Z"]);
         let full = join(&l2, &l2, txyz.signature(), |_, _| true, |_| true);
         let (p, w) = (station(&db, "Pentagon"), station(&db, "Wheaton"));
@@ -300,7 +300,7 @@ mod tests {
     #[test]
     fn rollup_merge_unions_lists() {
         let (db, seqs) = fig8();
-        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
+        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"])).unwrap();
         // Roll every station up to one of two districts: D10 = {Pentagon,
         // Clarendon} (paper's example), D20 = the rest.
         let p = station(&db, "Pentagon");
@@ -321,7 +321,7 @@ mod tests {
     #[should_panic(expected = "target length")]
     fn join_length_mismatch_panics() {
         let (db, seqs) = fig8();
-        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"]), SetBackend::List).unwrap();
+        let (l2, _) = build_index(&db, &seqs, &template(&["X", "Y"])).unwrap();
         let t = template(&["X", "Y"]);
         let _ = join(&l2, &l2, t.signature(), |_, _| true, |_| true);
     }

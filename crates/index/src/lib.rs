@@ -10,7 +10,8 @@
 //! * [`sidset::SidSet`] — sid collections in three encodings: sorted
 //!   lists (the paper's inverted lists), bitmaps (the §6 "bitmap index"
 //!   optimisation, where intersection becomes bitwise AND), and
-//!   block-compressed lists;
+//!   block-compressed lists — each stored list in the one its density
+//!   calls for ([`sidset::choose_encoding`]);
 //! * [`codec`] — the compressed form: delta+varint / bitpacked blocks of
 //!   ≤ 128 sids behind a per-block max-sid skip table, the
 //!   [`codec::SeekingIterator`] `next_seek` contract, and the leapfrog
@@ -35,6 +36,6 @@ pub mod store;
 pub use codec::{
     gallop_intersect, BlockFormat, CompressedSidSet, SeekingIterator, SidSetSeeker, BLOCK,
 };
-pub use inverted::{build_index, build_index_governed, InvertedIndex, SetBackend};
+pub use inverted::{build_index, build_index_governed, InvertedIndex};
 pub use sidset::{choose_encoding, Bitmap, Encoding, SidSet};
 pub use store::{IndexKey, IndexStore, PosSlice};

@@ -5,8 +5,8 @@
 //! bitmap indices. Consequently, the intersection operation … can be
 //! performed much faster using the bitwise-AND operation." Both encodings
 //! are implemented here behind [`SidSet`], along with a third — the
-//! block-compressed, skip-indexed form of [`crate::codec`] — so the engines
-//! and the ablation benchmarks can switch backend per index.
+//! block-compressed, skip-indexed form of [`crate::codec`]. Which one a
+//! stored list uses follows from its content alone ([`choose_encoding`]).
 //!
 //! Whenever a compressed side is involved, set algebra runs on
 //! [`SeekingIterator`]s (leapfrog [`gallop_intersect`] instead of a linear
@@ -123,7 +123,8 @@ impl FromIterator<Sid> for Bitmap {
     }
 }
 
-/// How [`SidSet::sealed`] canonicalizes a set, given its final content.
+/// The format of one sid list. [`SidSet::sealed`] picks it from the
+/// list's final content.
 ///
 /// Shared by every construction path (bulk `from_sorted_auto`,
 /// end-of-build sealing) so they all agree — the density rule lives in
@@ -142,7 +143,7 @@ pub enum Encoding {
 /// (one skip entry alone costs four sids' worth of bytes).
 const COMPRESS_MIN_LEN: usize = 16;
 
-/// The density rule used by auto selection: the canonical [`Encoding`] for
+/// The density rule: the canonical [`Encoding`] for
 /// a set of `len` sids whose maximum is `max`.
 pub fn choose_encoding(len: usize, max: Sid) -> Encoding {
     if len >= COMPRESS_MIN_LEN && (max as u64) < (len as u64) * 8 {
@@ -189,16 +190,6 @@ impl SidSet {
         SidSet::List(Vec::new())
     }
 
-    /// An empty set in the bitmap encoding.
-    pub fn empty_bitmap() -> Self {
-        SidSet::Bitmap(Box::default())
-    }
-
-    /// An empty set in the compressed encoding.
-    pub fn empty_compressed() -> Self {
-        SidSet::Compressed(Box::default())
-    }
-
     /// Builds from a sorted, deduplicated vec.
     pub fn from_sorted(v: Vec<Sid>) -> Self {
         debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "sids must be sorted");
@@ -210,11 +201,8 @@ impl SidSet {
     /// [`SidSet::sealed`] applies, so every construction path lands on
     /// identical bytes.
     pub fn from_sorted_auto(v: Vec<Sid>) -> Self {
-        match choose_encoding(v.len(), v.last().copied().unwrap_or(0)) {
-            Encoding::List => SidSet::from_sorted(v),
-            Encoding::Bitmap => v.into_iter().collect::<Bitmap>().into(),
-            Encoding::Compressed => CompressedSidSet::from_sorted(v).into(),
-        }
+        let encoding = choose_encoding(v.len(), v.last().copied().unwrap_or(0));
+        SidSet::List(v).encoded(encoding)
     }
 
     /// Appends a sid; list and compressed encodings require nondecreasing
@@ -289,45 +277,35 @@ impl SidSet {
         }
     }
 
-    /// Canonicalizes the set for long-term storage under `backend`:
-    /// compressed tails are sealed, auto picks the [`choose_encoding`]
-    /// form for the final content, and fixed backends coerce strays (e.g.
-    /// a bitmap union result inside a compressed index) to their own
-    /// encoding. Applied by `InvertedIndex::seal` before an index is
-    /// cached, so `heap_bytes` accounting always sees the final form.
-    pub fn sealed(self, backend: crate::inverted::SetBackend) -> SidSet {
-        use crate::inverted::SetBackend;
-        match backend {
-            SetBackend::List => match self {
-                SidSet::List(_) => self,
-                other => SidSet::List(other.to_vec()),
-            },
-            SetBackend::Bitmap => match self {
-                SidSet::Bitmap(_) => self,
-                SidSet::List(v) => v.into_iter().collect::<Bitmap>().into(),
-                other => other.iter().collect::<Bitmap>().into(),
-            },
-            SetBackend::Compressed => match self {
-                SidSet::Compressed(mut c) => {
-                    c.seal();
-                    SidSet::Compressed(c)
-                }
-                SidSet::List(v) => CompressedSidSet::from_sorted(v).into(),
-                other => CompressedSidSet::from_sorted(other.to_vec()).into(),
-            },
-            SetBackend::Auto => {
-                let max = match &self {
-                    SidSet::List(v) => v.last().copied(),
-                    other => other.iter().last(),
-                };
-                let (len, max) = (self.len(), max.unwrap_or(0));
-                match choose_encoding(len, max) {
-                    Encoding::List => self.sealed(SetBackend::List),
-                    Encoding::Bitmap => self.sealed(SetBackend::Bitmap),
-                    Encoding::Compressed => self.sealed(SetBackend::Compressed),
-                }
+    /// Re-encodes the set as `encoding`, keeping its content; a compressed
+    /// set's staged tail is flushed.
+    pub fn encoded(self, encoding: Encoding) -> SidSet {
+        match (encoding, self) {
+            (Encoding::List, SidSet::List(v)) => SidSet::List(v),
+            (Encoding::List, other) => SidSet::List(other.to_vec()),
+            (Encoding::Bitmap, SidSet::Bitmap(b)) => SidSet::Bitmap(b),
+            (Encoding::Bitmap, SidSet::List(v)) => v.into_iter().collect::<Bitmap>().into(),
+            (Encoding::Bitmap, other) => other.iter().collect::<Bitmap>().into(),
+            (Encoding::Compressed, SidSet::Compressed(mut c)) => {
+                c.seal();
+                SidSet::Compressed(c)
             }
+            (Encoding::Compressed, SidSet::List(v)) => CompressedSidSet::from_sorted(v).into(),
+            (Encoding::Compressed, other) => CompressedSidSet::from_sorted(other.to_vec()).into(),
         }
+    }
+
+    /// Canonicalizes the set for long-term storage: re-encodes it as the
+    /// [`choose_encoding`] form for its final content. Applied by
+    /// `InvertedIndex::seal` before an index is cached, so `heap_bytes`
+    /// accounting always sees the final form.
+    pub fn sealed(self) -> SidSet {
+        let max = match &self {
+            SidSet::List(v) => v.last().copied(),
+            other => other.iter().last(),
+        };
+        let encoding = choose_encoding(self.len(), max.unwrap_or(0));
+        self.encoded(encoding)
     }
 
     /// Intersection; the result keeps `self`'s encoding. Mixed encodings
@@ -524,7 +502,7 @@ mod tests {
             s.push(sid);
         }
         assert_eq!(s.to_vec(), vec![1, 2, 9]);
-        let mut b = SidSet::empty_bitmap();
+        let mut b = SidSet::from(Bitmap::new());
         for sid in [9, 1, 1] {
             b.push(sid);
         }
@@ -558,13 +536,12 @@ mod tests {
         assert!(matches!(la.intersect(&compressed(&ys)), SidSet::List(_)));
     }
 
-    /// The density boundary: pushed-then-`sealed(Auto)` sets and bulk
+    /// The density boundary: pushed-then-`sealed` sets and bulk
     /// `from_sorted_auto` must settle on the same encoding (and bytes) at,
     /// below, and above the density threshold, whatever encoding the
     /// pushes were staged in.
     #[test]
     fn promotion_boundary_is_consistent() {
-        use crate::inverted::SetBackend;
         // Dense (max < len*8 ⇒ bitmap), sparse-compressed, and tiny sets,
         // straddling the COMPRESS_MIN_LEN = 16 cardinality gate.
         let cases: Vec<Vec<Sid>> = vec![
@@ -580,7 +557,7 @@ mod tests {
             for &s in &v {
                 pushed.push(s);
             }
-            let sealed = pushed.sealed(SetBackend::Auto);
+            let sealed = pushed.sealed();
             assert_eq!(sealed, bulk, "push ∘ seal ≠ from_sorted_auto for {v:?}");
             let expect = choose_encoding(v.len(), v.last().copied().unwrap_or(0));
             let got = match &sealed {
@@ -590,18 +567,17 @@ mod tests {
             };
             assert_eq!(got, expect, "sealed encoding for {v:?}");
             // Bitmap-staged pushes seal to the same canonical form.
-            let mut via_bitmap = SidSet::empty_bitmap();
+            let mut via_bitmap = SidSet::from(Bitmap::new());
             for &s in &v {
                 via_bitmap.push(s);
             }
-            assert_eq!(via_bitmap.sealed(SetBackend::Auto), bulk);
+            assert_eq!(via_bitmap.sealed(), bulk);
         }
     }
 
     #[test]
-    fn sealed_flushes_compressed_tail() {
-        use crate::inverted::SetBackend;
-        let mut c = SidSet::empty_compressed();
+    fn encoding_as_compressed_flushes_the_tail() {
+        let mut c = SidSet::from(CompressedSidSet::default());
         for s in 0..200u32 {
             c.push(s * 9);
         }
@@ -609,7 +585,7 @@ mod tests {
             unreachable!()
         };
         assert!(!inner.is_sealed(), "200 % 128 sids must be staged");
-        let sealed = c.sealed(SetBackend::Compressed);
+        let sealed = c.encoded(Encoding::Compressed);
         let SidSet::Compressed(inner) = &sealed else {
             panic!("seal must keep the compressed encoding")
         };

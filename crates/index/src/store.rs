@@ -200,7 +200,6 @@ impl Default for IndexStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inverted::SetBackend;
     use solap_pattern::{PatternKind, PatternTemplate};
 
     fn sig(syms: &[&str]) -> TemplateSignature {
@@ -220,7 +219,7 @@ mod tests {
     }
 
     fn empty_index(syms: &[&str]) -> Arc<InvertedIndex> {
-        Arc::new(InvertedIndex::new(sig(syms), SetBackend::List))
+        Arc::new(InvertedIndex::new(sig(syms)))
     }
 
     #[test]

@@ -7,7 +7,8 @@ use proptest::prelude::*;
 
 use solap_eventdb::{ColumnType, EventDb, EventDbBuilder, Sequence, Value};
 use solap_index::{
-    build_index, join::join, join::rollup_merge, Bitmap, CompressedSidSet, SetBackend, SidSet,
+    build_index, choose_encoding, join::join, join::rollup_merge, Bitmap, CompressedSidSet,
+    Encoding, SidSet,
 };
 use solap_pattern::{MatchPred, Matcher, PatternKind, PatternTemplate};
 
@@ -105,8 +106,8 @@ proptest! {
         // Left: the prefix template of length m-1; right: the trailing pair.
         let prefix = template(&shape[..m - 1]);
         let pair = template(&shape[m - 2..]);
-        let (l_prefix, _) = build_index(&db, &sequences, &prefix, SetBackend::List).unwrap();
-        let (l_pair, _) = build_index(&db, &sequences, &pair, SetBackend::List).unwrap();
+        let (l_prefix, _) = build_index(&db, &sequences, &prefix).unwrap();
+        let (l_pair, _) = build_index(&db, &sequences, &pair).unwrap();
         let candidate = join(&l_prefix, &l_pair, full.signature(), |_, _| true, |c| {
             full.is_instantiation(c)
         });
@@ -124,7 +125,7 @@ proptest! {
             }
         }
         verified.sort();
-        let (direct, _) = build_index(&db, &sequences, &full, SetBackend::List).unwrap();
+        let (direct, _) = build_index(&db, &sequences, &full).unwrap();
         let mut expected: Vec<(Vec<u64>, Vec<u32>)> = direct
             .lists
             .iter()
@@ -160,12 +161,12 @@ proptest! {
             &[("A", 0, 1), ("B", 0, 1)],
         )
         .unwrap();
-        let (l_fine, _) = build_index(&db, &sequences, &fine, SetBackend::List).unwrap();
+        let (l_fine, _) = build_index(&db, &sequences, &fine).unwrap();
         let merged = rollup_merge(&l_fine, coarse.signature(), |_pos, v| {
             db.map_up(0, 0, v, 1)
         })
         .unwrap();
-        let (l_coarse, _) = build_index(&db, &sequences, &coarse, SetBackend::List).unwrap();
+        let (l_coarse, _) = build_index(&db, &sequences, &coarse).unwrap();
         let norm = |ix: &solap_index::InvertedIndex| -> Vec<(Vec<u64>, Vec<u32>)> {
             let mut v: Vec<_> = ix.lists.iter().map(|(k, s)| (k.clone(), s.to_vec())).collect();
             v.sort();
@@ -174,22 +175,34 @@ proptest! {
         prop_assert_eq!(norm(&merged), norm(&l_coarse));
     }
 
-    /// Build is encoding-independent.
+    /// Every built list holds exactly the sequences containing its
+    /// pattern, in the encoding its density calls for.
     #[test]
-    fn backends_build_identical_indices(
+    fn built_lists_are_exact_and_sealed_by_density(
         seqs in prop::collection::vec(prop::collection::vec(0u8..5, 0..9), 1..8),
         shape in prop::collection::vec(0usize..3, 1..4),
     ) {
         let (db, sequences) = build_db(&seqs);
         let t = template(&shape);
-        let (list, s1) = build_index(&db, &sequences, &t, SetBackend::List).unwrap();
-        for backend in [SetBackend::Bitmap, SetBackend::Compressed, SetBackend::Auto] {
-            let (other, s2) = build_index(&db, &sequences, &t, backend).unwrap();
-            prop_assert_eq!(s1, s2);
-            prop_assert_eq!(list.list_count(), other.list_count());
-            for (k, v) in &list.lists {
-                prop_assert_eq!(v.to_vec(), other.lists[k].to_vec());
-            }
+        let (index, scanned) = build_index(&db, &sequences, &t).unwrap();
+        prop_assert_eq!(scanned, sequences.len() as u64);
+        let trivial = MatchPred::True;
+        let matcher = Matcher::new(&db, &t, &trivial);
+        for (pattern, set) in &index.lists {
+            let holders: Vec<u32> = sequences
+                .iter()
+                .filter(|s| matcher.contains_pattern(s, pattern).unwrap())
+                .map(|s| s.sid)
+                .collect();
+            prop_assert_eq!(set.to_vec(), holders);
+            let sids = set.to_vec();
+            let want = choose_encoding(sids.len(), sids.last().copied().unwrap_or(0));
+            let got = match set {
+                SidSet::List(_) => Encoding::List,
+                SidSet::Bitmap(_) => Encoding::Bitmap,
+                SidSet::Compressed(_) => Encoding::Compressed,
+            };
+            prop_assert_eq!(got, want);
         }
     }
 }

@@ -245,8 +245,6 @@ pub fn help_text() -> &'static str {
   .save PATH | .load PATH                        persist / restore the event db (local)
   .schema                                        show columns and hierarchies
   .strategy cb|ii|auto                           pick the construction approach (this session)
-  .backend list|bitmap|compressed|auto           pick the inverted-list encoding (this session)
-  .counters hash|dense|auto                      pick the CB counter layout (this session)
   .threads N                                     worker threads for construction (1 = sequential)
   .timeout MS                                    per-query deadline in milliseconds (0 = off)
   .budget CELLS                                  per-query cuboid-cell budget (0 = off)
@@ -257,9 +255,7 @@ pub fn help_text() -> &'static str {
   .back            step back to the previous cuboid in this session
   .show [n]        re-tabulate the current cuboid
   .spec            print the current query text
-  .stats           cache entries, bytes, versions held, hits
-  .repo            cuboid-repository statistics and retention policy
-  .index           index-store statistics and the session's list encoding
+  .stats           cache entries, bytes, versions held, hits, evictions
   .profile on|off  print each query's per-stage profile (on enables detailed counters)
   .metrics         process-wide cumulative engine metrics
   .online [CHUNK]  re-run the current COUNT query with online-aggregation snapshots

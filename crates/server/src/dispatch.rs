@@ -178,11 +178,7 @@ pub fn render_plan_text(report: &PlanReport) -> String {
     }
     out.push_str("plan:\n");
     let _ = writeln!(out, "  strategy: {} ({})", report.strategy, report.why);
-    let _ = writeln!(
-        out,
-        "  backend: {}, threads: {}",
-        report.backend, report.threads
-    );
+    let _ = writeln!(out, "  threads: {}", report.threads);
     let _ = writeln!(
         out,
         "  step 1-2 (select + cluster): scan {} events, filter {}",
@@ -227,12 +223,11 @@ pub fn plan_to_json(report: &PlanReport) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"mode\":\"{}\",\"strategy\":\"{}\",\"why\":\"{}\",\"backend\":\"{}\",\
+        "{{\"mode\":\"{}\",\"strategy\":\"{}\",\"why\":\"{}\",\
          \"threads\":{},\"events\":{},\"template\":\"{}\",\"m\":{},\"alternatives\":[",
         escape(report.mode),
         escape(&report.strategy),
         escape(&report.why),
-        escape(&report.backend),
         report.threads,
         report.events,
         escape(&report.template_kind),
@@ -366,47 +361,6 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
             ctx.session.config_mut().strategy = s;
             Ok(Response::ok(""))
         }
-        "backend" => {
-            use solap_index::SetBackend;
-            let b = match args.first().copied().and_then(SetBackend::parse) {
-                Some(b) => b,
-                None => {
-                    return Err(usage(format!(
-                        "usage: .backend list|bitmap|compressed|auto (got {:?})",
-                        args.first()
-                    )))
-                }
-            };
-            ctx.session.config_mut().backend = b;
-            Ok(Response::ok(""))
-        }
-        "index" => {
-            let store = ctx.session.engine().index_store();
-            let (hits, misses) = store.stats();
-            Ok(Response::ok(format!(
-                "backend: {:?}\ncached indices: {}\ncached bytes: {}\nstore hits: {}\nstore misses: {}\n",
-                ctx.session.config().backend,
-                store.len(),
-                store.total_bytes(),
-                hits,
-                misses
-            )))
-        }
-        "counters" => {
-            use solap_core::cb::CounterMode;
-            let m = match args.first().copied() {
-                Some("hash") => CounterMode::Hash,
-                Some("dense") => CounterMode::Dense,
-                Some("auto") => CounterMode::Auto,
-                other => {
-                    return Err(usage(format!(
-                        "usage: .counters hash|dense|auto (got {other:?})"
-                    )))
-                }
-            };
-            ctx.session.config_mut().counter_mode = m;
-            Ok(Response::ok(""))
-        }
         "threads" => {
             let n: usize = args
                 .first()
@@ -507,7 +461,7 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
             Ok(Response::ok(format!(
                 "sequence cache: {} entries, {:.1} KiB, {}, {sh} hits / {sm} misses\n\
                  index store:    {} indices, {:.1} KiB, {}, {ih} hits / {im} misses\n\
-                 cuboid repo:    {} cuboids, {:.1} KiB, {}, {} hits / {} misses\n",
+                 cuboid repo:    {} cuboids, {:.1} KiB, {}, {} hits / {} misses, {} evictions\n",
                 seqs.len(),
                 seqs.total_bytes() as f64 / 1024.0,
                 versions_held(seqs.versions()),
@@ -519,23 +473,7 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
                 versions_held(engine.cuboid_repo().versions()),
                 cr.hits,
                 cr.misses,
-            )))
-        }
-        "repo" => {
-            let s = ctx.session.engine().cuboid_repo().stats();
-            Ok(Response::ok(format!(
-                "policy:    {}\n\
-                 entries:   {}\n\
-                 bytes:     {:.1} KiB\n\
-                 hit rate:  {:.1}% ({} hits / {} misses)\n\
-                 evictions: {}\n",
-                s.policy.name(),
-                s.entries,
-                s.bytes as f64 / 1024.0,
-                s.hit_rate() * 100.0,
-                s.hits,
-                s.misses,
-                s.evictions,
+                cr.evictions,
             )))
         }
         "history" => {
@@ -838,12 +776,7 @@ mod tests {
     #[test]
     fn per_session_config_commands() {
         let mut c = ctx();
-        for (cmd, want_empty) in [
-            (".strategy cb", true),
-            (".backend bitmap", true),
-            (".counters dense", true),
-            (".threads 4", false),
-        ] {
+        for (cmd, want_empty) in [(".strategy cb", true), (".threads 4", false)] {
             let r = dispatch(&mut c, cmd);
             assert!(r.ok, "{cmd}: {}", r.body);
             assert_eq!(r.body.is_empty(), want_empty, "{cmd}: {}", r.body);
@@ -897,18 +830,29 @@ mod tests {
     }
 
     #[test]
-    fn repo_command_reports_policy_and_hit_rate() {
+    fn stats_command_reports_the_cuboid_repo() {
         let mut c = ctx();
-        let r = dispatch(&mut c, ".repo");
+        let r = dispatch(&mut c, ".stats");
         assert!(r.ok, "{}", r.body);
-        assert!(r.body.contains("policy:"), "{}", r.body);
-        assert!(r.body.contains("benefit-per-byte"), "{}", r.body);
+        assert!(r.body.contains("cuboid repo:    0 cuboids"), "{}", r.body);
         dispatch(&mut c, QUERY);
         dispatch(&mut c, QUERY);
-        let r = dispatch(&mut c, ".repo");
-        assert!(r.body.contains("entries:   1"), "{}", r.body);
-        assert!(r.body.contains("1 hits"), "{}", r.body);
-        assert!(r.body.contains("evictions: 0"), "{}", r.body);
+        let r = dispatch(&mut c, ".stats");
+        let repo = r
+            .body
+            .lines()
+            .find(|l| l.starts_with("cuboid repo:"))
+            .unwrap();
+        assert!(repo.contains("1 cuboids"), "{}", r.body);
+        assert!(
+            repo.contains("1 hits / 1 misses, 0 evictions"),
+            "{}",
+            r.body
+        );
+        for gone in [".repo", ".index", ".backend list", ".counters hash"] {
+            let r = dispatch(&mut c, gone);
+            assert_eq!(r.code.as_deref(), Some("usage"), "{gone}: {}", r.body);
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * [`conn`] — per-connection incremental line framing and the
 //!   cursor-compacted write buffer.
 //! * [`client`] — the protocol client library (used by `solap
-//!   --connect`, the `serve` benchmark and the chaos, soak and framing
-//!   suites), including the pipelined batch API.
+//!   --connect` and the chaos, soak and framing suites), including the
+//!   pipelined batch API.
 //! * [`command`] — argument parsing for the `.op` sub-language, `k=v`
 //!   option lists and the dataset generators.
 //! * [`json`] — the minimal JSON encoder/parser behind the wire format

@@ -99,7 +99,6 @@ fn main() {
         workload: &workload,
         byte_budget: 8 << 20,
         sample: 200,
-        backend: SetBackend::default(),
     })
     .expect("advice");
     drop(guard);

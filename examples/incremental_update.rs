@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example incremental_update`
 
 use s_olap::core::incremental::{extend_groups, extend_index};
-use s_olap::index::{build_index, SetBackend};
+use s_olap::index::build_index;
 use s_olap::prelude::*;
 
 fn main() {
@@ -43,8 +43,7 @@ fn main() {
     };
 
     let groups = s_olap::eventdb::build_sequence_groups(&db, &seq_spec).expect("groups");
-    let (index, scanned) =
-        build_index(&db, groups.iter_sequences(), &template, SetBackend::List).expect("build");
+    let (index, scanned) = build_index(&db, groups.iter_sequences(), &template).expect("build");
     println!(
         "day 1-5: {} sequences, L2 has {} lists / {} entries ({} KiB), {} sequences scanned",
         groups.total_sequences,
@@ -91,13 +90,8 @@ fn main() {
     );
 
     // Verify against a full rebuild.
-    let (rebuilt, rescanned) = build_index(
-        &db,
-        extended_groups.iter_sequences(),
-        &template,
-        SetBackend::List,
-    )
-    .expect("rebuild");
+    let (rebuilt, rescanned) =
+        build_index(&db, extended_groups.iter_sequences(), &template).expect("rebuild");
     assert_eq!(extended.list_count(), rebuilt.list_count());
     for (k, v) in &rebuilt.lists {
         assert_eq!(extended.lists[k].to_vec(), v.to_vec());

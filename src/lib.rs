@@ -78,7 +78,6 @@ pub mod prelude {
         AttrLevel, CancelToken, CmpOp, ColumnType, EventDb, EventDbBuilder, Pred, QueryGovernor,
         QueryProfile, SortKey, Value,
     };
-    pub use solap_index::SetBackend;
     pub use solap_pattern::{
         AggFunc, CellRestriction, MatchPred, PatternKind, PatternTemplate, SumMode,
     };

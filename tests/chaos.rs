@@ -422,8 +422,11 @@ fn kernels_abort_inside_their_loops_within_one_check_interval() {
     use s_olap::core::cb::{counter_based_governed, CounterMode};
     use s_olap::core::stats::ScanMeter;
     use s_olap::eventdb::{build_sequence_groups, build_sequence_groups_governed};
-    use s_olap::index::{build_index_governed, SetBackend};
+    use s_olap::index::build_index_governed;
 
+    // The kernels evaluate failpoint sites (`cb.group`, …) that the
+    // failpoint-arming tests here may have armed at the same moment.
+    let _fp = locked();
     let interval = u64::from(CHECK_INTERVAL);
     let len = 3 * CHECK_INTERVAL as usize;
     let db = one_long_sequence(len);
@@ -458,7 +461,7 @@ fn kernels_abort_inside_their_loops_within_one_check_interval() {
         let mut t = xy.template.clone();
         t.kind = kind;
         let gov = expired();
-        let built = build_index_governed(&db, groups.iter_sequences(), &t, SetBackend::Auto, &gov);
+        let built = build_index_governed(&db, groups.iter_sequences(), &t, &gov);
         timed_out(built.map(drop), &gov, "BUILDINDEX");
     }
     // The counter scan is a visitor of the same loop (its own per-group
@@ -494,13 +497,7 @@ fn kernels_abort_inside_their_loops_within_one_check_interval() {
     // BUILDINDEX charges a sequence's new lists when the sequence ends:
     // all 7 of the cycle's pairs at once.
     let gov = QueryGovernor::new(None, Some(3), None);
-    let built = build_index_governed(
-        &db,
-        groups.iter_sequences(),
-        &xy.template,
-        SetBackend::Auto,
-        &gov,
-    );
+    let built = build_index_governed(&db, groups.iter_sequences(), &xy.template, &gov);
     cells_abort(built.map(drop), 7, "BUILDINDEX");
     // Steps 1–2 charge each new cluster as it appears.
     let gov = QueryGovernor::new(None, Some(0), None);

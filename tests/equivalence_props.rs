@@ -1,7 +1,7 @@
 //! Property tests for the load-bearing invariant of the reproduction: the
 //! counter-based and inverted-index approaches compute **identical**
-//! S-cuboids, for random datasets, templates, restrictions, predicates,
-//! abstraction levels and set backends — plus the matcher's ordering
+//! S-cuboids, for random datasets, templates, restrictions, predicates
+//! and abstraction levels — plus the matcher's ordering
 //! invariants (left-maximality ≤ all-matched, substring ⊆ subsequence).
 
 use proptest::prelude::*;
@@ -10,8 +10,8 @@ use s_olap::prelude::Strategy as EngineStrategy;
 #[allow(unused_imports)]
 use s_olap::prelude::{
     AggFunc, AttrLevel, CellRestriction, CmpOp, ColumnType, Engine, EngineConfig, EventDb,
-    EventDbBuilder, MatchPred, Op, PatternKind, PatternTemplate, SCuboidSpec, SetBackend, SortKey,
-    SumMode, Value,
+    EventDbBuilder, MatchPred, Op, PatternKind, PatternTemplate, SCuboidSpec, SortKey, SumMode,
+    Value,
 };
 
 /// A random event database: `n` sequences over an alphabet of ≤ 5 symbols,
@@ -174,7 +174,7 @@ fn cells_of(engine: &Engine, spec: &SCuboidSpec) -> Vec<(s_olap::core::CellKey, 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// CB ≡ II (list backend) ≡ II (bitmap backend), for every case shape.
+    /// CB ≡ II, for every case shape.
     #[test]
     fn cb_equals_ii(case in case_strategy()) {
         let spec = {
@@ -189,19 +189,9 @@ proptest! {
             build_db(&case.seqs),
             EngineConfig { strategy: EngineStrategy::InvertedIndex, ..Default::default() },
         );
-        let iib = Engine::with_config(
-            build_db(&case.seqs),
-            EngineConfig {
-                strategy: EngineStrategy::InvertedIndex,
-                backend: SetBackend::Bitmap,
-                ..Default::default()
-            },
-        );
         let a = cells_of(&cb, &spec);
         let b = cells_of(&ii, &spec);
-        let c = cells_of(&iib, &spec);
-        prop_assert_eq!(&a, &b, "CB vs II(list)");
-        prop_assert_eq!(&b, &c, "II(list) vs II(bitmap)");
+        prop_assert_eq!(&a, &b, "CB vs II");
         // The same template over the raw-integer mirror of `symbol` (base
         // level only: an integer column has no hierarchy) runs every kernel
         // on its `Vec`-keyed fallback.

@@ -53,14 +53,11 @@ fn fig8() -> EventDb {
 fn pinned(strategy: Strategy) -> EngineConfig {
     EngineConfig {
         strategy,
-        backend: SetBackend::List,
-        counter_mode: s_olap::core::cb::CounterMode::Auto,
         use_cuboid_repo: true,
         threads: 1,
         timeout: None,
         budget_cells: None,
         cancel: CancelToken::new(),
-        plan: true,
     }
 }
 

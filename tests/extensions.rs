@@ -1,10 +1,11 @@
 //! Integration tests for the §6 extensions working together through the
 //! engine: iceberg cuboids, online aggregation, incremental update, and
-//! the bitmap index backend — each verified against the exact baseline.
+//! bitmap-encoded inverted lists — each verified against the exact
+//! baseline.
 
 use s_olap::core::incremental::{extend_groups, extend_index};
 use s_olap::core::online::online_count;
-use s_olap::index::{build_index, SetBackend};
+use s_olap::index::{build_index, SidSet};
 use s_olap::prelude::*;
 
 fn synthetic_db(d: usize, seed: u64) -> EventDb {
@@ -123,13 +124,7 @@ fn incremental_day_append_equals_rebuild_through_engine() {
     )
     .unwrap();
     let old_groups = s_olap::eventdb::build_sequence_groups(&db, &seq_spec).unwrap();
-    let (old_index, _) = build_index(
-        &db,
-        old_groups.iter_sequences(),
-        &template,
-        SetBackend::List,
-    )
-    .unwrap();
+    let (old_index, _) = build_index(&db, old_groups.iter_sequences(), &template).unwrap();
     // Two new days arrive.
     let from_row = db.len() as u32;
     for day in 6..8i64 {
@@ -146,13 +141,7 @@ fn incremental_day_append_equals_rebuild_through_engine() {
         .collect();
     assert_eq!(fresh.len(), 2);
     let incr = extend_index(&db, &old_index, &fresh, &template).unwrap();
-    let (rebuilt, _) = build_index(
-        &db,
-        new_groups.iter_sequences(),
-        &template,
-        SetBackend::List,
-    )
-    .unwrap();
+    let (rebuilt, _) = build_index(&db, new_groups.iter_sequences(), &template).unwrap();
     assert_eq!(incr.list_count(), rebuilt.list_count());
     for (k, v) in &rebuilt.lists {
         assert_eq!(incr.lists[k].to_vec(), v.to_vec());
@@ -179,50 +168,47 @@ fn incremental_day_append_equals_rebuild_through_engine() {
     );
 }
 
+/// The workload's dense lists are stored as bitmaps (the §6 bitmap
+/// index), and the inverted-index path over them agrees with counter
+/// scans, before and after an APPEND joins them.
 #[test]
 fn bitmap_backend_agrees_on_synthetic_workload() {
-    let spec_text = |db: &EventDb| xy_query(db, "symbol");
-    let list = Engine::with_config(
-        synthetic_db(400, 3),
-        EngineConfig {
-            backend: SetBackend::List,
-            ..Default::default()
-        },
+    let db = synthetic_db(400, 3);
+    let spec = xy_query(&db, "symbol");
+    let groups = s_olap::eventdb::build_sequence_groups(&db, &spec.seq).unwrap();
+    let (index, _) = build_index(&db, groups.iter_sequences(), &spec.template).unwrap();
+    assert!(
+        index
+            .lists
+            .values()
+            .any(|set| matches!(set, SidSet::Bitmap(_))),
+        "vacuous fixture: no list is dense enough for a bitmap"
     );
-    let bitmap = Engine::with_config(
-        synthetic_db(400, 3),
-        EngineConfig {
-            backend: SetBackend::Bitmap,
-            ..Default::default()
-        },
+    let engine = |strategy| {
+        Engine::with_config(
+            db.clone(),
+            EngineConfig {
+                strategy,
+                ..Default::default()
+            },
+        )
+    };
+    let (cb, ii) = (
+        engine(Strategy::CounterBased),
+        engine(Strategy::InvertedIndex),
     );
-    let list_spec = spec_text(&list.db());
-    let bitmap_spec = spec_text(&bitmap.db());
-    let a = list.execute(&list_spec).unwrap();
-    let b = bitmap.execute(&bitmap_spec).unwrap();
+    assert_eq!(
+        cb.execute(&spec).unwrap().cuboid.cells,
+        ii.execute(&spec).unwrap().cuboid.cells
+    );
+    let append = Op::Append {
+        symbol: "Z".into(),
+        attr: 2,
+        level: 0,
+    };
+    let (_, a) = cb.execute_op(&spec, &append).unwrap();
+    let (_, b) = ii.execute_op(&spec, &append).unwrap();
     assert_eq!(a.cuboid.cells, b.cuboid.cells);
-    // Both then APPEND and still agree (exercises joins on both backends).
-    let (_, a2) = list
-        .execute_op(
-            &list_spec,
-            &Op::Append {
-                symbol: "Z".into(),
-                attr: 2,
-                level: 0,
-            },
-        )
-        .unwrap();
-    let (_, b2) = bitmap
-        .execute_op(
-            &bitmap_spec,
-            &Op::Append {
-                symbol: "Z".into(),
-                attr: 2,
-                level: 0,
-            },
-        )
-        .unwrap();
-    assert_eq!(a2.cuboid.cells, b2.cuboid.cells);
 }
 
 #[test]

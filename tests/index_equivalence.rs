@@ -1,10 +1,11 @@
-//! The compressed-backend equivalence battery (DESIGN.md §12): the
-//! galloping join kernel is metamorphically pinned to scan intersection
-//! and bitmap AND on identical inputs, and the engine produces
-//! bit-identical cuboids under every posting-list backend — all five
-//! aggregates, both construction strategies, sequential and sharded
-//! builds — with exact, thread-invariant index-byte accounting and clean
-//! recovery from a governor abort mid-join.
+//! The posting-list equivalence battery (DESIGN.md §12): the galloping
+//! join kernel is metamorphically pinned to scan intersection and bitmap
+//! AND on identical inputs, each encoding's size claim is checked on the
+//! sets themselves, and the engine — whose lists take whichever encoding
+//! their density calls for — produces bit-identical cuboids for all five
+//! aggregates, every strategy, sequential and sharded builds, with exact,
+//! thread-invariant index-byte accounting and clean recovery from a
+//! governor abort mid-join.
 
 use std::collections::BTreeSet;
 
@@ -12,19 +13,19 @@ use proptest::prelude::*;
 
 use s_olap::eventdb::Error;
 use s_olap::index::{
-    build_index, gallop_intersect, Bitmap, CompressedSidSet, InvertedIndex, SidSet,
+    build_index, gallop_intersect, Bitmap, CompressedSidSet, Encoding, IndexKey, InvertedIndex,
+    SidSet,
 };
 use s_olap::prelude::Strategy as EngineStrategy;
 use s_olap::prelude::{
     AggFunc, AttrLevel, CmpOp, ColumnType, Engine, EngineConfig, EventDb, EventDbBuilder,
-    MatchPred, PatternKind, PatternTemplate, SCuboidSpec, SetBackend, SortKey, SumMode, Value,
+    MatchPred, PatternKind, PatternTemplate, SCuboidSpec, SortKey, SumMode, Value,
 };
 
-const ALL_BACKENDS: [SetBackend; 4] = [
-    SetBackend::List,
-    SetBackend::Bitmap,
-    SetBackend::Compressed,
-    SetBackend::Auto,
+const ALL_STRATEGIES: [EngineStrategy; 3] = [
+    EngineStrategy::CounterBased,
+    EngineStrategy::InvertedIndex,
+    EngineStrategy::Auto,
 ];
 
 fn sorted(mut v: Vec<u32>) -> Vec<u32> {
@@ -160,10 +161,9 @@ fn spec_len3() -> SCuboidSpec {
     )
 }
 
-fn config(strategy: EngineStrategy, backend: SetBackend, threads: usize) -> EngineConfig {
+fn config(strategy: EngineStrategy, threads: usize) -> EngineConfig {
     EngineConfig {
         strategy,
-        backend,
         threads,
         timeout: None,
         budget_cells: None,
@@ -184,33 +184,30 @@ fn cells_of(engine: &Engine, spec: &SCuboidSpec) -> (Vec<(String, String)>, u64)
     (cells, out.stats.sequences_scanned)
 }
 
-/// Every backend × both strategies × threads {1, 8} × all five aggregates
-/// × pair and join-ladder templates: cuboids bit-identical to the list
-/// backend, scan accounting identical too.
+/// Every strategy × threads {1, 8} × all five aggregates × pair and
+/// join-ladder templates: cuboids bit-identical to a sequential counter
+/// scan, and each strategy's scan accounting independent of the thread
+/// count.
 #[test]
-fn engine_is_bit_identical_across_backends() {
+fn engine_is_bit_identical_across_strategies_and_threads() {
     let db = build_db();
-    for strategy in [EngineStrategy::CounterBased, EngineStrategy::InvertedIndex] {
-        for spec in (0..5).map(spec_for).chain([spec_len3()]) {
-            let baseline = {
-                let engine = Engine::with_config(db.clone(), config(strategy, SetBackend::List, 1));
-                cells_of(&engine, &spec)
-            };
-            assert!(
-                !baseline.0.is_empty(),
-                "vacuous fixture: the baseline cuboid has no cells"
+    for spec in (0..5).map(spec_for).chain([spec_len3()]) {
+        let reference = {
+            let engine = Engine::with_config(db.clone(), config(EngineStrategy::CounterBased, 1));
+            cells_of(&engine, &spec).0
+        };
+        assert!(
+            !reference.is_empty(),
+            "vacuous fixture: the reference cuboid has no cells"
+        );
+        for strategy in ALL_STRATEGIES {
+            let sequential = cells_of(&Engine::with_config(db.clone(), config(strategy, 1)), &spec);
+            assert_eq!(
+                sequential.0, reference,
+                "{strategy:?}/t1 diverged from CB/t1"
             );
-            for backend in ALL_BACKENDS {
-                for threads in [1usize, 8] {
-                    let engine =
-                        Engine::with_config(db.clone(), config(strategy, backend, threads));
-                    let got = cells_of(&engine, &spec);
-                    assert_eq!(
-                        got, baseline,
-                        "{strategy:?}/{backend:?}/t{threads} diverged from List/t1"
-                    );
-                }
-            }
+            let sharded = cells_of(&Engine::with_config(db.clone(), config(strategy, 8)), &spec);
+            assert_eq!(sharded, sequential, "{strategy:?}/t8 diverged from t1");
         }
     }
 }
@@ -218,10 +215,10 @@ fn engine_is_bit_identical_across_backends() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random databases: the compressed backend stays bit-identical to the
-    /// list backend on both strategies and thread counts.
+    /// Random databases: the inverted-index path stays bit-identical to a
+    /// sequential counter scan at both thread counts.
     #[test]
-    fn random_dbs_compressed_equals_list(
+    fn random_dbs_ii_equals_cb_across_threads(
         seqs in prop::collection::vec(prop::collection::vec(0u8..5, 1..9), 1..14),
         agg in 0u8..5,
     ) {
@@ -256,36 +253,27 @@ proptest! {
         })
         .unwrap();
         let spec = spec_for(agg);
-        for strategy in [EngineStrategy::CounterBased, EngineStrategy::InvertedIndex] {
-            let list = Engine::with_config(db.clone(), config(strategy, SetBackend::List, 1));
-            let expect = cells_of(&list, &spec);
-            for threads in [1usize, 8] {
-                let comp = Engine::with_config(
-                    db.clone(),
-                    config(strategy, SetBackend::Compressed, threads),
-                );
-                prop_assert_eq!(
-                    cells_of(&comp, &spec),
-                    expect.clone(),
-                    "{:?} compressed/t{}",
-                    strategy,
-                    threads
-                );
-            }
+        let cb = Engine::with_config(db.clone(), config(EngineStrategy::CounterBased, 1));
+        let expect = cells_of(&cb, &spec).0;
+        for threads in [1usize, 8] {
+            let ii = Engine::with_config(
+                db.clone(),
+                config(EngineStrategy::InvertedIndex, threads),
+            );
+            prop_assert_eq!(cells_of(&ii, &spec).0, expect.clone(), "II/t{}", threads);
         }
     }
 }
 
-/// A governor abort mid-join on the compressed backend is a no-op: typed
-/// error out, then the same engine answers bit-identically to a fresh
-/// list-backend engine.
+/// A governor abort mid-join is a no-op: typed error out, then the same
+/// engine answers bit-identically to a fresh one.
 #[test]
-fn governor_abort_mid_join_recovers_on_compressed() {
+fn governor_abort_mid_join_recovers() {
     let mut engine = Engine::with_config(
         build_db(),
         EngineConfig {
             budget_cells: Some(1),
-            ..config(EngineStrategy::InvertedIndex, SetBackend::Compressed, 1)
+            ..config(EngineStrategy::InvertedIndex, 1)
         },
     );
     match engine.execute(&spec_len3()) {
@@ -296,41 +284,14 @@ fn governor_abort_mid_join_recovers_on_compressed() {
     }
     assert_eq!(engine.cuboid_repo().len(), 0, "no partial cuboid cached");
     engine.config_mut().budget_cells = None;
-    let fresh = Engine::with_config(
-        build_db(),
-        config(EngineStrategy::InvertedIndex, SetBackend::List, 1),
-    );
+    let fresh = Engine::with_config(build_db(), config(EngineStrategy::InvertedIndex, 1));
     for spec in (0..5).map(spec_for).chain([spec_len3()]) {
         assert_eq!(
             cells_of(&engine, &spec),
             cells_of(&fresh, &spec),
-            "post-abort answers diverge from a fresh list engine"
+            "post-abort answers diverge from a fresh engine"
         );
     }
-}
-
-/// `SOLAP_INDEX` picks the default backend (and garbage falls back to
-/// Auto). Process-global, so this test owns the variable briefly; every
-/// other test here passes an explicit backend.
-#[test]
-fn solap_index_env_sets_default_backend() {
-    for (val, want) in [
-        ("list", SetBackend::List),
-        ("bitmap", SetBackend::Bitmap),
-        ("compressed", SetBackend::Compressed),
-        ("auto", SetBackend::Auto),
-        ("garbage", SetBackend::Auto),
-    ] {
-        std::env::set_var("SOLAP_INDEX", val);
-        let got = EngineConfig::default().backend;
-        std::env::remove_var("SOLAP_INDEX");
-        assert_eq!(got, want, "SOLAP_INDEX={val}");
-    }
-    assert_eq!(
-        EngineConfig::default().backend,
-        SetBackend::Auto,
-        "unset default"
-    );
 }
 
 /// Sequence fixture for direct `build_index` calls.
@@ -352,27 +313,40 @@ fn sequences(db: &EventDb) -> Vec<s_olap::eventdb::Sequence> {
     groups.iter_sequences().cloned().collect()
 }
 
-/// `heap_bytes` on a compressed index is the encoded size — skip table +
-/// payload bytes, not the decoded `u32` width — and `IndexBytesBuilt`
-/// reports exactly that, invariant across thread counts.
-#[test]
-fn index_bytes_accounting_is_exact_and_thread_invariant() {
-    let db = build_db();
-    let seqs = sequences(&db);
-    let template = PatternTemplate::new(
+/// The (X, Y) substring template over `symbol` at its base level.
+fn xy_template() -> PatternTemplate {
+    PatternTemplate::new(
         PatternKind::Substring,
         &["X", "Y"],
         &[("X", 2, 0), ("Y", 2, 0)],
     )
-    .unwrap();
-    let (ix, _) = build_index(&db, seqs.iter(), &template, SetBackend::Compressed).unwrap();
-    // Per-list: exactly the encoded form. Per-index: the documented sum.
+    .unwrap()
+}
+
+/// `InvertedIndex::heap_bytes` of `ix` had every list been stored as
+/// `encoding`.
+fn heap_as(ix: &InvertedIndex, encoding: Encoding) -> usize {
+    ix.lists
+        .iter()
+        .map(|(key, set)| key.len() * 8 + set.clone().encoded(encoding).heap_bytes() + 48)
+        .sum()
+}
+
+/// `heap_bytes` of a compressed list is the encoded size — skip table +
+/// payload bytes, not the decoded `u32` width — an index's is the
+/// documented sum over its lists, and `IndexBytesBuilt` reports it
+/// invariant across thread counts.
+#[test]
+fn index_bytes_accounting_is_exact_and_thread_invariant() {
+    let db = build_db();
+    let seqs = sequences(&db);
+    let (ix, _) = build_index(&db, seqs.iter(), &xy_template()).unwrap();
     let mut expect_total = 0usize;
     for (key, set) in &ix.lists {
-        let SidSet::Compressed(c) = set else {
-            panic!("compressed build produced a non-compressed list");
+        let SidSet::Compressed(c) = set.clone().encoded(Encoding::Compressed) else {
+            unreachable!("encoded as compressed");
         };
-        assert!(c.is_sealed(), "built lists are sealed");
+        assert!(c.is_sealed(), "encoded lists are sealed");
         assert_eq!(
             c.heap_bytes(),
             c.encoded_data_len() + c.skip_table_bytes(),
@@ -392,29 +366,24 @@ fn index_bytes_accounting_is_exact_and_thread_invariant() {
 
     // Engine level: IndexBytesBuilt equals the sealed index's heap_bytes,
     // whatever the thread count (sharded builds canonicalize identically).
-    let bytes_at = |backend: SetBackend, threads: usize| -> usize {
-        let engine = Engine::with_config(
-            db.clone(),
-            config(EngineStrategy::InvertedIndex, backend, threads),
-        );
+    let bytes_at = |threads: usize| -> usize {
+        let engine =
+            Engine::with_config(db.clone(), config(EngineStrategy::InvertedIndex, threads));
         engine
             .execute(&spec_for(0))
             .unwrap()
             .stats
             .index_bytes_built
     };
-    let c1 = bytes_at(SetBackend::Compressed, 1);
-    assert_eq!(c1, bytes_at(SetBackend::Compressed, 8), "thread-invariant");
-    assert_eq!(
-        c1,
-        bytes_at(SetBackend::Compressed, 1),
-        "deterministic rebuild"
-    );
+    let t1 = bytes_at(1);
+    assert_eq!(t1, bytes_at(8), "thread-invariant");
+    assert_eq!(t1, bytes_at(1), "deterministic rebuild");
 }
 
-/// On a sparse workload (wide sid space, thin lists) the compressed
-/// backend builds a strictly smaller index than the list backend — the
-/// acceptance bar for the codec actually paying for itself.
+/// On a sparse workload (wide sid space, thin lists) compressed lists are
+/// strictly smaller than plain ones — the acceptance bar for the codec
+/// actually paying for itself — and the density rule never stores an
+/// index larger than the worse of the two encodings it picks between.
 #[test]
 fn compressed_index_is_smaller_on_sparse_lists() {
     // 600 sequences over 3 symbols: every pattern list is long (hundreds
@@ -447,22 +416,84 @@ fn compressed_index_is_smaller_on_sparse_lists() {
     }
     db.set_base_level_name(2, "symbol");
     let seqs = sequences(&db);
-    let template = PatternTemplate::new(
-        PatternKind::Substring,
-        &["X", "Y"],
-        &[("X", 2, 0), ("Y", 2, 0)],
-    )
-    .unwrap();
-    let heap = |backend: SetBackend| -> usize {
-        let (ix, _): (InvertedIndex, _) =
-            build_index(&db, seqs.iter(), &template, backend).unwrap();
-        ix.heap_bytes()
-    };
-    let (list, compressed) = (heap(SetBackend::List), heap(SetBackend::Compressed));
+    let (ix, _) = build_index(&db, seqs.iter(), &xy_template()).unwrap();
+    let (list, compressed) = (
+        heap_as(&ix, Encoding::List),
+        heap_as(&ix, Encoding::Compressed),
+    );
     assert!(
         compressed < list,
         "compressed ({compressed}) must undercut list ({list}) on sparse lists"
     );
-    // Auto never does worse than the best single encoding it chooses from.
-    assert!(heap(SetBackend::Auto) <= compressed.max(heap(SetBackend::Bitmap)));
+    let bitmap = heap_as(&ix, Encoding::Bitmap);
+    assert!(ix.heap_bytes() <= compressed.max(bitmap));
+}
+
+/// The engine's own base index exercises every codec: on a fixture with
+/// one list in nearly every sequence (dense), one in every 20th (sparse)
+/// and one in three (tiny), the stored lists come out as bitmap,
+/// compressed and plain list respectively.
+#[test]
+fn engine_base_index_holds_every_encoding() {
+    let mut db = EventDbBuilder::new()
+        .dimension("sid", ColumnType::Int)
+        .dimension("pos", ColumnType::Int)
+        .dimension("symbol", ColumnType::Str)
+        .build()
+        .unwrap();
+    for sid in 0..400i64 {
+        let mut symbols = vec!["a", "b"];
+        if sid % 20 == 0 {
+            symbols.extend(["c", "d"]);
+        }
+        if sid < 3 {
+            symbols.extend(["e", "f"]);
+        }
+        for (pos, sym) in symbols.into_iter().enumerate() {
+            db.push_row(&[Value::Int(sid), Value::Int(pos as i64), Value::from(sym)])
+                .unwrap();
+        }
+    }
+    db.set_base_level_name(2, "symbol");
+    let spec = SCuboidSpec::new(
+        xy_template(),
+        vec![AttrLevel::new(0, 0)],
+        vec![SortKey {
+            attr: 1,
+            ascending: true,
+        }],
+    );
+    let engine = Engine::builder(db)
+        .strategy(EngineStrategy::InvertedIndex)
+        .build();
+    engine.execute(&spec).unwrap();
+    let key = IndexKey::unsliced(
+        spec.seq.fingerprint(),
+        engine.db().version(),
+        0,
+        spec.template.signature(),
+    );
+    let base = engine
+        .index_store()
+        .get(&key)
+        .expect("the base index is stored");
+    let stored = |pair: [&str; 2]| {
+        let db = engine.db();
+        let pattern: Vec<u64> = pair
+            .iter()
+            .map(|s| db.parse_level_value(2, 0, s).unwrap())
+            .collect();
+        match base.list(&pattern).expect("pattern is indexed") {
+            SidSet::List(_) => Encoding::List,
+            SidSet::Bitmap(_) => Encoding::Bitmap,
+            SidSet::Compressed(_) => Encoding::Compressed,
+        }
+    };
+    assert_eq!(stored(["a", "b"]), Encoding::Bitmap, "400 of 400 sequences");
+    assert_eq!(
+        stored(["c", "d"]),
+        Encoding::Compressed,
+        "20 of 400 sequences"
+    );
+    assert_eq!(stored(["e", "f"]), Encoding::List, "3 of 400 sequences");
 }

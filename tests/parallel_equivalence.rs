@@ -15,8 +15,7 @@ use s_olap::prelude::Strategy as EngineStrategy;
 #[allow(unused_imports)]
 use s_olap::prelude::{
     AggFunc, AttrLevel, CellRestriction, CmpOp, ColumnType, Engine, EngineConfig, EventDb,
-    EventDbBuilder, MatchPred, PatternKind, PatternTemplate, SCuboidSpec, SetBackend, SortKey,
-    SumMode, Value,
+    EventDbBuilder, MatchPred, PatternKind, PatternTemplate, SCuboidSpec, SortKey, SumMode, Value,
 };
 
 /// A random event database: sequences over an alphabet of ≤ 5 symbols,
@@ -76,7 +75,6 @@ struct Case {
     /// 0..5 → COUNT, SUM, AVG, MIN, MAX.
     agg: u8,
     group_by_parity: bool,
-    bitmap: bool,
 }
 
 fn case_strategy() -> impl Strategy<Value = Case> {
@@ -95,21 +93,17 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         prop::option::of((0usize..3, any::<bool>())),
         0u8..5,
         any::<bool>(),
-        any::<bool>(),
     )
         .prop_map(
-            |(seqs, symbols, level, kind, restriction, pred_tag, agg, group_by_parity, bitmap)| {
-                Case {
-                    seqs,
-                    symbols,
-                    level,
-                    kind,
-                    restriction,
-                    pred_tag,
-                    agg,
-                    group_by_parity,
-                    bitmap,
-                }
+            |(seqs, symbols, level, kind, restriction, pred_tag, agg, group_by_parity)| Case {
+                seqs,
+                symbols,
+                level,
+                kind,
+                restriction,
+                pred_tag,
+                agg,
+                group_by_parity,
             },
         )
 }
@@ -176,11 +170,6 @@ fn engine(case: &Case, strategy: EngineStrategy, threads: usize) -> Engine {
         build_db(&case.seqs),
         EngineConfig {
             strategy,
-            backend: if case.bitmap {
-                SetBackend::Bitmap
-            } else {
-                SetBackend::List
-            },
             threads,
             ..Default::default()
         },
@@ -287,7 +276,6 @@ fn packed_and_generic_agree_on_round_trips_and_degenerate_sequences() {
                     pred_tag: None,
                     agg,
                     group_by_parity: false,
-                    bitmap: false,
                 };
                 let db = build_db(&case.seqs);
                 let (packed, wide) = (spec_over(&db, &case, SYMBOL), spec_over(&db, &case, CODE));
@@ -345,7 +333,6 @@ fn edge_case(seqs: Vec<Vec<(u8, bool)>>, agg: u8) -> Case {
         pred_tag: None,
         agg,
         group_by_parity: true,
-        bitmap: false,
     }
 }
 

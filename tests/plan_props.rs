@@ -11,9 +11,8 @@
 //! Metamorphic: on the paper's QuerySet A/B workloads the planner is a
 //! pure optimizer — identical cells to fixed-CB and fixed-II runs — and
 //! its chosen alternative always carries the minimum predicted cost.
-//! (The wall-clock claim — planner ≥ best fixed strategy within 10% —
-//! is measured by `experiments -- plan` into `BENCH_plan.json`, not
-//! asserted here where timings would flake.)
+//! (Wall-clock comparisons belong to the benchmark in `benchmark/`, not
+//! here where timings would flake.)
 
 use s_olap::core::lattice::spec_le;
 use s_olap::core::plan::reuse_safe;
@@ -39,10 +38,9 @@ fn hierarchy_db(d: usize, seed: u64) -> EventDb {
     .unwrap()
 }
 
-fn config(strategy: Strategy, plan: bool, threads: usize) -> EngineConfig {
+fn config(strategy: Strategy, threads: usize) -> EngineConfig {
     EngineConfig {
         strategy,
-        plan,
         threads,
         ..Default::default()
     }
@@ -61,7 +59,7 @@ fn reused_ancestors_are_sound_across_aggregates_and_threads() {
     ];
     for agg in aggregates {
         for threads in [1usize, 8] {
-            let engine = Engine::with_config(data.clone(), config(Strategy::Auto, true, threads));
+            let engine = Engine::with_config(data.clone(), config(Strategy::Auto, threads));
             // Pattern coarsening is only merge-safe under ALL-MATCHED GO
             // (the default LEFT-MAXIMALITY slices cells the merge cannot
             // reconstruct — DESIGN.md §15).
@@ -93,7 +91,7 @@ fn reused_ancestors_are_sound_across_aggregates_and_threads() {
             }
             // Bit-identical to cold builds under both fixed strategies.
             for strategy in [Strategy::CounterBased, Strategy::InvertedIndex] {
-                let cold = Engine::with_config(data.clone(), config(strategy, false, threads));
+                let cold = Engine::with_config(data.clone(), config(strategy, threads));
                 let expect = cold.execute(&coarse).unwrap();
                 assert_eq!(
                     out.cuboid.cells, expect.cuboid.cells,
@@ -112,27 +110,9 @@ fn planner_is_a_pure_optimizer_on_query_sets_a_and_b() {
         query_set_b(&data).unwrap(),
     ];
     for plan in &plans {
-        let planner = run_plan(
-            data.clone(),
-            plan,
-            config(Strategy::Auto, true, 1),
-            "planner",
-        )
-        .unwrap();
-        let cb = run_plan(
-            data.clone(),
-            plan,
-            config(Strategy::CounterBased, false, 1),
-            "CB",
-        )
-        .unwrap();
-        let ii = run_plan(
-            data.clone(),
-            plan,
-            config(Strategy::InvertedIndex, false, 1),
-            "II",
-        )
-        .unwrap();
+        let planner = run_plan(data.clone(), plan, config(Strategy::Auto, 1), "planner").unwrap();
+        let cb = run_plan(data.clone(), plan, config(Strategy::CounterBased, 1), "CB").unwrap();
+        let ii = run_plan(data.clone(), plan, config(Strategy::InvertedIndex, 1), "II").unwrap();
         for ((p, c), i) in planner.steps.iter().zip(&cb.steps).zip(&ii.steps) {
             let pc = p.cuboid.as_ref().unwrap();
             assert_eq!(
@@ -156,7 +136,7 @@ fn planner_is_a_pure_optimizer_on_query_sets_a_and_b() {
 #[test]
 fn chosen_alternative_has_minimum_predicted_cost() {
     let data = hierarchy_db(300, 23);
-    let engine = Engine::with_config(data, config(Strategy::Auto, true, 1));
+    let engine = Engine::with_config(data, config(Strategy::Auto, 1));
     let base = synthetic_spec(&engine.db(), PatternKind::Substring, &["X", "Y", "Z"], 1)
         .unwrap()
         .with_restriction(CellRestriction::AllMatchedGo);
@@ -180,10 +160,9 @@ fn chosen_alternative_has_minimum_predicted_cost() {
             );
         }
     }
-    // With the planner off, nothing is enumerated and the legacy
-    // heuristic answers — same cells, no alternatives counted.
-    let legacy = Engine::with_config(hierarchy_db(300, 23), config(Strategy::Auto, false, 1));
-    let a = legacy.execute(&base).unwrap();
+    // A fixed counter scan, which costs nothing, reaches the same cells.
+    let fixed = Engine::with_config(hierarchy_db(300, 23), config(Strategy::CounterBased, 1));
+    let a = fixed.execute(&base).unwrap();
     let b = engine.execute(&base).unwrap();
     assert_eq!(a.cuboid.cells, b.cuboid.cells);
 }

@@ -45,8 +45,7 @@ fn quietly<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// The paper's Q3 over the transit substitute — the same statement the
-/// `serve` bench replays.
+/// The paper's Q3 over the transit substitute.
 const QUERY: &str = r#"SELECT COUNT(*) FROM Event CLUSTER BY card-id AT individual, time AT day SEQUENCE BY time ASCENDING CUBOID BY SUBSTRING (X, Y) WITH X AS location AT station, Y AS location AT station LEFT-MAXIMALITY (x1, y1) WITH x1.action = "in" AND y1.action = "out""#;
 
 fn transit_engine(threads: usize) -> Arc<Engine> {
