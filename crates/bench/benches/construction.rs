@@ -2,13 +2,15 @@
 //! the same query (the core comparison of §5.2). `matching` has the hash
 //! vs dense counter layouts.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use solap_bench::plans::synthetic_spec;
-use solap_core::{Engine, EngineConfig, Strategy};
+use solap_core::{CellKey, Engine, EngineConfig, SCuboid, Strategy};
 use solap_datagen::{generate_synthetic, SyntheticConfig};
-use solap_eventdb::build_sequence_groups;
-use solap_pattern::PatternKind;
+use solap_eventdb::{build_sequence_groups, ColumnType, EventDbBuilder};
+use solap_pattern::{AggFunc, AggValue, PatternKind, PatternTemplate};
 
 fn db(d: usize) -> solap_eventdb::EventDb {
     generate_synthetic(&SyntheticConfig {
@@ -113,5 +115,51 @@ fn bench_kernels_d8k(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_construction, bench_kernels_d8k);
+/// Tabulating the 15 rows a `SELECT` prints from a 10⁴-cell COUNT cuboid
+/// whose values tie in runs of 200: the first call on a cuboid (what a
+/// repository miss pays) and a repeat call on the same cuboid (a hit).
+fn bench_tabulate(c: &mut Criterion) {
+    let db = EventDbBuilder::new()
+        .dimension("n", ColumnType::Int)
+        .build()
+        .unwrap();
+    let template = PatternTemplate::new(
+        PatternKind::Substring,
+        &["X", "Y"],
+        &[("X", 0, 0), ("Y", 0, 0)],
+    )
+    .unwrap();
+    let mut cuboid = SCuboid::new(vec![], template.dims.clone(), AggFunc::Count);
+    for i in 0..10_000u64 {
+        let key = CellKey {
+            global: vec![],
+            pattern: vec![i % 100, i / 100],
+        };
+        cuboid.cells_mut().insert(key, AggValue::Count(i % 50));
+    }
+    let mut g = c.benchmark_group("tabulate-10k");
+    g.bench_function("first-call", |b| {
+        // Kept alive past the timed routine, so no sample pays a drop.
+        let mut fresh = Vec::new();
+        b.iter_with_setup(
+            || {
+                fresh.push(Arc::new(cuboid.clone()));
+                Arc::clone(&fresh[fresh.len() - 1])
+            },
+            |c| c.tabulate(&db, 15, true).len(),
+        )
+    });
+    cuboid.tabulate(&db, 15, true);
+    g.bench_function("repeat-call", |b| {
+        b.iter(|| cuboid.tabulate(&db, 15, true).len())
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_construction,
+    bench_kernels_d8k,
+    bench_tabulate
+);
 criterion_main!(benches);

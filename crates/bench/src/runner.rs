@@ -124,7 +124,7 @@ fn apply_pre(
                 .expect("plan names an existing dimension");
             // Total count per value of the dimension.
             let mut totals: HashMap<LevelValue, f64> = HashMap::new();
-            for (k, v) in &cuboid.cells {
+            for (k, v) in cuboid.cells() {
                 *totals.entry(k.pattern[d]).or_default() += v.as_f64();
             }
             let Some((&best, _)) = totals

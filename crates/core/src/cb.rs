@@ -130,12 +130,13 @@ pub(crate) fn insert_cells<A: Accumulator>(
     global: &[LevelValue],
     cells: Vec<(Vec<LevelValue>, A)>,
 ) {
+    let out = cuboid.cells_mut();
     for (pattern, acc) in cells {
         let key = CellKey {
             global: global.to_vec(),
             pattern,
         };
-        cuboid.cells.insert(key, acc.finish());
+        out.insert(key, acc.finish());
     }
 }
 
@@ -546,10 +547,10 @@ mod tests {
         let h = counter_based(&db, &g, &spec, CounterMode::Hash, &mut m1).unwrap();
         let mut m2 = ScanMeter::new();
         let d = counter_based(&db, &g, &spec, CounterMode::Dense, &mut m2).unwrap();
-        assert_eq!(h.cells, d.cells);
+        assert_eq!(h.cells(), d.cells());
         let mut m3 = ScanMeter::new();
         let a = counter_based(&db, &g, &spec, CounterMode::Auto, &mut m3).unwrap();
-        assert_eq!(h.cells, a.cells);
+        assert_eq!(h.cells(), a.cells());
     }
 
     #[test]
@@ -561,7 +562,7 @@ mod tests {
         let s = counter_based(&db, &g, &spec, CounterMode::Hash, &mut m1).unwrap();
         let mut m2 = ScanMeter::new();
         let p = counter_based_parallel(&db, &g, &spec, 3, &mut m2).unwrap();
-        assert_eq!(s.cells, p.cells);
+        assert_eq!(s.cells(), p.cells());
         assert_eq!(m1.count(), m2.count());
     }
 

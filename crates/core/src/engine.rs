@@ -1334,7 +1334,7 @@ mod tests {
         let qb = q3(&ii.db());
         let a = cb.execute(&qa).unwrap();
         let b = ii.execute(&qb).unwrap();
-        assert_eq!(a.cuboid.cells, b.cuboid.cells);
+        assert_eq!(a.cuboid.cells(), b.cuboid.cells());
         assert_eq!(a.stats.strategy, "CB");
         assert_eq!(b.stats.strategy, "II");
         assert_eq!(a.stats.sequences_scanned, 4);
@@ -1390,7 +1390,7 @@ mod tests {
         });
         let coarse = ops::apply(&cb.db(), &qa, &Op::PRollUp { dim: "Y".into() }).unwrap();
         let expect = cb.execute(&coarse).unwrap();
-        assert_eq!(out.cuboid.cells, expect.cuboid.cells);
+        assert_eq!(out.cuboid.cells(), expect.cuboid.cells());
     }
 
     #[test]
@@ -1605,7 +1605,7 @@ mod tests {
             },
         );
         let expect = cb.execute(&coarse).unwrap();
-        assert_eq!(out.cuboid.cells, expect.cuboid.cells);
+        assert_eq!(out.cuboid.cells(), expect.cuboid.cells());
     }
 
     #[test]
@@ -1678,7 +1678,7 @@ mod tests {
         let qb = q3(&ii.db());
         let a = e.execute(&qa).unwrap();
         let b = ii.execute(&qb).unwrap();
-        assert_eq!(a.cuboid.cells, b.cuboid.cells);
+        assert_eq!(a.cuboid.cells(), b.cuboid.cells());
     }
 
     /// An event row in the Figure-8 schema: `(sid, pos, location, action)`
@@ -1723,7 +1723,7 @@ mod tests {
             },
         );
         let expect = fresh.execute(&spec).unwrap();
-        assert_eq!(after.cuboid.cells, expect.cuboid.cells);
+        assert_eq!(after.cuboid.cells(), expect.cuboid.cells());
     }
 
     #[test]
@@ -1744,8 +1744,8 @@ mod tests {
         let after = e.execute(&spec).unwrap();
         let fresh = Engine::new(e.db().clone());
         assert_eq!(
-            after.cuboid.cells,
-            fresh.execute(&spec).unwrap().cuboid.cells,
+            after.cuboid.cells(),
+            fresh.execute(&spec).unwrap().cuboid.cells(),
             "rebuild-on-demand must see the appended event"
         );
     }

@@ -13,12 +13,12 @@ use crate::cuboid::SCuboid;
 /// Applies the iceberg condition in place: cells with `COUNT < min_support`
 /// are removed. Returns the number of cells dropped.
 pub fn apply_min_support(cuboid: &mut SCuboid, min_support: u64) -> usize {
-    let before = cuboid.cells.len();
-    cuboid.cells.retain(|_, v| match v.as_count() {
+    let before = cuboid.len();
+    cuboid.cells_mut().retain(|_, v| match v.as_count() {
         Some(c) => c >= min_support,
         None => true,
     });
-    before - cuboid.cells.len()
+    before - cuboid.len()
 }
 
 /// Suggests a minimum support that keeps roughly the top `fraction` of the
@@ -27,7 +27,11 @@ pub fn apply_min_support(cuboid: &mut SCuboid, min_support: u64) -> usize {
 /// difficult question"): the largest threshold `t` such that cells with
 /// count ≥ `t` still cover at least `fraction` of the total count.
 pub fn suggest_min_support(cuboid: &SCuboid, fraction: f64) -> u64 {
-    let mut counts: Vec<u64> = cuboid.cells.values().filter_map(|v| v.as_count()).collect();
+    let mut counts: Vec<u64> = cuboid
+        .cells()
+        .values()
+        .filter_map(|v| v.as_count())
+        .collect();
     if counts.is_empty() {
         return 0;
     }
@@ -55,7 +59,7 @@ mod tests {
     fn cuboid(counts: &[u64]) -> SCuboid {
         let mut c = SCuboid::new(vec![], vec![], AggFunc::Count);
         for (i, &n) in counts.iter().enumerate() {
-            c.cells.insert(
+            c.cells_mut().insert(
                 CellKey {
                     global: vec![],
                     pattern: vec![i as u64],
@@ -79,7 +83,7 @@ mod tests {
     #[test]
     fn non_count_values_survive() {
         let mut c = cuboid(&[]);
-        c.cells.insert(
+        c.cells_mut().insert(
             CellKey {
                 global: vec![],
                 pattern: vec![0],

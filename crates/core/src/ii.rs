@@ -455,7 +455,7 @@ impl<'a> IiExecutor<'a> {
                         pattern: spec.template.cell_of(pattern),
                     };
                     let count = solap_pattern::AggValue::Count(sids.len() as u64);
-                    cuboid.cells.insert(key, count);
+                    cuboid.cells_mut().insert(key, count);
                 }
                 continue;
             }
@@ -803,7 +803,7 @@ mod tests {
         let db = fig8_db();
         let spec = spec_with(&db, &["X", "Y"], 0, true);
         let (cb, ii, stats) = run_both(&db, &spec);
-        assert_eq!(cb.cells, ii.cells);
+        assert_eq!(cb.cells(), ii.cells());
         assert!(stats.indices_built >= 1);
     }
 
@@ -819,7 +819,7 @@ mod tests {
             MatchPred::cmp(3, action, CmpOp::Eq, "out"),
         ]);
         let (cb, ii, stats) = run_both(&db, &spec);
-        assert_eq!(cb.cells, ii.cells);
+        assert_eq!(cb.cells(), ii.cells());
         assert!(stats.index_joins >= 2, "must join up from L2");
     }
 
@@ -828,7 +828,7 @@ mod tests {
         let db = fig8_db();
         let spec = spec_with(&db, &["X", "Y"], 1, true);
         let (cb, ii, _) = run_both(&db, &spec);
-        assert_eq!(cb.cells, ii.cells);
+        assert_eq!(cb.cells(), ii.cells());
     }
 
     #[test]
@@ -837,7 +837,7 @@ mod tests {
         let mut spec = spec_with(&db, &["X", "Y"], 0, true);
         spec.template.kind = PatternKind::Subsequence;
         let (cb, ii, _) = run_both(&db, &spec);
-        assert_eq!(cb.cells, ii.cells);
+        assert_eq!(cb.cells(), ii.cells());
     }
 
     #[test]
@@ -846,7 +846,7 @@ mod tests {
         let mut spec = spec_with(&db, &["X", "Y"], 0, false);
         spec.restriction = CellRestriction::AllMatchedGo;
         let (cb, ii, _) = run_both(&db, &spec);
-        assert_eq!(cb.cells, ii.cells);
+        assert_eq!(cb.cells(), ii.cells());
     }
 
     #[test]
@@ -907,7 +907,7 @@ mod tests {
         // And it still matches CB.
         let mut m3 = ScanMeter::new();
         let cb = counter_based(&db, &groups, &spec, CounterMode::Hash, &mut m3).unwrap();
-        assert_eq!(cb.cells, ii.cells);
+        assert_eq!(cb.cells(), ii.cells());
     }
 
     #[test]
@@ -934,7 +934,7 @@ mod tests {
         // Equals CB at the coarse level.
         let mut m3 = ScanMeter::new();
         let cb = counter_based(&db, &groups, &coarse, CounterMode::Hash, &mut m3).unwrap();
-        assert_eq!(cb.cells, merged.cells);
+        assert_eq!(cb.cells(), merged.cells());
     }
 
     #[test]
@@ -956,7 +956,7 @@ mod tests {
         // the paper's s6 scenario: a sequence crossing stations within a
         // district must appear at the district level.
         let (cb, ii, _) = run_both(&db, &coarse);
-        assert_eq!(cb.cells, ii.cells);
+        assert_eq!(cb.cells(), ii.cells());
     }
 
     #[test]
@@ -980,7 +980,7 @@ mod tests {
         assert_eq!(stats2.indices_built, 0, "refined index must be reused");
         let mut m3 = ScanMeter::new();
         let cb = counter_based(&db, &groups, &fine, CounterMode::Hash, &mut m3).unwrap();
-        assert_eq!(cb.cells, ii.cells);
+        assert_eq!(cb.cells(), ii.cells());
     }
 
     #[test]
@@ -1004,7 +1004,7 @@ mod tests {
         assert_eq!(stats2.indices_built, 0);
         let mut m3 = ScanMeter::new();
         let cb = counter_based(&db, &groups, &new, CounterMode::Hash, &mut m3).unwrap();
-        assert_eq!(cb.cells, ii.cells);
+        assert_eq!(cb.cells(), ii.cells());
     }
 
     #[test]

@@ -89,8 +89,9 @@ pub fn online_count(
         spec.template.dims.clone(),
         spec.agg,
     );
+    let cells = exact.cells_mut();
     for (k, c) in counts {
-        exact.cells.insert(k, AggValue::Count(c));
+        cells.insert(k, AggValue::Count(c));
     }
     if let Some(ms) = spec.min_support {
         crate::iceberg::apply_min_support(&mut exact, ms);
@@ -115,8 +116,9 @@ fn snapshot(
         spec.template.dims.clone(),
         spec.agg,
     );
+    let cells = estimate.cells_mut();
     for (k, &c) in counts {
-        estimate.cells.insert(
+        cells.insert(
             k.clone(),
             AggValue::Count((c as f64 * scale).round() as u64),
         );
@@ -128,16 +130,16 @@ fn snapshot(
 /// averaged over the exact cuboid's cells (used by tests and the harness to
 /// show estimates tightening).
 pub fn mean_relative_error(estimate: &SCuboid, exact: &SCuboid) -> f64 {
-    if exact.cells.is_empty() {
+    if exact.is_empty() {
         return 0.0;
     }
     let mut total = 0.0;
-    for (k, v) in &exact.cells {
-        let e = estimate.cells.get(k).map(|x| x.as_f64()).unwrap_or(0.0);
+    for (k, v) in exact.cells() {
+        let e = estimate.cells().get(k).map(|x| x.as_f64()).unwrap_or(0.0);
         let x = v.as_f64();
         total += if x == 0.0 { 0.0 } else { (e - x).abs() / x };
     }
-    total / exact.cells.len() as f64
+    total / exact.len() as f64
 }
 
 #[cfg(test)]
@@ -201,7 +203,7 @@ mod tests {
         let exact =
             crate::cb::counter_based(&db, &groups, &s, crate::cb::CounterMode::Hash, &mut meter)
                 .unwrap();
-        assert_eq!(online.cells, exact.cells);
+        assert_eq!(online.cells(), exact.cells());
     }
 
     #[test]
@@ -263,7 +265,7 @@ mod tests {
         // 10% processed → totals should approximate the full total.
         let est_total: u64 = snap
             .estimate
-            .cells
+            .cells()
             .values()
             .filter_map(|v| v.as_count())
             .sum();

@@ -292,7 +292,7 @@ impl CostModel {
 
     /// Predicted cost of the inverted-index path: a base-build scan over
     /// `events` (free when `base_cached`), then a join ladder over
-    /// `sequences` at [`ladder`]`(m, kind)` rungs each.
+    /// `sequences` at `ladder(m, kind)` rungs each.
     pub fn estimate_ii(
         &self,
         events: u64,
@@ -324,7 +324,7 @@ impl CostModel {
     }
 
     /// Calibrates the CB unit from an executed counter scan. Queries below
-    /// [`MIN_CALIBRATION_UNITS`] events are ignored — their elapsed time is
+    /// `MIN_CALIBRATION_UNITS` events are ignored — their elapsed time is
     /// fixed overhead, not per-event work.
     pub fn observe_cb(&self, elapsed_ns: u64, events: u64) {
         if events >= MIN_CALIBRATION_UNITS {
@@ -568,7 +568,7 @@ pub fn roll_up_cuboid(
         target.agg,
     );
     let mut merged: u64 = 0;
-    for (key, value) in &source.cells {
+    for (key, value) in source.cells() {
         gov.tick()?;
         merged += 1;
         let mut global = Vec::with_capacity(global_map.len());
@@ -597,7 +597,7 @@ pub fn roll_up_cuboid(
                 db.map_up(attr, from, v, to)?
             });
         }
-        match out.cells.entry(CellKey { global, pattern }) {
+        match out.cells_mut().entry(CellKey { global, pattern }) {
             Entry::Occupied(mut e) => {
                 let combined = merge_values(target.agg, *e.get(), *value)
                     .ok_or_else(|| bad("aggregate values are not merge-closed"))?;
@@ -682,7 +682,7 @@ impl<'a> Planner<'a> {
     /// Gathers reuse candidates for `target` from `candidates` (most
     /// recently executed first): the [`reuse_safe`] ones whose cuboid
     /// `lookup` can actually produce, deduplicated by fingerprint and
-    /// capped at [`MAX_REUSE_CANDIDATES`].
+    /// capped at `MAX_REUSE_CANDIDATES`.
     pub fn reuse_candidates(
         target: &SCuboidSpec,
         candidates: impl Iterator<Item = SCuboidSpec>,
@@ -1118,13 +1118,13 @@ mod tests {
         };
         // Pentagon and Clarendon are both D10: their groups merge.
         source
-            .cells
+            .cells_mut()
             .insert(key(pentagon, &[pentagon, wheaton]), AggValue::Count(2));
         source
-            .cells
+            .cells_mut()
             .insert(key(clarendon, &[pentagon, wheaton]), AggValue::Count(3));
         source
-            .cells
+            .cells_mut()
             .insert(key(wheaton, &[wheaton, pentagon]), AggValue::Count(5));
         let gov = QueryGovernor::new(None, None, None);
         let (rolled, merged) = roll_up_cuboid(&db, &fine, &source, &coarse, &gov).unwrap();
@@ -1162,10 +1162,10 @@ mod tests {
             pattern: p.to_vec(),
         };
         source
-            .cells
+            .cells_mut()
             .insert(key(&[pentagon, wheaton]), AggValue::Count(1));
         source
-            .cells
+            .cells_mut()
             .insert(key(&[clarendon, wheaton]), AggValue::Count(4));
         let gov = QueryGovernor::new(None, None, None);
         let (rolled, merged) = roll_up_cuboid(&db, &fine, &source, &coarse, &gov).unwrap();
@@ -1185,14 +1185,14 @@ mod tests {
         let pentagon = db.parse_level_value(1, 0, "Pentagon").unwrap();
         let wheaton = db.parse_level_value(1, 0, "Wheaton").unwrap();
         let mut source = SCuboid::new(vec![], fine.template.dims.clone(), AggFunc::Count);
-        source.cells.insert(
+        source.cells_mut().insert(
             CellKey {
                 global: vec![],
                 pattern: vec![pentagon, wheaton],
             },
             AggValue::Count(1),
         );
-        source.cells.insert(
+        source.cells_mut().insert(
             CellKey {
                 global: vec![],
                 pattern: vec![wheaton, pentagon],

@@ -64,7 +64,7 @@ pub fn regex_cuboid_governed(
             }
         }
         for (cell, c) in counts {
-            cuboid.cells.insert(
+            cuboid.cells_mut().insert(
                 CellKey {
                     global: group.key.clone(),
                     pattern: cell,

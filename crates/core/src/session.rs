@@ -193,14 +193,20 @@ impl Session {
 
     /// Steps back to the previous specification (re-executing it — usually
     /// a cuboid-repository hit). Returns `false` at the start of the
-    /// remembered history (see [`Session::history_forgotten`]).
+    /// remembered history (see [`Session::history_forgotten`]). If the
+    /// re-execution fails, the session is left as it was.
     pub fn back(&mut self) -> Result<bool> {
-        if self.history.len() < 2 {
+        let Some(prev) = self
+            .history
+            .len()
+            .checked_sub(2)
+            .and_then(|i| self.history.get(i))
+        else {
             return Ok(false);
-        }
-        self.history.pop_back();
-        let spec = self.history.back().expect("non-empty").spec.clone();
+        };
+        let spec = prev.spec.clone();
         let out = self.engine.execute_configured(&spec, &self.config)?;
+        self.history.pop_back();
         self.current = Some(spec);
         self.cuboid = Some(Arc::clone(&out.cuboid));
         Ok(true)
@@ -314,6 +320,29 @@ mod tests {
     }
 
     #[test]
+    fn failed_back_keeps_the_step() {
+        let e = engine();
+        let spec = initial(&e.db());
+        let mut s = Session::new(e);
+        // Without the repository, stepping back rebuilds the first cuboid.
+        s.config_mut().use_cuboid_repo = false;
+        s.query(spec).unwrap();
+        let cells = s.cuboid().unwrap().len() as u64;
+        assert!(cells > 0);
+        s.apply(Op::SetMinSupport(Some(1_000_000))).unwrap();
+        let here = s.spec().unwrap().fingerprint();
+        s.config_mut().budget_cells = Some(cells - 1);
+        assert_eq!(s.back().unwrap_err().code(), "resource_exhausted");
+        assert_eq!(s.history().len(), 2);
+        assert_eq!(s.spec().unwrap().fingerprint(), here);
+        assert_eq!(s.cuboid().unwrap().len(), 0);
+        s.config_mut().budget_cells = None;
+        assert!(s.back().unwrap());
+        assert_eq!(s.history().len(), 1);
+        assert_eq!(s.cuboid().unwrap().len() as u64, cells);
+    }
+
+    #[test]
     fn fresh_query_resets_spec() {
         let e = engine();
         let spec = initial(&e.db());
@@ -370,6 +399,6 @@ mod tests {
         a.config().cancel.reset();
         let out_a = a.query(spec).unwrap();
         assert_eq!(out_a.stats.strategy, "CB");
-        assert_eq!(out_a.cuboid.cells, out_b.cuboid.cells);
+        assert_eq!(out_a.cuboid.cells(), out_b.cuboid.cells());
     }
 }

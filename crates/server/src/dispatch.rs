@@ -528,7 +528,7 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
                     body,
                     "  {:>5.1}% processed → {} cells (estimated)",
                     snap.progress * 100.0,
-                    snap.estimate.cells.len()
+                    snap.estimate.cells().len()
                 );
             })?;
             body.push_str(&cuboid.tabulate(&db, 10, true));

@@ -64,7 +64,7 @@ fn main() {
     })
     .expect("online aggregation runs");
 
-    assert_eq!(final_cuboid.cells, exact.cuboid.cells);
+    assert_eq!(final_cuboid.cells(), exact.cuboid.cells());
     println!(
         "\nfinal online result is exact: {} cells",
         final_cuboid.len()

@@ -169,7 +169,8 @@ fn assert_matches_fresh(engine: &mut Engine) {
                 "oracle query must be non-trivial ({strategy:?}, agg {agg})"
             );
             assert_eq!(
-                got.cuboid.cells, want.cuboid.cells,
+                got.cuboid.cells(),
+                want.cuboid.cells(),
                 "cells diverge from fresh engine ({strategy:?}, agg {agg})"
             );
         }

@@ -222,9 +222,9 @@ proptest! {
         let dg = engine.execute(&spec).unwrap();
         prop_assert_eq!(lm.cuboid.len(), all.cuboid.len(), "same non-empty cells");
         for (k, v) in lm.cuboid.iter_sorted() {
-            let a = all.cuboid.cells.get(k).and_then(|x| x.as_count()).unwrap_or(0);
+            let a = all.cuboid.cells().get(k).and_then(|x| x.as_count()).unwrap_or(0);
             prop_assert!(v.as_count().unwrap() <= a, "cell {:?}: lm {} > all {}", k, v, a);
-            let d = dg.cuboid.cells.get(k).and_then(|x| x.as_count()).unwrap_or(0);
+            let d = dg.cuboid.cells().get(k).and_then(|x| x.as_count()).unwrap_or(0);
             prop_assert_eq!(v.as_count().unwrap(), d, "matched-go vs data-go COUNT");
         }
     }
@@ -247,7 +247,7 @@ proptest! {
 
         let sseq = engine.execute(&spec).unwrap();
         for (k, v) in sub.cuboid.iter_sorted() {
-            let s = sseq.cuboid.cells.get(k).and_then(|x| x.as_count()).unwrap_or(0);
+            let s = sseq.cuboid.cells().get(k).and_then(|x| x.as_count()).unwrap_or(0);
             prop_assert!(
                 v.as_count().unwrap() <= s,
                 "cell {:?}: substring {} > subsequence {}",
@@ -286,7 +286,7 @@ proptest! {
         let spec = spec_for(&direct_engine.db(), &case);
 
         let direct = direct_engine.execute(&spec).unwrap();
-        prop_assert_eq!(&via_ops.cuboid.cells, &direct.cuboid.cells);
+        prop_assert_eq!(&via_ops.cuboid.cells(), &direct.cuboid.cells());
     }
 
     /// The cuboid repository returns byte-identical results, and
@@ -303,6 +303,6 @@ proptest! {
         let (spec3, back) = engine.execute_op(&spec2, &Op::DeTail).unwrap();
         prop_assert_eq!(spec3.fingerprint(), spec.fingerprint());
         prop_assert!(back.stats.cuboid_cache_hit);
-        prop_assert_eq!(&first.cuboid.cells, &back.cuboid.cells);
+        prop_assert_eq!(&first.cuboid.cells(), &back.cuboid.cells());
     }
 }

@@ -63,7 +63,7 @@ fn iceberg_thresholds_nest() {
             assert!(last_cells.contains(k));
             assert!(v.as_count().unwrap() >= ms);
             // And the value matches the unfiltered cuboid exactly.
-            assert_eq!(full.cuboid.cells.get(k), Some(v));
+            assert_eq!(full.cuboid.cells().get(k), Some(v));
         }
         last_len = out.cuboid.len();
         last_cells = out
@@ -88,7 +88,7 @@ fn online_aggregation_converges_to_engine_result() {
     })
     .unwrap();
     assert!(snapshots >= 5);
-    assert_eq!(final_cuboid.cells, exact.cuboid.cells);
+    assert_eq!(final_cuboid.cells(), exact.cuboid.cells());
 }
 
 #[test]
@@ -163,8 +163,8 @@ fn incremental_day_append_equals_rebuild_through_engine() {
     let engine = Engine::new(db.clone());
     let scratch = Engine::new(db);
     assert_eq!(
-        engine.execute(&spec).unwrap().cuboid.cells,
-        scratch.execute(&spec).unwrap().cuboid.cells
+        engine.execute(&spec).unwrap().cuboid.cells(),
+        scratch.execute(&spec).unwrap().cuboid.cells()
     );
 }
 
@@ -198,8 +198,8 @@ fn bitmap_backend_agrees_on_synthetic_workload() {
         engine(Strategy::InvertedIndex),
     );
     assert_eq!(
-        cb.execute(&spec).unwrap().cuboid.cells,
-        ii.execute(&spec).unwrap().cuboid.cells
+        cb.execute(&spec).unwrap().cuboid.cells(),
+        ii.execute(&spec).unwrap().cuboid.cells()
     );
     let append = Op::Append {
         symbol: "Z".into(),
@@ -208,7 +208,7 @@ fn bitmap_backend_agrees_on_synthetic_workload() {
     };
     let (_, a) = cb.execute_op(&spec, &append).unwrap();
     let (_, b) = ii.execute_op(&spec, &append).unwrap();
-    assert_eq!(a.cuboid.cells, b.cuboid.cells);
+    assert_eq!(a.cuboid.cells(), b.cuboid.cells());
 }
 
 #[test]

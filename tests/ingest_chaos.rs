@@ -508,7 +508,8 @@ fn interleaved_stream_and_queries_match_fresh_rebuild() {
                 let want = fresh.execute(&spec).unwrap();
                 assert!(!want.cuboid.is_empty(), "oracle must be non-trivial");
                 assert_eq!(
-                    got.cuboid.cells, want.cuboid.cells,
+                    got.cuboid.cells(),
+                    want.cuboid.cells(),
                     "{strategy:?}/threads={threads}/agg={agg} diverged"
                 );
             }

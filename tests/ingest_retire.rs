@@ -199,8 +199,8 @@ fn random_interleavings_keep_only_current_entries_and_fresh_answers() {
                         let out = engine.execute_configured(&spec, cfg).unwrap();
                         let fresh = Engine::with_config(engine.db().clone(), cb.clone());
                         assert_eq!(
-                            out.cuboid.cells,
-                            fresh.execute(&spec).unwrap().cuboid.cells,
+                            out.cuboid.cells(),
+                            fresh.execute(&spec).unwrap().cuboid.cells(),
                             "{context}: {spec:?}"
                         );
                     }
@@ -211,8 +211,8 @@ fn random_interleavings_keep_only_current_entries_and_fresh_answers() {
                         let (next, out) = engine.execute_op_configured(&spec, &op, cfg).unwrap();
                         let fresh = Engine::with_config(engine.db().clone(), cb.clone());
                         assert_eq!(
-                            out.cuboid.cells,
-                            fresh.execute(&next).unwrap().cuboid.cells,
+                            out.cuboid.cells(),
+                            fresh.execute(&next).unwrap().cuboid.cells(),
                             "{context}: {op:?}"
                         );
                         spec = next;

@@ -183,7 +183,7 @@ proptest! {
         let mut spec_ii = initial_spec();
         let out_cb = cb.execute(&spec_cb).unwrap();
         let out_ii = ii.execute(&spec_ii).unwrap();
-        prop_assert_eq!(&out_cb.cuboid.cells, &out_ii.cuboid.cells, "initial");
+        prop_assert_eq!(&out_cb.cuboid.cells(), &out_ii.cuboid.cells(), "initial");
         // Cap the template length so subsequence-free journeys stay fast.
         for (step, mv) in moves.into_iter().enumerate() {
             if spec_cb.template.m() >= 5
@@ -202,8 +202,8 @@ proptest! {
             let (ns_ii, o_ii) = ii.execute_op(&spec_ii, &op).unwrap();
             prop_assert_eq!(ns_cb.fingerprint(), ns_ii.fingerprint(), "specs diverged");
             prop_assert_eq!(
-                &o_cb.cuboid.cells,
-                &o_ii.cuboid.cells,
+                &o_cb.cuboid.cells(),
+                &o_ii.cuboid.cells(),
                 "step {} ({:?}) diverged",
                 step,
                 op.name()
@@ -316,8 +316,8 @@ proptest! {
                 EngineConfig { strategy: EngineStrategy::CounterBased, ..Default::default() },
             );
             prop_assert_eq!(
-                &warm.cuboid.cells,
-                &fresh.execute(&next).unwrap().cuboid.cells,
+                &warm.cuboid.cells(),
+                &fresh.execute(&next).unwrap().cuboid.cells(),
                 "step {} ({:?}) on {}",
                 step,
                 mv,
@@ -383,7 +383,10 @@ fn a_refining_slice_reuses_the_cached_sliced_index() {
                 ..Default::default()
             },
         );
-        assert_eq!(out.cuboid.cells, cb.execute(&refined).unwrap().cuboid.cells);
+        assert_eq!(
+            out.cuboid.cells(),
+            cb.execute(&refined).unwrap().cuboid.cells()
+        );
         assert!(!out.cuboid.is_empty());
     }
 }

@@ -75,7 +75,7 @@ proptest! {
         let exact = s_olap::core::cb::counter_based(
             &db, &groups, &spec, s_olap::core::cb::CounterMode::Auto, &mut meter,
         ).unwrap();
-        prop_assert_eq!(&online.cells, &exact.cells);
+        prop_assert_eq!(&online.cells(), &exact.cells());
         prop_assert_eq!(mean_relative_error(&online, &exact), 0.0);
     }
 }

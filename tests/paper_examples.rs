@@ -262,7 +262,7 @@ fn q1_full_pipeline_on_transit_data() {
     let q1_text = q1.render(&engine.db());
     let cb_spec = parse(&cb.db(), &q1_text);
     let cb_out = cb.execute(&cb_spec).unwrap();
-    assert_eq!(cb_out.cuboid.cells, out.cuboid.cells);
+    assert_eq!(cb_out.cuboid.cells(), out.cuboid.cells());
 }
 
 /// The SUM extension of §3.2: summing fares over matched events vs the

@@ -94,7 +94,8 @@ fn reused_ancestors_are_sound_across_aggregates_and_threads() {
                 let cold = Engine::with_config(data.clone(), config(strategy, threads));
                 let expect = cold.execute(&coarse).unwrap();
                 assert_eq!(
-                    out.cuboid.cells, expect.cuboid.cells,
+                    out.cuboid.cells(),
+                    expect.cuboid.cells(),
                     "{agg:?} t={threads} vs {strategy:?}"
                 );
             }
@@ -116,15 +117,15 @@ fn planner_is_a_pure_optimizer_on_query_sets_a_and_b() {
         for ((p, c), i) in planner.steps.iter().zip(&cb.steps).zip(&ii.steps) {
             let pc = p.cuboid.as_ref().unwrap();
             assert_eq!(
-                pc.cells,
-                c.cuboid.as_ref().unwrap().cells,
+                pc.cells(),
+                c.cuboid.as_ref().unwrap().cells(),
                 "{} step {} vs CB",
                 plan.name,
                 p.label
             );
             assert_eq!(
-                pc.cells,
-                i.cuboid.as_ref().unwrap().cells,
+                pc.cells(),
+                i.cuboid.as_ref().unwrap().cells(),
                 "{} step {} vs II",
                 plan.name,
                 p.label
@@ -164,5 +165,5 @@ fn chosen_alternative_has_minimum_predicted_cost() {
     let fixed = Engine::with_config(hierarchy_db(300, 23), config(Strategy::CounterBased, 1));
     let a = fixed.execute(&base).unwrap();
     let b = engine.execute(&base).unwrap();
-    assert_eq!(a.cuboid.cells, b.cuboid.cells);
+    assert_eq!(a.cuboid.cells(), b.cuboid.cells());
 }

@@ -222,7 +222,8 @@ fn disabled_observability_changes_no_result() {
                 assert!(on.profile.detailed);
                 assert!(!off.profile.detailed, "disabled runs skip the recorder");
                 assert_eq!(
-                    on.cuboid.cells, off.cuboid.cells,
+                    on.cuboid.cells(),
+                    off.cuboid.cells(),
                     "{strategy:?} t={threads} {:?}",
                     spec.agg
                 );
