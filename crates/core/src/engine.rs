@@ -1,7 +1,6 @@
 //! The S-OLAP Engine (Figure 6): wires together the sequence cache, the
 //! index store, the cuboid repository and the two construction strategies.
 
-use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -13,11 +12,9 @@ use solap_eventdb::seqcache::SequenceCache;
 use solap_eventdb::trace::{self, TraceValue};
 use solap_eventdb::{
     fail_point, panic_message, CancelToken, Error, EventDb, EventLog, FsyncPolicy, Pred,
-    QueryGovernor, RecoveryReport, Result, RowId, Sequence, SequenceGroups, Sid, Value,
+    QueryGovernor, RecoveryReport, Result, SequenceGroups, Value,
 };
 use solap_index::{IndexKey, IndexStore};
-
-use crate::incremental;
 
 use crate::cb::{counter_based_governed, counter_based_parallel_governed, CounterMode};
 use crate::cuboid::SCuboid;
@@ -340,48 +337,21 @@ impl EngineBuilder {
 /// the write side briefly.
 pub type DbGuard<'a> = RwLockReadGuard<'a, EventDb>;
 
-/// How many recently executed specs the engine remembers for incremental
-/// cache maintenance on the store path.
-const LIVE_SPECS_CAP: usize = 32;
-
-/// What one acknowledged [`Engine::append_events`] batch did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreReport {
-    /// Events appended.
-    pub appended: usize,
-    /// Database version after the append.
-    pub version: u64,
-    /// Whether the batch was committed to the write-ahead log (per the
-    /// fsync policy) before it was applied or acknowledged.
-    pub durable: bool,
-    /// Cached sequence-group sets carried forward incrementally (§6).
-    pub groups_extended: usize,
-    /// Stored inverted indices carried forward incrementally (§6).
-    pub indexes_extended: usize,
-    /// Cached sequence-group sets abandoned because the batch touched an
-    /// existing cluster ([`Error::ClusterInvalidated`]) or the extension
-    /// failed — the next query rebuilds them from scratch.
-    pub rebuild_fallbacks: usize,
-    /// Superseded-version entries retired from the sequence cache, the
-    /// index store and the cuboid repository after the carry-forward.
-    pub entries_retired: usize,
-}
-
 /// The S-OLAP engine.
 pub struct Engine {
-    db: RwLock<EventDb>,
+    pub(crate) db: RwLock<EventDb>,
     /// The durable event log, when built with [`EngineBuilder::durable`].
     /// Doubles as the ingest lock: appends hold it end to end, so WAL
     /// order always equals database order.
-    log: Mutex<Option<EventLog>>,
+    pub(crate) log: Mutex<Option<EventLog>>,
     recovery: Option<RecoveryReport>,
-    config: EngineConfig,
-    seq_cache: SequenceCache,
-    index_store: IndexStore,
-    cuboid_repo: CuboidRepo,
+    pub(crate) config: EngineConfig,
+    pub(crate) seq_cache: SequenceCache,
+    pub(crate) index_store: IndexStore,
+    pub(crate) cuboid_repo: CuboidRepo,
     /// Recently executed specs (MRU last), the candidates for incremental
-    /// cache maintenance when events are appended.
-    live: Mutex<Vec<SCuboidSpec>>,
+    /// cache maintenance when events are appended (`core::ingest`).
+    pub(crate) live: Mutex<Vec<SCuboidSpec>>,
     /// Calibrated unit costs driving [`Strategy::Auto`] planning.
     cost_model: CostModel,
     /// Where [`Engine::sync`] persists the cost model (durable engines).
@@ -444,232 +414,6 @@ impl Engine {
         match self.log.lock().as_mut() {
             Some(log) => log.sync(),
             None => Ok(()),
-        }
-    }
-
-    /// Appends a batch of events under the engine defaults — see
-    /// [`Engine::append_events_configured`].
-    pub fn append_events(&self, rows: &[Vec<Value>]) -> Result<StoreReport> {
-        self.append_events_configured(rows, &self.config)
-    }
-
-    /// Appends a batch of events through `&self` — the serving-path write
-    /// API behind the query language's `STORE` statement.
-    ///
-    /// The batch is validated against the schema first, then (on durable
-    /// engines) committed to the write-ahead log — group commit, fsynced
-    /// per the [`FsyncPolicy`] — and only then applied to the in-memory
-    /// database, so a WAL-committed batch can never fail to apply and an
-    /// acknowledged batch is durable. Appends are serialised (WAL order
-    /// equals database order); concurrent queries keep reading the
-    /// pre-append snapshot until the brief write-lock window.
-    ///
-    /// After the append, cached derivations of recently executed specs are
-    /// carried forward incrementally (§6 "Incremental Update") where the
-    /// invariants allow; a batch that lands in an existing cluster trips
-    /// [`Error::ClusterInvalidated`] internally and falls back to
-    /// rebuild-on-next-query (counted in the report, never an error).
-    /// Then every entry of the sequence cache, the index store and the
-    /// cuboid repository stamped with an older database version is
-    /// retired, so the caches hold only what a lookup can still hit.
-    /// Runs under the configured [`QueryGovernor`] limits and the same
-    /// panic isolation as [`Engine::execute`].
-    pub fn append_events_configured(
-        &self,
-        rows: &[Vec<Value>],
-        config: &EngineConfig,
-    ) -> Result<StoreReport> {
-        self.isolated(|| self.append_inner(rows, config))
-    }
-
-    fn append_inner(&self, rows: &[Vec<Value>], config: &EngineConfig) -> Result<StoreReport> {
-        let gov = Engine::governor(config);
-        let recorder = if metrics::enabled() {
-            Some(QueryRecorder::default())
-        } else {
-            None
-        };
-        // One ingest at a time: the log mutex serialises writers end to
-        // end, so WAL order always equals database order.
-        let mut log = self.log.lock();
-        {
-            let db = self.db.read();
-            for row in rows {
-                gov.tick()?;
-                db.validate_row(row)?;
-            }
-        }
-        // Durability point: the validated batch is WAL-committed (and
-        // fsynced per policy) before it is applied or acknowledged.
-        let mut durable = false;
-        let (mut wal_fsyncs, mut wal_rotations) = (0, 0);
-        if let Some(log) = log.as_mut() {
-            let (f0, r0) = (log.fsyncs(), log.rotations());
-            log.append_batch(rows)?;
-            wal_fsyncs = log.fsyncs() - f0;
-            wal_rotations = log.rotations() - r0;
-            durable = true;
-        }
-        // Apply. A validated row cannot fail to push, so the database
-        // never falls behind a WAL-committed batch.
-        let (old_version, from_row, new_version);
-        {
-            let mut db = self.db.write();
-            old_version = db.version();
-            from_row = db.len() as RowId;
-            for row in rows {
-                db.push_row(row)?;
-            }
-            new_version = db.version();
-        }
-        let mut report = StoreReport {
-            appended: rows.len(),
-            version: new_version,
-            durable,
-            ..Default::default()
-        };
-        {
-            let db = self.db.read();
-            if new_version != old_version {
-                self.maintain_caches(&db, old_version, new_version, from_row, &mut report);
-            }
-            // Retire only now, once the carry-forward has read the entries
-            // it extends: no lookup asks for an older version again.
-            report.entries_retired = self.seq_cache.retire_before(new_version)
-                + self.index_store.retire_before(new_version)
-                + self.cuboid_repo.retire_before(new_version);
-        }
-        if let Some(rec) = &recorder {
-            if !rows.is_empty() {
-                rec.add(Counter::StoreEvents, rows.len() as u64);
-                rec.add(Counter::WalFsyncs, wal_fsyncs);
-                rec.add(Counter::WalRotations, wal_rotations);
-                rec.add(Counter::IngestGroupsExtended, report.groups_extended as u64);
-                rec.add(
-                    Counter::IngestIndexesExtended,
-                    report.indexes_extended as u64,
-                );
-                rec.add(
-                    Counter::IngestRebuildFallbacks,
-                    report.rebuild_fallbacks as u64,
-                );
-                rec.add(Counter::IngestEntriesRetired, report.entries_retired as u64);
-                rec.add(Counter::GovernorTicks, gov.events_ticked());
-                metrics::global().record(&QueryProfile::from_recorder(rec));
-            }
-        }
-        Ok(report)
-    }
-
-    /// Carries cached derivations of recently executed specs forward to
-    /// the post-append database version where the incremental-update
-    /// invariants (§6) allow. Best-effort by design: correctness comes
-    /// from version-keyed cache lookups, so a skipped spec simply
-    /// rebuilds on its next query — this only decides *rebuild vs
-    /// extend*, never *right vs wrong*.
-    fn maintain_caches(
-        &self,
-        db: &EventDb,
-        old_version: u64,
-        new_version: u64,
-        from_row: RowId,
-        report: &mut StoreReport,
-    ) {
-        let live: Vec<SCuboidSpec> = self.live.lock().clone();
-        for spec in &live {
-            let Some(old_groups) = self.seq_cache.cached(&spec.seq, old_version) else {
-                continue;
-            };
-            match incremental::extend_groups(db, &spec.seq, &old_groups, from_row) {
-                Ok((extended, new_sids)) => {
-                    let renumbered = new_sids
-                        .iter()
-                        .any(|&sid| (sid as usize) < old_groups.total_sequences);
-                    let extended = Arc::new(extended);
-                    self.seq_cache
-                        .put(&spec.seq, new_version, Arc::clone(&extended));
-                    report.groups_extended += 1;
-                    if renumbered {
-                        // Existing sids shifted: the stored per-group
-                        // indices no longer line up, so leave them to be
-                        // retired and rebuild on demand.
-                        continue;
-                    }
-                    report.indexes_extended += self.carry_indexes_forward(
-                        db,
-                        spec,
-                        &extended,
-                        &new_sids,
-                        old_version,
-                        new_version,
-                    );
-                }
-                // ClusterInvalidated (the batch extends a cluster that
-                // already has sequences) or any other extension failure:
-                // drop the carry-forward, rebuild on the next query.
-                Err(_) => report.rebuild_fallbacks += 1,
-            }
-        }
-    }
-
-    /// Extends the stored base inverted indices of `spec` (one per
-    /// sequence group, unsliced) with the newly appended sequences and
-    /// re-keys them under the post-append database version. Returns how
-    /// many indices were carried forward.
-    fn carry_indexes_forward(
-        &self,
-        db: &EventDb,
-        spec: &SCuboidSpec,
-        extended: &SequenceGroups,
-        new_sids: &[Sid],
-        old_version: u64,
-        new_version: u64,
-    ) -> usize {
-        let groups_fp = spec.seq.fingerprint();
-        let sig = spec.template.signature();
-        let fresh_sids: HashSet<Sid> = new_sids.iter().copied().collect();
-        let mut carried = 0;
-        for (group_idx, group) in extended.groups.iter().enumerate() {
-            let key = IndexKey::unsliced(groups_fp, old_version, group_idx, sig.clone());
-            let Some(base) = self.index_store.get(&key) else {
-                continue;
-            };
-            let fresh: Vec<Sequence> = group
-                .sequences
-                .iter()
-                .filter(|s| fresh_sids.contains(&s.sid))
-                .cloned()
-                .collect();
-            let next = if fresh.is_empty() {
-                base
-            } else {
-                match incremental::extend_index(db, &base, &fresh, &spec.template) {
-                    Ok(ix) => Arc::new(ix),
-                    Err(_) => continue,
-                }
-            };
-            self.index_store.insert(
-                IndexKey::unsliced(groups_fp, new_version, group_idx, sig.clone()),
-                next,
-            );
-            carried += 1;
-        }
-        carried
-    }
-
-    /// Remembers `spec` as recently executed (MRU, bounded) so the store
-    /// path knows which cached derivations are worth carrying forward.
-    fn remember_live_spec(&self, spec: &SCuboidSpec) {
-        let mut live = self.live.lock();
-        let fp = spec.fingerprint();
-        if let Some(i) = live.iter().position(|s| s.fingerprint() == fp) {
-            let s = live.remove(i);
-            live.push(s);
-            return;
-        }
-        live.push(spec.clone());
-        if live.len() > LIVE_SPECS_CAP {
-            live.remove(0);
         }
     }
 
@@ -868,7 +612,7 @@ impl Engine {
     /// Converts a panic escaping `f` into [`Error::Internal`]. The caches
     /// the closure touches insert on success only and their locks recover
     /// from poisoning, so unwinding cannot leave partial state behind.
-    fn isolated<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    pub(crate) fn isolated<T>(&self, f: impl FnOnce() -> Result<T>) -> Result<T> {
         match catch_unwind(AssertUnwindSafe(f)) {
             Ok(r) => r,
             Err(p) => Err(Error::Internal(format!(
@@ -879,7 +623,7 @@ impl Engine {
     }
 
     /// A fresh governor for one query, from the given configuration.
-    fn governor(config: &EngineConfig) -> QueryGovernor {
+    pub(crate) fn governor(config: &EngineConfig) -> QueryGovernor {
         QueryGovernor::new(
             config.timeout,
             config.budget_cells,
@@ -1247,12 +991,12 @@ impl Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use solap_eventdb::{AttrLevel, CmpOp, ColumnType, EventDbBuilder, SortKey, Value};
     use solap_pattern::{CellRestriction, MatchPred, PatternKind, PatternTemplate};
 
-    fn fig8_engine(config: EngineConfig) -> Engine {
+    pub(crate) fn fig8_engine(config: EngineConfig) -> Engine {
         let mut db = EventDbBuilder::new()
             .dimension("sid", ColumnType::Int)
             .dimension("pos", ColumnType::Int)
@@ -1292,7 +1036,7 @@ mod tests {
         Engine::with_config(db, config)
     }
 
-    fn q3(db: &EventDb) -> SCuboidSpec {
+    pub(crate) fn q3(db: &EventDb) -> SCuboidSpec {
         let t = PatternTemplate::new(
             PatternKind::Substring,
             &["X", "Y"],
@@ -1679,181 +1423,5 @@ mod tests {
         let a = e.execute(&qa).unwrap();
         let b = ii.execute(&qb).unwrap();
         assert_eq!(a.cuboid.cells(), b.cuboid.cells());
-    }
-
-    /// An event row in the Figure-8 schema: `(sid, pos, location, action)`
-    /// with actions alternating in/out like the seed data.
-    fn ev(sid: i64, pos: i64, station: &str) -> Vec<Value> {
-        let action = if pos % 2 == 0 { "in" } else { "out" };
-        vec![
-            Value::Int(sid),
-            Value::Int(pos),
-            Value::from(station),
-            Value::from(action),
-        ]
-    }
-
-    #[test]
-    fn append_new_cluster_extends_live_caches() {
-        let e = fig8_engine(EngineConfig {
-            strategy: Strategy::InvertedIndex,
-            ..Default::default()
-        });
-        let spec = q3(&e.db());
-        e.execute(&spec).unwrap(); // registers the live spec + caches
-        let report = e
-            .append_events(&[ev(9, 0, "Pentagon"), ev(9, 1, "Wheaton")])
-            .unwrap();
-        assert_eq!(report.appended, 2);
-        assert!(!report.durable, "in-memory engine has no WAL");
-        assert_eq!(report.groups_extended, 1, "cached groups carried forward");
-        assert_eq!(report.rebuild_fallbacks, 0);
-        assert!(report.indexes_extended >= 1, "base II carried forward");
-        // Groups, base index and cuboid of the superseded version retired.
-        assert!(report.entries_retired >= 3, "{report:?}");
-        assert_only_current(&e);
-        // The carried-forward caches must answer identically to a fresh
-        // engine rebuilt over the same post-append data.
-        let after = e.execute(&spec).unwrap();
-        let fresh = Engine::with_config(
-            e.db().clone(),
-            EngineConfig {
-                strategy: Strategy::InvertedIndex,
-                ..Default::default()
-            },
-        );
-        let expect = fresh.execute(&spec).unwrap();
-        assert_eq!(after.cuboid.cells(), expect.cuboid.cells());
-    }
-
-    #[test]
-    fn append_into_existing_cluster_falls_back_to_rebuild() {
-        let e = fig8_engine(EngineConfig::default());
-        let spec = q3(&e.db());
-        e.execute(&spec).unwrap();
-        // Sid 0 already has sequences: extension trips ClusterInvalidated
-        // and the engine abandons the carry-forward instead of corrupting
-        // the cache.
-        let report = e.append_events(&[ev(0, 99, "Glenmont")]).unwrap();
-        assert_eq!(report.appended, 1);
-        assert_eq!(report.groups_extended, 0);
-        assert_eq!(report.rebuild_fallbacks, 1);
-        // Retirement runs even when every live spec fell back.
-        assert!(report.entries_retired >= 3, "{report:?}");
-        assert_only_current(&e);
-        let after = e.execute(&spec).unwrap();
-        let fresh = Engine::new(e.db().clone());
-        assert_eq!(
-            after.cuboid.cells(),
-            fresh.execute(&spec).unwrap().cuboid.cells(),
-            "rebuild-on-demand must see the appended event"
-        );
-    }
-
-    /// Each version-stamped cache holds entries of `e`'s current database
-    /// version only (or nothing).
-    fn assert_only_current(e: &Engine) {
-        let v = e.db().version();
-        for (name, span) in [
-            ("sequence cache", e.sequence_cache().versions()),
-            ("index store", e.index_store().versions()),
-            ("cuboid repo", e.cuboid_repo().versions()),
-        ] {
-            assert!(
-                span.is_none_or(|(lo, _)| lo >= v),
-                "{name} holds {span:?} at {v}"
-            );
-        }
-    }
-
-    #[test]
-    fn store_retires_even_without_live_specs() {
-        let e = fig8_engine(EngineConfig::default());
-        let spec = q3(&e.db());
-        // Precomputation fills the sequence cache and the index store
-        // without registering a live spec: nothing is carried forward.
-        e.precompute_index(&spec, 2, 0, 2).unwrap();
-        let cached = e.sequence_cache().len() + e.index_store().len();
-        assert!(cached >= 2);
-        let report = e.append_events(&[ev(9, 0, "Pentagon")]).unwrap();
-        assert_eq!(report.groups_extended, 0);
-        assert_eq!(report.entries_retired, cached);
-        assert!(e.sequence_cache().is_empty() && e.index_store().is_empty());
-    }
-
-    #[test]
-    fn explain_and_store_leave_sequence_cache_stats_unchanged() {
-        let e = fig8_engine(EngineConfig::default());
-        let spec = q3(&e.db());
-        e.execute(&spec).unwrap();
-        let before = e.sequence_cache().stats();
-        e.explain(&spec).unwrap();
-        // The carry-forward probes the pre-append groups and re-inserts
-        // them extended: neither is a lookup.
-        let report = e.append_events(&[ev(9, 0, "Pentagon")]).unwrap();
-        assert_eq!(report.groups_extended, 1);
-        assert_eq!(e.sequence_cache().stats(), before);
-    }
-
-    #[test]
-    fn append_rejects_invalid_rows_atomically() {
-        let e = fig8_engine(EngineConfig::default());
-        // Two statements, not one tuple: each `db()` guard must drop
-        // before the next read of the same lock.
-        let len0 = e.db().len();
-        let v0 = e.db().version();
-        let bad = vec![Value::Int(1)]; // wrong arity
-        let err = e.append_events(&[ev(5, 0, "Pentagon"), bad]).unwrap_err();
-        assert_eq!(err.code(), "arity_mismatch");
-        assert_eq!(e.db().len(), len0, "no partial batch applied");
-        assert_eq!(e.db().version(), v0, "version untouched on rejection");
-    }
-
-    #[test]
-    fn append_empty_batch_is_a_noop() {
-        let e = fig8_engine(EngineConfig::default());
-        let v0 = e.db().version();
-        let report = e.append_events(&[]).unwrap();
-        assert_eq!(report.appended, 0);
-        assert_eq!(report.version, v0);
-        assert_eq!(e.db().version(), v0);
-    }
-
-    #[test]
-    fn durable_engine_persists_and_recovers() {
-        let dir = std::env::temp_dir().join(format!("solap-engine-durable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let schema = || {
-            EventDbBuilder::new()
-                .dimension("sid", ColumnType::Int)
-                .dimension("pos", ColumnType::Int)
-                .dimension("location", ColumnType::Str)
-                .dimension("action", ColumnType::Str)
-                .build()
-                .unwrap()
-        };
-        {
-            let e = Engine::builder(schema())
-                .durable_with_policy(&dir, solap_eventdb::FsyncPolicy::Always)
-                .unwrap()
-                .build();
-            assert!(e.is_durable());
-            assert_eq!(e.recovery_report().unwrap().wal_events, 0);
-            let report = e
-                .append_events(&[ev(1, 0, "Pentagon"), ev(1, 1, "Wheaton")])
-                .unwrap();
-            assert!(report.durable);
-            e.sync().unwrap();
-        }
-        let e = Engine::builder(schema())
-            .durable_with_policy(&dir, solap_eventdb::FsyncPolicy::Always)
-            .unwrap()
-            .build();
-        assert_eq!(e.db().len(), 2, "acknowledged events survive reopen");
-        assert_eq!(e.recovery_report().unwrap().wal_events, 2);
-        let spec = q3(&e.db());
-        let out = e.execute(&spec).unwrap();
-        assert_eq!(out.stats.sequences_scanned, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -27,9 +27,12 @@
 //!   navigation state.
 //! * [`lattice`] — the S-cube partial order (§3.4) and its
 //!   non-summarizability.
-//! * §6 extensions: [`iceberg`] (minimum-support cells), [`online`]
-//!   (online aggregation with periodic approximate refreshes) and
-//!   [`incremental`] (appending a new day of events without full rebuild).
+//! * §6 extensions: [`iceberg`] (minimum-support cells) and [`online`]
+//!   (online aggregation with periodic approximate refreshes).
+//! * [`ingest`] — the store path (`STORE`): stage → carry → publish →
+//!   retire, carrying cached sequence groups and inverted indices forward
+//!   over a new day of events without a full rebuild (§6 "Incremental
+//!   Update").
 //! * [`plan`] — cost-based planning over the S-cube lattice: a calibrated
 //!   [`plan::CostModel`], a [`plan::Planner`] that enumerates CB / II /
 //!   ancestor-reuse alternatives, and the index-materialization advisor
@@ -46,7 +49,7 @@ pub mod engine;
 pub mod federation;
 pub mod iceberg;
 pub mod ii;
-pub mod incremental;
+pub mod ingest;
 pub mod lattice;
 pub mod online;
 pub mod ops;
@@ -58,9 +61,8 @@ pub mod spec;
 pub mod stats;
 
 pub use cuboid::{CellKey, SCuboid};
-pub use engine::{
-    DbGuard, Engine, EngineBuilder, EngineConfig, QueryOutput, StoreReport, Strategy,
-};
+pub use engine::{DbGuard, Engine, EngineBuilder, EngineConfig, QueryOutput, Strategy};
+pub use ingest::StoreReport;
 pub use ops::Op;
 pub use plan::{
     CostEstimate, CostModel, PlanAlternative, PlanChoice, PlanContext, PlanReport, Planner,

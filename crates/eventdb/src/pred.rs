@@ -191,11 +191,9 @@ fn compare(db: &EventDb, row: RowId, attr: AttrId, lit: &Value) -> Result<Orderi
         }
         ColumnType::Float => {
             let l = lit.as_float().ok_or_else(mismatch)?;
-            Ok(db
-                .float(row, attr)
-                .expect("float column")
-                .partial_cmp(&l)
-                .unwrap_or(Ordering::Equal))
+            // IEEE 754 totalOrder (DESIGN §4): a stored NaN equals no
+            // number and sorts after +∞.
+            Ok(db.float(row, attr).expect("float column").total_cmp(&l))
         }
         ColumnType::Str => {
             let l = lit.as_str().ok_or_else(mismatch)?;
@@ -274,6 +272,28 @@ mod tests {
         // Int literal coerces against float column.
         let r = Pred::cmp(2, CmpOp::Ge, Value::Int(100));
         assert!(r.eval(&db, 2).unwrap());
+    }
+
+    #[test]
+    fn stored_nan_is_unequal_to_every_literal() {
+        let mut db = db();
+        db.push_row(&[
+            Value::Time(0),
+            Value::from("Wheaton"),
+            Value::Float(f64::NAN),
+        ])
+        .unwrap();
+        let nan = 3;
+        let holds = |op, lit: f64| Pred::cmp(2, op, Value::Float(lit)).eval(&db, nan).unwrap();
+        // A NaN was `Equal` to everything: `=`, `<=`, `>=` held, `<>` failed.
+        assert!(!holds(CmpOp::Eq, 5.0));
+        assert!(holds(CmpOp::Ne, 5.0));
+        // Under totalOrder it sorts after every number, +∞ included.
+        assert!(holds(CmpOp::Gt, f64::INFINITY));
+        assert!(!holds(CmpOp::Le, 5.0));
+        assert!(!Pred::cmp(2, CmpOp::Eq, Value::Int(5))
+            .eval(&db, nan)
+            .unwrap());
     }
 
     #[test]

@@ -4,6 +4,15 @@
 //! as scalar [`Value`]s or — the hot path for the S-OLAP engines — as
 //! [`LevelValue`]s: the value of a dimension at a chosen abstraction level
 //! of its concept hierarchy ([`EventDb::value_at_level`]).
+//!
+//! Appending is two steps. [`EventDb::stage_rows`] pushes a batch behind the
+//! *published prefix* without changing [`EventDb::len`] or
+//! [`EventDb::version`]; [`EventDb::publish`] then moves the prefix to the
+//! end of the staged rows in one step. Every reader stops at `len()`, so a
+//! writer can derive state from staged rows (the engine's carry-forward)
+//! while readers keep seeing the version before them.
+
+use std::ops::Range;
 
 use crate::dict::Dictionary;
 use crate::error::{Error, Result};
@@ -35,6 +44,14 @@ impl ColumnData {
         }
     }
 
+    fn truncate(&mut self, len: usize) {
+        match self {
+            ColumnData::Int(v) | ColumnData::Time(v) => v.truncate(len),
+            ColumnData::Float(v) => v.truncate(len),
+            ColumnData::Str { data, .. } => data.truncate(len),
+        }
+    }
+
     fn heap_bytes(&self) -> usize {
         match self {
             ColumnData::Int(v) | ColumnData::Time(v) => v.len() * 8,
@@ -45,14 +62,38 @@ impl ColumnData {
 }
 
 /// The in-memory event database (Figure 1 of the paper).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventDb {
     schema: Schema,
     cols: Vec<ColumnData>,
     hierarchies: Vec<Hierarchy>,
     base_level_names: Vec<Option<String>>,
+    /// Published rows: what every reader sees.
     len: usize,
+    /// Rows pushed past `len` by [`EventDb::stage_rows`], not yet published.
+    staged: usize,
     version: u64,
+}
+
+impl Clone for EventDb {
+    /// Clones the published state; a staged tail is not copied.
+    fn clone(&self) -> Self {
+        let mut cols = self.cols.clone();
+        if self.staged > 0 {
+            for col in &mut cols {
+                col.truncate(self.len);
+            }
+        }
+        EventDb {
+            schema: self.schema.clone(),
+            cols,
+            hierarchies: self.hierarchies.clone(),
+            base_level_names: self.base_level_names.clone(),
+            len: self.len,
+            staged: 0,
+            version: self.version,
+        }
+    }
 }
 
 impl EventDb {
@@ -70,6 +111,7 @@ impl EventDb {
             hierarchies: vec![Hierarchy::None; n],
             base_level_names: vec![None; n],
             len: 0,
+            staged: 0,
             version: 0,
         }
     }
@@ -79,7 +121,7 @@ impl EventDb {
         &self.schema
     }
 
-    /// Number of events.
+    /// Number of published events.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -89,10 +131,21 @@ impl EventDb {
         self.len == 0
     }
 
-    /// A monotonically increasing version, bumped on every mutation. Cache
-    /// keys embed it so that appends invalidate derived artifacts.
+    /// A monotonically increasing version, bumped on every mutation (once
+    /// per appended row, when it is published). Cache keys embed it so that
+    /// appends invalidate derived artifacts.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The rows staged behind the published prefix: `len()..` their end.
+    pub fn staged_rows(&self) -> Range<RowId> {
+        self.len as RowId..(self.len + self.staged) as RowId
+    }
+
+    /// The version [`EventDb::publish`] will move to.
+    pub fn staged_version(&self) -> u64 {
+        self.version + self.staged as u64
     }
 
     /// Resolves an attribute name.
@@ -133,27 +186,53 @@ impl EventDb {
         Ok(())
     }
 
-    /// Appends one event. Values must match the column types positionally;
-    /// `Int` literals are accepted for `Time` and `Float` columns, and
-    /// parseable string literals are accepted for `Time` columns.
+    /// Appends one event and publishes it: [`EventDb::stage_rows`] then
+    /// [`EventDb::publish`]. Values must match the column types
+    /// positionally; `Int` literals are accepted for `Time` and `Float`
+    /// columns, and parseable string literals are accepted for `Time`
+    /// columns.
     pub fn push_row(&mut self, values: &[Value]) -> Result<RowId> {
-        // Validate before mutating so a failed push leaves the store intact.
-        self.validate_row(values)?;
-        for (i, v) in values.iter().enumerate() {
-            match &mut self.cols[i] {
-                ColumnData::Int(col) => col.push(v.as_int().expect("validated")),
-                ColumnData::Float(col) => col.push(v.as_float().expect("validated")),
-                ColumnData::Time(col) => col.push(v.as_time().expect("validated")),
-                ColumnData::Str { dict, data } => {
-                    let id = dict.intern(v.as_str().expect("validated"));
-                    data.push(id);
+        let rows = self.stage_rows(&[values])?;
+        self.publish();
+        Ok(rows.start)
+    }
+
+    /// Pushes a batch behind the published prefix without changing
+    /// [`EventDb::len`] or [`EventDb::version`], returning the rows it
+    /// occupies. The whole batch is validated first, so a rejected batch
+    /// leaves the store untouched. Staged rows are readable by row id (the
+    /// writer derives from them) but invisible to everything bounded by
+    /// `len()` until [`EventDb::publish`].
+    pub fn stage_rows<R: AsRef<[Value]>>(&mut self, rows: &[R]) -> Result<Range<RowId>> {
+        for values in rows {
+            self.validate_row(values.as_ref())?;
+        }
+        let start = self.staged_rows().end;
+        for values in rows {
+            for (i, v) in values.as_ref().iter().enumerate() {
+                match &mut self.cols[i] {
+                    ColumnData::Int(col) => col.push(v.as_int().expect("validated")),
+                    ColumnData::Float(col) => col.push(v.as_float().expect("validated")),
+                    ColumnData::Time(col) => col.push(v.as_time().expect("validated")),
+                    ColumnData::Str { dict, data } => {
+                        let id = dict.intern(v.as_str().expect("validated"));
+                        data.push(id);
+                    }
                 }
             }
         }
-        let row = self.len as RowId;
-        self.len += 1;
-        self.version += 1;
-        Ok(row)
+        self.staged += rows.len();
+        Ok(start..self.staged_rows().end)
+    }
+
+    /// Publishes every staged row at once: `len()` moves to the end of the
+    /// staged rows and the version advances by one per row. Returns the new
+    /// version.
+    pub fn publish(&mut self) -> u64 {
+        self.len += self.staged;
+        self.version += self.staged as u64;
+        self.staged = 0;
+        self.version
     }
 
     /// Reads an event attribute back as a scalar [`Value`].
@@ -667,9 +746,9 @@ impl EventDb {
         for &(attr, asc) in keys {
             let ord = match &self.cols[attr as usize] {
                 ColumnData::Int(v) | ColumnData::Time(v) => v[a as usize].cmp(&v[b as usize]),
-                ColumnData::Float(v) => v[a as usize]
-                    .partial_cmp(&v[b as usize])
-                    .unwrap_or(Ordering::Equal),
+                // IEEE 754 totalOrder (DESIGN §4): NaN is a value, so a
+                // sort over a column holding one stays a total order.
+                ColumnData::Float(v) => v[a as usize].total_cmp(&v[b as usize]),
                 ColumnData::Str { dict, data } => {
                     let (x, y) = (data[a as usize], data[b as usize]);
                     if x == y {
@@ -986,6 +1065,79 @@ mod tests {
         assert_eq!(db.cmp_rows(0, 1, &[(1, true)]), Ordering::Less);
         // String ordering is lexicographic, not id-order.
         assert_eq!(db.cmp_rows(0, 1, &[(2, true)]), Ordering::Less); // Glenmont < Pentagon
+    }
+
+    #[test]
+    fn nan_floats_sort_as_a_total_order() {
+        // One cluster of 5,000 events whose sort key is NaN every third
+        // row: a comparator that calls NaN `Equal` to everything is not a
+        // total order, and the standard sort panics on it.
+        let mut db = EventDbBuilder::new()
+            .dimension("sid", ColumnType::Int)
+            .measure("score", ColumnType::Float)
+            .build()
+            .unwrap();
+        for i in 0..5_000i64 {
+            let score = if i % 3 == 0 {
+                f64::NAN
+            } else {
+                ((i * 7919) % 1000) as f64
+            };
+            db.push_row(&[Value::Int(0), Value::Float(score)]).unwrap();
+        }
+        let spec = crate::SeqQuerySpec {
+            filter: crate::Pred::True,
+            cluster_by: vec![crate::AttrLevel::new(0, 0)],
+            sequence_by: vec![crate::SortKey {
+                attr: 1,
+                ascending: true,
+            }],
+            group_by: vec![],
+        };
+        let groups = crate::build_sequence_groups(&db, &spec).unwrap();
+        let rows = &groups.iter_sequences().next().unwrap().rows;
+        assert_eq!(rows.len(), 5_000);
+        let scores: Vec<f64> = rows.iter().map(|&r| db.float(r, 1).unwrap()).collect();
+        assert!(scores.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+        // NaNs sort last, in row order.
+        assert!(scores[..3_333].iter().all(|s| !s.is_nan()));
+        assert!(rows[3_333..].windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn staged_rows_stay_invisible_until_published() {
+        let mut db = transit_db();
+        let (len, version) = (db.len(), db.version());
+        let row = |station: &str| {
+            vec![
+                Value::Time(0),
+                Value::Int(9),
+                Value::from(station),
+                Value::from("in"),
+                Value::Float(1.0),
+            ]
+        };
+        let staged = db.stage_rows(&[row("Wheaton"), row("Glenmont")]).unwrap();
+        assert_eq!(staged, len as RowId..len as RowId + 2);
+        assert_eq!((db.len(), db.version()), (len, version));
+        assert_eq!(db.staged_rows(), staged);
+        assert_eq!(db.staged_version(), version + 2);
+        // The writer reads what it staged by row id.
+        assert_eq!(db.value(staged.start + 1, 2), Value::from("Glenmont"));
+        let copy = db.clone();
+        assert_eq!((copy.len(), copy.version()), (len, version));
+        assert!(
+            copy.staged_rows().is_empty(),
+            "a clone is the published state"
+        );
+        // A rejected batch stages nothing, even after valid rows.
+        assert!(db
+            .stage_rows(&[row("Wheaton"), vec![Value::Int(1)]])
+            .is_err());
+        assert_eq!(db.staged_rows(), staged);
+        assert_eq!(db.publish(), version + 2);
+        assert_eq!((db.len(), db.version()), (len + 2, version + 2));
+        assert!(db.staged_rows().is_empty());
     }
 
     #[test]

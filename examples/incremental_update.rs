@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example incremental_update`
 
-use s_olap::core::incremental::{extend_groups, extend_index};
+use s_olap::core::ingest::{extend_groups, extend_index};
 use s_olap::index::build_index;
 use s_olap::prelude::*;
 
@@ -76,7 +76,8 @@ fn main() {
 
     // Incrementally extend the sequence groups and the inverted index.
     let (extended_groups, new_sids) =
-        extend_groups(&db, &seq_spec, &groups, from_row).expect("day 6 forms only new clusters");
+        extend_groups(&db, &seq_spec, &groups, from_row..db.len() as u32)
+            .expect("day 6 forms only new clusters");
     let new_seqs: Vec<_> = new_sids
         .iter()
         .map(|&sid| extended_groups.sequence(sid).expect("fresh sid").clone())

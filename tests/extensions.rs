@@ -3,7 +3,7 @@
 //! bitmap-encoded inverted lists — each verified against the exact
 //! baseline.
 
-use s_olap::core::incremental::{extend_groups, extend_index};
+use s_olap::core::ingest::{extend_groups, extend_index};
 use s_olap::core::online::online_count;
 use s_olap::index::{build_index, SidSet};
 use s_olap::prelude::*;
@@ -134,7 +134,8 @@ fn incremental_day_append_equals_rebuild_through_engine() {
                 .unwrap();
         }
     }
-    let (new_groups, new_sids) = extend_groups(&db, &seq_spec, &old_groups, from_row).unwrap();
+    let (new_groups, new_sids) =
+        extend_groups(&db, &seq_spec, &old_groups, from_row..db.len() as u32).unwrap();
     let fresh: Vec<_> = new_sids
         .iter()
         .map(|&sid| new_groups.sequence(sid).unwrap().clone())
