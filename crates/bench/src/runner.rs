@@ -342,14 +342,12 @@ mod tests {
         for s in &r.steps {
             let p = s.profile.as_ref().expect("executed steps have profiles");
             assert_eq!(p.strategy, s.strategy, "step {}", s.label);
-            if p.detailed {
-                assert_eq!(
-                    p.counter(solap_eventdb::Counter::CellsMaterialized),
-                    s.cells as u64,
-                    "step {}",
-                    s.label
-                );
-            }
+            assert_eq!(
+                p.counter(solap_eventdb::Counter::CellsMaterialized),
+                s.cells as u64,
+                "step {}",
+                s.label
+            );
         }
     }
 }

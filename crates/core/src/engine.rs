@@ -9,7 +9,6 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use solap_eventdb::metrics::{self, Counter, QueryProfile, QueryRecorder};
 use solap_eventdb::seqcache::SequenceCache;
-use solap_eventdb::trace::{self, TraceValue};
 use solap_eventdb::{
     fail_point, panic_message, CancelToken, Error, EventDb, EventLog, FsyncPolicy, Pred,
     QueryGovernor, RecoveryReport, Result, SequenceGroups, Value,
@@ -112,8 +111,7 @@ pub struct QueryOutput {
     pub cuboid: Arc<SCuboid>,
     /// What it cost.
     pub stats: ExecStats,
-    /// Per-stage counters and timings (always present; detailed counters
-    /// require profiling to be enabled, see [`metrics::enabled`]).
+    /// Per-stage counters and timings.
     pub profile: QueryProfile,
 }
 
@@ -126,7 +124,7 @@ pub struct QueryOutput {
 ///     .threads(8)
 ///     .timeout(Duration::from_secs(5))
 ///     .budget_cells(1_000_000)
-///     .cache_capacity(64, 256 << 20)
+///     .cuboid_repo_capacity(128, 256 << 20)
 ///     .build();
 /// ```
 ///
@@ -155,8 +153,6 @@ pub struct QueryOutput {
 pub struct EngineBuilder {
     db: EventDb,
     config: EngineConfig,
-    seq_cache: (usize, usize),
-    index_store: (usize, usize),
     cuboid_repo: (usize, usize),
     model_path: Option<PathBuf>,
     log: Option<EventLog>,
@@ -168,8 +164,6 @@ impl EngineBuilder {
         EngineBuilder {
             db,
             config: EngineConfig::default(),
-            seq_cache: (64, 256 << 20),
-            index_store: (256, 512 << 20),
             cuboid_repo: (128, 256 << 20),
             model_path: None,
             log: None,
@@ -180,16 +174,11 @@ impl EngineBuilder {
     /// Durable ingestion: opens (or creates) the segmented event log in
     /// `dir`, replays every durable event into the database, and arms the
     /// engine's store path ([`Engine::append_events`]) to write-ahead-log
-    /// each batch before acknowledging it. The fsync policy comes from
-    /// `SOLAP_FSYNC` (`always` | `batch` | `off`, default `batch`).
+    /// each batch before acknowledging it, fsyncing per `policy`
+    /// ([`FsyncPolicy::Batch`] is the default).
     ///
     /// What recovery did (replayed events, adopted segments, truncated
     /// torn tail) is reported by [`Engine::recovery_report`].
-    pub fn durable(self, dir: impl AsRef<Path>) -> Result<Self> {
-        self.durable_with_policy(dir, FsyncPolicy::from_env())
-    }
-
-    /// [`EngineBuilder::durable`] with an explicit [`FsyncPolicy`].
     pub fn durable_with_policy(
         mut self,
         dir: impl AsRef<Path>,
@@ -200,7 +189,7 @@ impl EngineBuilder {
         self.adopt_log(log, rows, report)
     }
 
-    /// [`EngineBuilder::durable`] with an explicit policy and WAL rotation
+    /// [`EngineBuilder::durable_with_policy`] with an explicit WAL rotation
     /// threshold (tests and benches use small segments to exercise
     /// rotation through the engine path).
     pub fn durable_with_options(
@@ -266,29 +255,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Sizes all three shared caches (sequence cache, index store, cuboid
-    /// repository) to `entries` entries / `max_bytes` payload bytes each.
-    /// Use the per-cache setters for asymmetric layouts.
-    pub fn cache_capacity(mut self, entries: usize, max_bytes: usize) -> Self {
-        self.seq_cache = (entries, max_bytes);
-        self.index_store = (entries, max_bytes);
-        self.cuboid_repo = (entries, max_bytes);
-        self
-    }
-
-    /// Sizes the sequence cache only.
-    pub fn seq_cache_capacity(mut self, entries: usize, max_bytes: usize) -> Self {
-        self.seq_cache = (entries, max_bytes);
-        self
-    }
-
-    /// Sizes the index store only.
-    pub fn index_store_capacity(mut self, entries: usize, max_bytes: usize) -> Self {
-        self.index_store = (entries, max_bytes);
-        self
-    }
-
-    /// Sizes the cuboid repository only.
+    /// Sizes the cuboid repository (`entries` entries / `max_bytes`
+    /// payload bytes).
     pub fn cuboid_repo_capacity(mut self, entries: usize, max_bytes: usize) -> Self {
         self.cuboid_repo = (entries, max_bytes);
         self
@@ -322,8 +290,8 @@ impl EngineBuilder {
             log: Mutex::ranked(parking_lot::rank::ENGINE_LOG, "engine.log", self.log),
             recovery: self.recovery,
             config: self.config,
-            seq_cache: SequenceCache::new(self.seq_cache.0, self.seq_cache.1),
-            index_store: IndexStore::new(self.index_store.0, self.index_store.1),
+            seq_cache: SequenceCache::new(64, 256 << 20),
+            index_store: IndexStore::new(256, 512 << 20),
             cuboid_repo: CuboidRepo::new(self.cuboid_repo.0, self.cuboid_repo.1),
             live: Mutex::ranked(parking_lot::rank::ENGINE_LIVE, "engine.live", Vec::new()),
             cost_model,
@@ -340,7 +308,7 @@ pub type DbGuard<'a> = RwLockReadGuard<'a, EventDb>;
 /// The S-OLAP engine.
 pub struct Engine {
     pub(crate) db: RwLock<EventDb>,
-    /// The durable event log, when built with [`EngineBuilder::durable`].
+    /// The durable event log, when built with [`EngineBuilder::durable_with_policy`].
     /// Doubles as the ingest lock: appends hold it end to end, so WAL
     /// order always equals database order.
     pub(crate) log: Mutex<Option<EventLog>>,
@@ -393,7 +361,7 @@ impl Engine {
     }
 
     /// What recovery did when the engine was built with
-    /// [`EngineBuilder::durable`] (`None` on non-durable engines).
+    /// [`EngineBuilder::durable_with_policy`] (`None` on non-durable engines).
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
     }
@@ -404,7 +372,7 @@ impl Engine {
     }
 
     /// Forces an fsync of the active WAL regardless of policy (no-op on
-    /// non-durable engines). Orderly-shutdown hook for `SOLAP_FSYNC=off`.
+    /// non-durable engines). Orderly-shutdown hook for [`FsyncPolicy::Off`].
     /// Also persists the calibrated cost model (best-effort — planning
     /// falls back to the seed constants on the next open if it is lost).
     pub fn sync(&self) -> Result<()> {
@@ -714,60 +682,17 @@ impl Engine {
     }
 
     /// Governed + instrumented query execution: wraps [`Engine::execute_inner`]
-    /// with structured trace events and process-wide metrics accounting.
+    /// with process-wide metrics accounting.
     fn execute_with(
         &self,
         spec: &SCuboidSpec,
         hint: Option<(&SCuboidSpec, &Op)>,
         config: &EngineConfig,
     ) -> Result<QueryOutput> {
-        if trace::enabled() {
-            trace::emit(
-                "query_start",
-                &[
-                    ("fingerprint", TraceValue::from(spec.fingerprint())),
-                    ("m", TraceValue::from(spec.template.m() as u64)),
-                    (
-                        "kind",
-                        TraceValue::from(format!("{:?}", spec.template.kind)),
-                    ),
-                ],
-            );
-        }
         let result = self.execute_inner(spec, hint, config);
         match &result {
-            Ok(out) => {
-                metrics::global().record(&out.profile);
-                if trace::enabled() {
-                    trace::emit(
-                        "query_end",
-                        &[
-                            ("fingerprint", TraceValue::from(spec.fingerprint())),
-                            ("ok", TraceValue::from(true)),
-                            ("strategy", TraceValue::from(out.stats.strategy)),
-                            ("cells", TraceValue::from(out.cuboid.len() as u64)),
-                            (
-                                "sequences_scanned",
-                                TraceValue::from(out.stats.sequences_scanned),
-                            ),
-                            ("elapsed_ns", TraceValue::from(out.profile.elapsed_nanos)),
-                        ],
-                    );
-                }
-            }
-            Err(err) => {
-                metrics::global().record_failure();
-                if trace::enabled() {
-                    trace::emit(
-                        "query_end",
-                        &[
-                            ("fingerprint", TraceValue::from(spec.fingerprint())),
-                            ("ok", TraceValue::from(false)),
-                            ("error", TraceValue::from(err.to_string())),
-                        ],
-                    );
-                }
-            }
+            Ok(out) => metrics::global().record(&out.profile),
+            Err(_) => metrics::global().record_failure(),
         }
         result
     }
@@ -788,14 +713,10 @@ impl Engine {
         let fp = spec.fingerprint();
         if config.use_cuboid_repo {
             if let Some(cached) = self.cuboid_repo.get(fp, db.version()) {
-                let mut profile = if metrics::enabled() {
-                    let rec = QueryRecorder::default();
-                    rec.add(Counter::CuboidCacheHits, 1);
-                    rec.add(Counter::CellsMaterialized, cached.len() as u64);
-                    QueryProfile::from_recorder(&rec)
-                } else {
-                    QueryProfile::default()
-                };
+                let rec = QueryRecorder::default();
+                rec.add(Counter::CuboidCacheHits, 1);
+                rec.add(Counter::CellsMaterialized, cached.len() as u64);
+                let mut profile = QueryProfile::from_recorder(&rec);
                 profile.strategy = "cache";
                 profile.elapsed_nanos = start.elapsed().as_nanos() as u64;
                 return Ok(QueryOutput {
@@ -810,15 +731,8 @@ impl Engine {
                 });
             }
         }
-        let recorder = if metrics::enabled() {
-            Some(Arc::new(QueryRecorder::default()))
-        } else {
-            None
-        };
-        let mut gov = Engine::governor(config);
-        if let Some(rec) = &recorder {
-            gov = gov.with_recorder(Arc::clone(rec));
-        }
+        let rec = Arc::new(QueryRecorder::default());
+        let gov = Engine::governor(config).with_recorder(Arc::clone(&rec));
         let groups = self.seq_cache.get_or_build_governed(&db, &spec.seq, &gov)?;
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
@@ -828,7 +742,7 @@ impl Engine {
         let planner_on = Engine::planner_active(config);
         let planned = planner_on
             .then(|| self.plan_query(&db, spec, Some(groups.total_sequences as u64), hint, config));
-        if let (Some(rec), Some((_, plans))) = (&recorder, &planned) {
+        if let Some((_, plans)) = &planned {
             rec.add(Counter::PlanAlternativesConsidered, plans.len() as u64);
         }
         let choice = planned
@@ -851,10 +765,8 @@ impl Engine {
                     Ok((cuboid, merged)) => {
                         stats.strategy = "reuse";
                         reuse_cells = merged;
-                        if let Some(rec) = &recorder {
-                            rec.add(Counter::PlanAncestorReuses, 1);
-                            rec.add(Counter::PlanCellsMerged, merged);
-                        }
+                        rec.add(Counter::PlanAncestorReuses, 1);
+                        rec.add(Counter::PlanCellsMerged, merged);
                         rolled = Some(cuboid);
                     }
                     Err(e) if matches!(e.code(), "resource_exhausted" | "cancelled") => {
@@ -940,18 +852,14 @@ impl Engine {
                 );
             }
         }
-        let mut profile = if let Some(rec) = &recorder {
-            rec.add(Counter::SequencesScanned, meter.count());
-            rec.add(Counter::CellsMaterialized, cuboid.len() as u64);
-            rec.add(Counter::IndicesBuilt, stats.indices_built);
-            rec.add(Counter::IndexBytesBuilt, stats.index_bytes_built as u64);
-            rec.add(Counter::IndexJoins, stats.index_joins);
-            rec.add(Counter::GovernorTicks, gov.events_ticked());
-            rec.add(Counter::CellsCharged, gov.cells_consumed());
-            QueryProfile::from_recorder(rec)
-        } else {
-            QueryProfile::default()
-        };
+        rec.add(Counter::SequencesScanned, meter.count());
+        rec.add(Counter::CellsMaterialized, cuboid.len() as u64);
+        rec.add(Counter::IndicesBuilt, stats.indices_built);
+        rec.add(Counter::IndexBytesBuilt, stats.index_bytes_built as u64);
+        rec.add(Counter::IndexJoins, stats.index_joins);
+        rec.add(Counter::GovernorTicks, gov.events_ticked());
+        rec.add(Counter::CellsCharged, gov.cells_consumed());
+        let mut profile = QueryProfile::from_recorder(&rec);
         profile.strategy = stats.strategy;
         profile.elapsed_nanos = stats.elapsed.as_nanos() as u64;
         let cuboid = Arc::new(cuboid);
@@ -1195,41 +1103,37 @@ pub(crate) mod tests {
         let first = e.execute(&spec).unwrap();
         assert_eq!(first.profile.strategy, "II");
         assert!(first.profile.elapsed_nanos > 0);
-        if first.profile.detailed {
-            assert_eq!(
-                first
-                    .profile
-                    .counter(solap_eventdb::Counter::CellsMaterialized),
-                first.cuboid.len() as u64
-            );
-            assert_eq!(
-                first
-                    .profile
-                    .counter(solap_eventdb::Counter::SequencesScanned),
-                first.stats.sequences_scanned
-            );
-            assert_eq!(
-                first.profile.counter(solap_eventdb::Counter::EventsScanned),
-                e.db().len() as u64
-            );
-        }
+        assert_eq!(
+            first
+                .profile
+                .counter(solap_eventdb::Counter::CellsMaterialized),
+            first.cuboid.len() as u64
+        );
+        assert_eq!(
+            first
+                .profile
+                .counter(solap_eventdb::Counter::SequencesScanned),
+            first.stats.sequences_scanned
+        );
+        assert_eq!(
+            first.profile.counter(solap_eventdb::Counter::EventsScanned),
+            e.db().len() as u64
+        );
         let second = e.execute(&spec).unwrap();
         assert_eq!(second.profile.strategy, "cache");
-        if second.profile.detailed {
-            assert_eq!(
-                second
-                    .profile
-                    .counter(solap_eventdb::Counter::CuboidCacheHits),
-                1
-            );
-            assert_eq!(
-                second
-                    .profile
-                    .counter(solap_eventdb::Counter::EventsScanned),
-                0,
-                "cache hits scan nothing"
-            );
-        }
+        assert_eq!(
+            second
+                .profile
+                .counter(solap_eventdb::Counter::CuboidCacheHits),
+            1
+        );
+        assert_eq!(
+            second
+                .profile
+                .counter(solap_eventdb::Counter::EventsScanned),
+            0,
+            "cache hits scan nothing"
+        );
     }
 
     #[test]
@@ -1332,14 +1236,12 @@ pub(crate) mod tests {
         let (coarse, out) = e.execute_op(&qa, &Op::RollUp { attr: 2 }).unwrap();
         assert_eq!(out.stats.strategy, "reuse", "{:?}", out.stats);
         assert_eq!(out.stats.sequences_scanned, 0);
-        if out.profile.detailed {
-            assert_eq!(
-                out.profile
-                    .counter(solap_eventdb::Counter::PlanAncestorReuses),
-                1
-            );
-            assert!(out.profile.counter(solap_eventdb::Counter::PlanCellsMerged) > 0);
-        }
+        assert_eq!(
+            out.profile
+                .counter(solap_eventdb::Counter::PlanAncestorReuses),
+            1
+        );
+        assert!(out.profile.counter(solap_eventdb::Counter::PlanCellsMerged) > 0);
         // Bit-identical to computing the coarse cuboid from scratch.
         let cb = big_engine(
             50,

@@ -128,11 +128,6 @@ impl Engine {
 
     fn append_inner(&self, rows: &[Vec<Value>], config: &EngineConfig) -> Result<StoreReport> {
         let gov = Engine::governor(config);
-        let recorder = if metrics::enabled() {
-            Some(QueryRecorder::default())
-        } else {
-            None
-        };
         // One ingest at a time: the log mutex serialises writers end to
         // end, so WAL order always equals database order.
         let mut log = self.log.lock();
@@ -181,24 +176,23 @@ impl Engine {
         report.entries_retired = self.seq_cache.retire_before(new_version)
             + self.index_store.retire_before(new_version)
             + self.cuboid_repo.retire_before(new_version);
-        if let Some(rec) = &recorder {
-            if !rows.is_empty() {
-                rec.add(Counter::StoreEvents, rows.len() as u64);
-                rec.add(Counter::WalFsyncs, wal_fsyncs);
-                rec.add(Counter::WalRotations, wal_rotations);
-                rec.add(Counter::IngestGroupsExtended, report.groups_extended as u64);
-                rec.add(
-                    Counter::IngestIndexesExtended,
-                    report.indexes_extended as u64,
-                );
-                rec.add(
-                    Counter::IngestRebuildFallbacks,
-                    report.rebuild_fallbacks as u64,
-                );
-                rec.add(Counter::IngestEntriesRetired, report.entries_retired as u64);
-                rec.add(Counter::GovernorTicks, gov.events_ticked());
-                metrics::global().record(&QueryProfile::from_recorder(rec));
-            }
+        if !rows.is_empty() {
+            let rec = QueryRecorder::default();
+            rec.add(Counter::StoreEvents, rows.len() as u64);
+            rec.add(Counter::WalFsyncs, wal_fsyncs);
+            rec.add(Counter::WalRotations, wal_rotations);
+            rec.add(Counter::IngestGroupsExtended, report.groups_extended as u64);
+            rec.add(
+                Counter::IngestIndexesExtended,
+                report.indexes_extended as u64,
+            );
+            rec.add(
+                Counter::IngestRebuildFallbacks,
+                report.rebuild_fallbacks as u64,
+            );
+            rec.add(Counter::IngestEntriesRetired, report.entries_retired as u64);
+            rec.add(Counter::GovernorTicks, gov.events_ticked());
+            metrics::global().record(&QueryProfile::from_recorder(&rec));
         }
         Ok(report)
     }

@@ -29,10 +29,9 @@
 //!   construction hot loop.
 //! * [`failpoint`] — a zero-cost-when-disabled fault-injection facility
 //!   (`SOLAP_FAILPOINTS`) used by the chaos test suite.
-//! * [`metrics`] — query-level observability: per-stage counters and span
-//!   timers aggregated into per-query [`QueryProfile`]s and process-wide
-//!   [`EngineMetrics`] (`SOLAP_PROFILE`).
-//! * [`trace`] — structured JSON event tracing on stderr (`SOLAP_TRACE`).
+//! * [`metrics`] — query-level observability, always on: per-stage
+//!   counters and span timers aggregated into per-query [`QueryProfile`]s
+//!   and process-wide [`EngineMetrics`].
 //!
 //! The paper offloads steps 1–4 to "an existing sequence database query
 //! engine"; no such engine exists in the Rust ecosystem, so this crate *is*
@@ -56,7 +55,6 @@ pub mod seqcache;
 pub mod seqquery;
 pub mod store;
 pub mod time;
-pub mod trace;
 pub mod value;
 pub mod wal;
 

@@ -10,20 +10,20 @@
 //! * [`QueryRecorder`] — lock-free atomic accumulators shared (via the
 //!   [`crate::govern::QueryGovernor`]) by every hot loop and parallel
 //!   worker of one query. Hot loops count into plain local integers and
-//!   flush once per loop or worker, so the enabled cost is a handful of
+//!   flush once per loop or worker, so the cost is a handful of
 //!   relaxed atomic adds per query stage, not per event.
 //! * [`QueryProfile`] — the immutable per-query snapshot returned with
 //!   every engine execution, with text and JSON renderers.
 //! * [`EngineMetrics`] — the process-wide cumulative totals ([`global`])
 //!   with text/JSON exporters (the CLI `.metrics` command).
 //!
-//! Like [`crate::failpoint`], the facility is near-zero-cost when disabled:
-//! [`enabled`] is a single relaxed atomic load (seeded once from the
-//! `SOLAP_PROFILE` environment variable, default **on**), and when it is
-//! off no recorder is allocated at all — instrumented code sees `None` and
-//! skips every measurement, including the clock reads.
+//! Profiling is always on: every engine query carries a recorder, so the
+//! profile and the cumulative totals are there for every statement. Code
+//! run under a governor without one ([`crate::govern::QueryGovernor::unbounded`],
+//! the store path, unit tests) sees `None` and skips every measurement,
+//! including the clock reads.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -224,34 +224,6 @@ impl Stage {
     }
 }
 
-/// Whether per-query profiling is enabled (default: on). Seeded once from
-/// `SOLAP_PROFILE` (`0`, `off` or `false` disable it), overridable at
-/// runtime with [`set_enabled`]. The check is one relaxed atomic load.
-pub fn enabled() -> bool {
-    // ord: standalone on/off flag consulted at query start only; no payload is published with it
-    flag().load(Ordering::Relaxed)
-}
-
-/// Turns per-query profiling on or off at runtime (tests and the CLI
-/// `.profile` command). Queries already in flight keep their recorder.
-pub fn set_enabled(on: bool) {
-    // ord: see enabled() — a racing query start observing the old value is acceptable by contract
-    flag().store(on, Ordering::Relaxed);
-}
-
-fn flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let off = std::env::var("SOLAP_PROFILE").is_ok_and(|v| {
-            matches!(
-                v.trim().to_ascii_lowercase().as_str(),
-                "0" | "off" | "false"
-            )
-        });
-        AtomicBool::new(!off)
-    })
-}
-
 /// Lock-free per-query accumulators, shared across the query's parallel
 /// workers through the governor. All operations are relaxed atomics.
 #[derive(Debug)]
@@ -311,8 +283,8 @@ impl Drop for Span<'_> {
     }
 }
 
-/// Starts a span timer against an optional recorder. With `None` (profiling
-/// disabled) nothing is measured — not even the clock read.
+/// Starts a span timer against an optional recorder. With `None` (no
+/// recorder attached) nothing is measured — not even the clock read.
 pub fn span(rec: Option<&QueryRecorder>, stage: Stage) -> Option<Span<'_>> {
     rec.map(|rec| Span {
         rec,
@@ -325,9 +297,6 @@ pub fn span(rec: Option<&QueryRecorder>, stage: Stage) -> Option<Span<'_>> {
 /// and stage timings, returned alongside every engine result.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct QueryProfile {
-    /// Whether a recorder ran (profiling enabled). When `false` only the
-    /// engine-level fields (`strategy`, `elapsed_nanos`) are meaningful.
-    pub detailed: bool,
     /// Which strategy produced the result (`"CB"`, `"II"`, `"cache"`).
     pub strategy: &'static str,
     /// Wall-clock nanoseconds.
@@ -342,7 +311,6 @@ impl QueryProfile {
     /// Snapshots a recorder (engine-level fields left default).
     pub fn from_recorder(rec: &QueryRecorder) -> Self {
         QueryProfile {
-            detailed: true,
             strategy: "",
             elapsed_nanos: 0,
             // ord: snapshot taken after worker join — the join synchronizes every prior relaxed write
@@ -377,10 +345,6 @@ impl QueryProfile {
             self.strategy,
             dur(self.elapsed_nanos)
         );
-        if !self.detailed {
-            out.push_str("  (detailed counters disabled; see SOLAP_PROFILE / .profile on)\n");
-            return out;
-        }
         out.push_str("  counters:\n");
         for c in Counter::ALL {
             out.push_str(&format!("    {:<24} {}\n", c.name(), self.counter(c)));
@@ -396,11 +360,11 @@ impl QueryProfile {
         out
     }
 
-    /// Renders the profile as one JSON object (bench reports, trace log).
+    /// Renders the profile as one JSON object (bench reports, the wire).
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"strategy\":\"{}\",\"elapsed_ns\":{},\"detailed\":{},\"counters\":{{",
-            self.strategy, self.elapsed_nanos, self.detailed
+            "{{\"strategy\":\"{}\",\"elapsed_ns\":{},\"counters\":{{",
+            self.strategy, self.elapsed_nanos
         );
         for (i, c) in Counter::ALL.iter().enumerate() {
             if i > 0 {
@@ -602,7 +566,6 @@ mod tests {
         rec.add_stage_nanos(Stage::Aggregate, 1_000);
         assert_eq!(rec.counter(Counter::EventsScanned), 15);
         let p = QueryProfile::from_recorder(&rec);
-        assert!(p.detailed);
         assert_eq!(p.counter(Counter::EventsScanned), 15);
         assert_eq!(p.stage_nanos(Stage::Aggregate), 1_000);
         assert_eq!(p.counter(Counter::IndexJoins), 0);

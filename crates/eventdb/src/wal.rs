@@ -45,9 +45,8 @@ const KIND_ROW: u8 = 1;
 
 /// When the log forces written records to stable storage.
 ///
-/// Seeded from `SOLAP_FSYNC` (`always` | `batch` | `off`) by
-/// [`FsyncPolicy::from_env`]; the default is `batch` — group commit, one
-/// fsync per acknowledged append batch.
+/// Chosen in code (`EngineBuilder::durable_with_policy`); the default is
+/// `batch` — group commit, one fsync per acknowledged append batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FsyncPolicy {
     /// fsync after every record — maximum durability, slowest.
@@ -58,36 +57,6 @@ pub enum FsyncPolicy {
     /// Never fsync; rely on the OS. An acknowledgement only promises the
     /// event reached the kernel, not the platter.
     Off,
-}
-
-impl FsyncPolicy {
-    /// Parses a policy name (case-insensitive).
-    pub fn parse(s: &str) -> Option<FsyncPolicy> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "always" => Some(FsyncPolicy::Always),
-            "batch" => Some(FsyncPolicy::Batch),
-            "off" => Some(FsyncPolicy::Off),
-            _ => None,
-        }
-    }
-
-    /// Reads `SOLAP_FSYNC`, falling back to [`FsyncPolicy::Batch`] when
-    /// unset or unparseable.
-    pub fn from_env() -> FsyncPolicy {
-        std::env::var("SOLAP_FSYNC")
-            .ok()
-            .and_then(|v| FsyncPolicy::parse(&v))
-            .unwrap_or_default()
-    }
-
-    /// The stable lowercase name (`always` / `batch` / `off`).
-    pub fn name(self) -> &'static str {
-        match self {
-            FsyncPolicy::Always => "always",
-            FsyncPolicy::Batch => "batch",
-            FsyncPolicy::Off => "off",
-        }
-    }
 }
 
 /// FNV-1a 64-bit — the workspace's dependency-free checksum.
@@ -706,13 +675,8 @@ mod tests {
     }
 
     #[test]
-    fn fsync_policy_parses_and_defaults() {
-        assert_eq!(FsyncPolicy::parse("always"), Some(FsyncPolicy::Always));
-        assert_eq!(FsyncPolicy::parse(" BATCH "), Some(FsyncPolicy::Batch));
-        assert_eq!(FsyncPolicy::parse("off"), Some(FsyncPolicy::Off));
-        assert_eq!(FsyncPolicy::parse("bogus"), None);
+    fn fsync_policy_defaults_to_batch() {
         assert_eq!(FsyncPolicy::default(), FsyncPolicy::Batch);
-        assert_eq!(FsyncPolicy::Always.name(), "always");
     }
 
     // Failpoint-armed behaviour (wal.append / wal.fsync) is exercised in

@@ -7,10 +7,9 @@
 //!
 //! The dataset comes from a generator (`--gen KIND [k=v …]`) or a saved
 //! database (`--load PATH`); engine defaults follow the usual
-//! environment knobs (`SOLAP_THREADS`, `SOLAP_TIMEOUT_MS`, …) and the
-//! serving knobs come from `SOLAP_ADDR`, `SOLAP_MAX_CONN`,
-//! `SOLAP_MAX_INFLIGHT`, `SOLAP_WORKERS`, `SOLAP_PIPELINE` and
-//! `SOLAP_POLL_MS` or their flag equivalents. The process serves until
+//! environment knobs (`SOLAP_THREADS`, `SOLAP_TIMEOUT_MS`,
+//! `SOLAP_BUDGET_CELLS`) and the serving knobs come from the flags below
+//! (`--workers` defaults to the in-flight cap). The process serves until
 //! killed; clients are never interrupted mid-response.
 
 #![forbid(unsafe_code)]
@@ -31,7 +30,7 @@ fn main() {
     // (which has no `Engine` and therefore no builder-driven seeding).
     solap_eventdb::failpoint::init();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = ServerConfig::from_env();
+    let mut config = ServerConfig::default();
     let mut gen_kind: Option<String> = None;
     let mut gen_opts: Vec<String> = Vec::new();
     let mut load_path: Option<String> = None;

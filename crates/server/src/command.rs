@@ -256,7 +256,7 @@ pub fn help_text() -> &'static str {
   .show [n]        re-tabulate the current cuboid
   .spec            print the current query text
   .stats           cache entries, bytes, versions held, hits, evictions
-  .profile on|off  print each query's per-stage profile (on enables detailed counters)
+  .profile on|off  print each query's per-stage profile (always recorded)
   .metrics         process-wide cumulative engine metrics
   .online [CHUNK]  re-run the current COUNT query with online-aggregation snapshots
   .history         operations applied so far

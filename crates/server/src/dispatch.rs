@@ -492,9 +492,6 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
         }
         "profile" => match args.first().copied() {
             Some("on") => {
-                // Detailed counters are needed for the print-out to carry
-                // information, so turn them on too.
-                solap_eventdb::metrics::set_enabled(true);
                 ctx.show_profile = true;
                 Ok(Response::ok("per-query profile: on\n"))
             }
@@ -812,6 +809,33 @@ mod tests {
         assert!(r.profile_json.is_some());
         // The profile JSON on the wire is valid JSON.
         crate::json::Json::parse(r.profile_json.as_deref().unwrap()).unwrap();
+        // `.profile off` only stops the printing: the next query (new
+        // clusters, so steps 1–4 run) is still profiled and still folded
+        // into the `.metrics` totals (which other tests only ever grow).
+        let scanned_total = |c: &mut SessionCtx| -> u64 {
+            let r = dispatch(c, ".metrics");
+            let line = r
+                .body
+                .lines()
+                .find(|l| l.trim_start().starts_with("events_scanned"));
+            line.and_then(|l| l.split_whitespace().nth(1)?.parse().ok())
+                .expect("`.metrics` lists events_scanned")
+        };
+        assert!(dispatch(&mut c, ".profile off").ok);
+        let before = scanned_total(&mut c);
+        let r = dispatch(
+            &mut c,
+            &format!("PROFILE {}", QUERY.replace("time AT day", "time AT week")),
+        );
+        assert!(r.ok, "{}", r.body);
+        let p = crate::json::Json::parse(r.profile_json.as_deref().unwrap()).unwrap();
+        let scanned = p
+            .get("counters")
+            .and_then(|c| c.get("events_scanned"))
+            .and_then(|v| v.as_f64());
+        let scanned = scanned.expect("the profile counts events_scanned") as u64;
+        assert!(scanned > 0, "{}", r.body);
+        assert!(scanned_total(&mut c) >= before + scanned);
     }
 
     #[test]

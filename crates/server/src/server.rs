@@ -94,9 +94,13 @@ const HOT_WINDOW: Duration = Duration::from_millis(2);
 /// the workers need.
 const HOT_PARK: Duration = Duration::from_micros(200);
 
+/// The event loop's minimum park/sweep pacing: the floor of the paced
+/// sweep interval and the shortest idle park.
+const POLL_FLOOR: Duration = Duration::from_millis(1);
+
 /// Probe-cost pacing: a full readiness sweep costs one probe syscall
 /// per connection, so consecutive sweeps are spaced by at least
-/// `connections × SWEEP_COST_PER_CONN` (floored by `poll_timeout`,
+/// `connections × SWEEP_COST_PER_CONN` (floored by [`POLL_FLOOR`],
 /// capped by [`SWEEP_INTERVAL_MAX`]). Probing stays a bounded slice of
 /// one core at any connection count; hot connections never wait on the
 /// sweep cadence.
@@ -111,9 +115,8 @@ const SWEEP_INTERVAL_MAX: Duration = Duration::from_millis(20);
 /// only when events, completions or hot reads touch them).
 const FULL_SCAN_INTERVAL: Duration = Duration::from_millis(20);
 
-/// Server tuning; [`ServerConfig::from_env`] seeds the deployment knobs
-/// from `SOLAP_ADDR`, `SOLAP_MAX_CONN`, `SOLAP_MAX_INFLIGHT`,
-/// `SOLAP_WORKERS`, `SOLAP_PIPELINE` and `SOLAP_POLL_MS`.
+/// Server tuning. `solap-serve` sets the deployment fields from its
+/// command-line flags; embedders set them in code.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7878`. Port 0 picks a free port.
@@ -128,11 +131,6 @@ pub struct ServerConfig {
     /// How many statements one connection may have in flight (queued or
     /// executing) before the loop stops reading from its socket.
     pub pipeline_depth: usize,
-    /// The event loop's minimum park/sweep pacing. Probe sweeps are
-    /// additionally spaced by connection count (see the module docs) so
-    /// probing stays a bounded slice of one core; this knob is the
-    /// floor of that pacing and the default idle park.
-    pub poll_timeout: Duration,
     /// How long a queued job may wait for a worker before every
     /// statement in it is rejected with `over_capacity`.
     pub queue_timeout: Duration,
@@ -154,7 +152,6 @@ impl Default for ServerConfig {
             max_inflight: 16,
             workers: 0,
             pipeline_depth: 64,
-            poll_timeout: Duration::from_millis(1),
             queue_timeout: Duration::from_secs(2),
             read_timeout: Duration::from_secs(120),
             write_timeout: Duration::from_secs(10),
@@ -164,36 +161,6 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The default configuration with the deployment knobs taken from
-    /// the `SOLAP_*` environment where set.
-    pub fn from_env() -> Self {
-        fn parsed(value: Result<String, std::env::VarError>) -> Option<usize> {
-            value.ok().and_then(|v| v.trim().parse::<usize>().ok())
-        }
-        let mut cfg = ServerConfig::default();
-        if let Ok(addr) = std::env::var("SOLAP_ADDR") {
-            if !addr.trim().is_empty() {
-                cfg.addr = addr.trim().to_owned();
-            }
-        }
-        if let Some(n) = parsed(std::env::var("SOLAP_MAX_CONN")) {
-            cfg.max_conn = n.max(1);
-        }
-        if let Some(n) = parsed(std::env::var("SOLAP_MAX_INFLIGHT")) {
-            cfg.max_inflight = n.max(1);
-        }
-        if let Some(n) = parsed(std::env::var("SOLAP_WORKERS")) {
-            cfg.workers = n;
-        }
-        if let Some(n) = parsed(std::env::var("SOLAP_PIPELINE")) {
-            cfg.pipeline_depth = n.max(1);
-        }
-        if let Some(ms) = parsed(std::env::var("SOLAP_POLL_MS")) {
-            cfg.poll_timeout = Duration::from_millis((ms as u64).max(1));
-        }
-        cfg
-    }
-
     /// The effective worker-pool size.
     pub fn worker_count(&self) -> usize {
         if self.workers == 0 {
@@ -737,7 +704,7 @@ impl EventLoop {
     fn sweep_interval(&self) -> Duration {
         (SWEEP_COST_PER_CONN * self.conns.len() as u32)
             .min(SWEEP_INTERVAL_MAX)
-            .max(self.config.poll_timeout)
+            .max(POLL_FLOOR)
     }
 
     fn run(mut self) -> io::Result<()> {
@@ -795,7 +762,7 @@ impl EventLoop {
                 } else {
                     self.sweep_interval()
                         .saturating_sub(self.last_sweep.elapsed())
-                        .max(self.config.poll_timeout)
+                        .max(POLL_FLOOR)
                 };
                 self.poller.park(park);
             }

@@ -4,7 +4,6 @@
 //! Run with `SOLAP_BLESS=1` to (re)generate the files under
 //! `tests/golden/` after an intentional format change.
 
-use s_olap::eventdb::metrics;
 use s_olap::prelude::*;
 
 /// The Figure 8 station database (actions alternate in/out).
@@ -132,7 +131,6 @@ fn explain_xyyx_golden() {
 
 #[test]
 fn profile_q3_golden() {
-    metrics::set_enabled(true);
     let engine = Engine::with_config(fig8(), pinned(Strategy::Auto));
     let stmt = parse_statement(&engine.db(), &format!("PROFILE {Q3_TEXT}")).unwrap();
     assert_eq!(stmt.mode, ExplainMode::Profile);
@@ -143,7 +141,6 @@ fn profile_q3_golden() {
 
 #[test]
 fn profile_q3_cb_golden() {
-    metrics::set_enabled(true);
     let engine = Engine::with_config(fig8(), pinned(Strategy::CounterBased));
     let spec = parse_query(&engine.db(), Q3_TEXT).unwrap();
     let out = engine.execute(&spec).unwrap();
@@ -152,7 +149,6 @@ fn profile_q3_cb_golden() {
 
 #[test]
 fn profile_cache_replay_golden() {
-    metrics::set_enabled(true);
     let engine = Engine::with_config(fig8(), pinned(Strategy::Auto));
     let spec = parse_query(&engine.db(), Q3_TEXT).unwrap();
     engine.execute(&spec).unwrap();

@@ -262,8 +262,9 @@ fn spawn_child(root: &Path, failpoints: Option<&str>) -> Child {
 }
 
 /// One kill cycle: let the child make progress, SIGKILL it at a jittered
-/// moment, then verify the recovered log.
-fn crash_cycle(root: &Path, failpoints: Option<&str>, jitter_ms: u64) {
+/// moment, then verify the recovered log. Returns the number of events
+/// recovered.
+fn crash_cycle(root: &Path, failpoints: Option<&str>, jitter_ms: u64) -> i64 {
     let ack_before = read_marker(root, "ACK");
     let mut child = spawn_child(root, failpoints);
     let deadline = Instant::now() + Duration::from_secs(30);
@@ -296,6 +297,7 @@ fn crash_cycle(root: &Path, failpoints: Option<&str>, jitter_ms: u64) {
         n <= sent + 1,
         "unacknowledged-absent violated: sent={sent} but {n} events recovered"
     );
+    n
 }
 
 /// Kill iterations per variant: `SOLAP_CRASH_ITERS` (CI sets it), default
@@ -341,7 +343,7 @@ fn crash_loop_survives_sigkill_inside_rotation() {
 #[test]
 fn recovered_engine_serves_queries() {
     let root = tmpdir("crash-query");
-    crash_cycle(&root, None, 3);
+    let recovered = crash_cycle(&root, None, 3);
     let schema = EventDbBuilder::new()
         .dimension("n", ColumnType::Int)
         .build()
@@ -355,7 +357,11 @@ fn recovered_engine_serves_queries() {
         engine.db().len() as u64,
         report.sealed_events + report.wal_events
     );
-    assert!(engine.db().len() >= 4, "the crash cycle appended events");
+    assert_eq!(
+        engine.db().len() as i64,
+        recovered,
+        "the engine serves exactly the prefix the crash cycle recovered"
+    );
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -1,18 +1,10 @@
 //! Metamorphic properties of the observability layer: the per-query
 //! profile must be *exact* (counters equal ground truth the test can
-//! compute independently), *thread-invariant* (work counters don't change
-//! with the worker count), and *free of observer effects* (disabling the
-//! layer changes no query result).
+//! compute independently) and *thread-invariant* (work counters don't
+//! change with the worker count).
 
-use s_olap::eventdb::{metrics, Counter};
+use s_olap::eventdb::Counter;
 use s_olap::prelude::*;
-
-/// Serializes tests that read or toggle the process-wide profiling flag.
-static FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// A station database with a measure column so every aggregate is
 /// exercised: actions alternate in/out, `amount` is a deterministic
@@ -113,8 +105,6 @@ fn engine(db: EventDb, strategy: Strategy, threads: usize) -> Engine {
 /// grouping, assignment and materialization counts.
 #[test]
 fn counters_are_thread_invariant() {
-    let _g = lock();
-    metrics::set_enabled(true);
     let db = measured_db();
     for strategy in [Strategy::CounterBased, Strategy::InvertedIndex] {
         for agg in aggregates(&db) {
@@ -154,8 +144,6 @@ fn counters_are_thread_invariant() {
 /// of the returned cuboid, on every path.
 #[test]
 fn cells_materialized_matches_cuboid() {
-    let _g = lock();
-    metrics::set_enabled(true);
     let db = measured_db();
     for strategy in [Strategy::CounterBased, Strategy::InvertedIndex] {
         for threads in [1usize, 8] {
@@ -179,8 +167,6 @@ fn cells_materialized_matches_cuboid() {
 /// profile shows one cuboid-cache hit and zero scanning of any kind.
 #[test]
 fn cache_hit_replay_scans_nothing() {
-    let _g = lock();
-    metrics::set_enabled(true);
     let db = measured_db();
     for strategy in [Strategy::CounterBased, Strategy::InvertedIndex] {
         let e = engine(db.clone(), strategy, 1);
@@ -199,41 +185,6 @@ fn cache_hit_replay_scans_nothing() {
     }
 }
 
-/// No observer effect: with the layer disabled the cuboid is bit-identical
-/// to the enabled run, and the profile degrades gracefully (present but
-/// not detailed).
-#[test]
-fn disabled_observability_changes_no_result() {
-    let _g = lock();
-    let db = measured_db();
-    for strategy in [Strategy::CounterBased, Strategy::InvertedIndex] {
-        for threads in [1usize, 8] {
-            for agg in aggregates(&db) {
-                let spec = spec_with(&db, agg);
-                metrics::set_enabled(true);
-                let on = engine(db.clone(), strategy, threads)
-                    .execute(&spec)
-                    .unwrap();
-                metrics::set_enabled(false);
-                let off = engine(db.clone(), strategy, threads)
-                    .execute(&spec)
-                    .unwrap();
-                metrics::set_enabled(true);
-                assert!(on.profile.detailed);
-                assert!(!off.profile.detailed, "disabled runs skip the recorder");
-                assert_eq!(
-                    on.cuboid.cells(),
-                    off.cuboid.cells(),
-                    "{strategy:?} t={threads} {:?}",
-                    spec.agg
-                );
-                assert_eq!(off.profile.counter(Counter::EventsScanned), 0);
-                assert_eq!(off.profile.strategy, on.profile.strategy);
-            }
-        }
-    }
-}
-
 /// One governor tick per event row and per match window, whatever the
 /// aggregate and the thread count — the counts the parent of the packed
 /// kernels reported for the same queries, and the ground truth a reader
@@ -243,8 +194,6 @@ fn disabled_observability_changes_no_result() {
 /// predicate.
 #[test]
 fn governor_ticks_for_fixed_queries_do_not_drift() {
-    let _g = lock();
-    metrics::set_enabled(true);
     let db = measured_db();
     for (strategy, want) in [
         (Strategy::CounterBased, 22 + 17),

@@ -162,6 +162,20 @@ fn doc_knobs_reports_drift_in_both_directions() {
     assert!(findings.iter().any(|f| f.message.contains("SOLAP_OTHER")));
 }
 
+#[test]
+fn doc_knobs_flags_a_ci_setting_nothing_reads() {
+    let mut config = Config::bare(fixture("ci_knobs"));
+    config.readme_md = Some("README.md".into());
+    let findings = expect_only(&config, Rule::DocKnobs, 1);
+    assert_eq!(findings[0].file, ".github/workflows/ci.yml");
+    assert_eq!(findings[0].line, 8, "the `SOLAP_GONE:` env key");
+    assert!(
+        findings[0].message.contains("SOLAP_GONE"),
+        "{}",
+        findings[0].message
+    );
+}
+
 /// Arms the lock rules (`lock-order` / `no-blocking-in-event-loop`) on a
 /// fixture tree with its own `locks.toml`.
 fn lock_config(name: &str) -> Config {
