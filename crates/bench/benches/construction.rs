@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use solap_bench::plans::synthetic_spec;
 use solap_core::{CellKey, Engine, EngineConfig, SCuboid, Strategy};
 use solap_datagen::{generate_synthetic, SyntheticConfig};
-use solap_eventdb::{build_sequence_groups, ColumnType, EventDbBuilder};
+use solap_eventdb::{build_sequence_groups, CmpOp, ColumnType, EventDbBuilder, Pred, Value};
 use solap_pattern::{AggFunc, AggValue, PatternKind, PatternTemplate};
 
 fn db(d: usize) -> solap_eventdb::EventDb {
@@ -115,6 +115,33 @@ fn bench_kernels_d8k(c: &mut Criterion) {
     g.finish();
 }
 
+/// Steps 1–4 alone at `I100.L20.θ0.9.D20K` (≈ 400K events), the size of
+/// a full `explore_cold` table: under a `WHERE` window over 0.4·D of the
+/// `seq-id`s, as `explore_cold` issues, and with no `WHERE`.
+fn bench_steps_1_4(c: &mut Criterion) {
+    let d = 20_000;
+    let data = db(d);
+    let mut g = c.benchmark_group("steps1-4");
+    g.sample_size(10);
+    let seq = synthetic_spec(&data, PatternKind::Substring, &["X", "Y"], 0)
+        .unwrap()
+        .seq;
+    let seq_id = data.attr("seq-id").unwrap();
+    let (from, to) = (3 * d as i64 / 10, 7 * d as i64 / 10);
+    let mut window = seq.clone();
+    window.filter = Pred::cmp(seq_id, CmpOp::Ge, Value::Int(from)).and(Pred::cmp(
+        seq_id,
+        CmpOp::Lt,
+        Value::Int(to),
+    ));
+    for (label, spec) in [("window-0.4D", &window), ("no-where", &seq)] {
+        g.bench_function(label, |b| {
+            b.iter(|| build_sequence_groups(&data, spec).unwrap().total_sequences)
+        });
+    }
+    g.finish();
+}
+
 /// Tabulating the 15 rows a `SELECT` prints from a 10⁴-cell COUNT cuboid
 /// whose values tie in runs of 200: the first call on a cuboid (what a
 /// repository miss pays) and a repeat call on the same cuboid (a hit).
@@ -160,6 +187,7 @@ criterion_group!(
     benches,
     bench_construction,
     bench_kernels_d8k,
+    bench_steps_1_4,
     bench_tabulate
 );
 criterion_main!(benches);

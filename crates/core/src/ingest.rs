@@ -41,8 +41,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use solap_eventdb::metrics::{self, Counter, QueryProfile, QueryRecorder};
 use solap_eventdb::{
-    build_sequence_groups, fail_point, Error, EventDb, LevelValue, Result, RowId, SeqQuerySpec,
-    Sequence, SequenceGroups, Sid, Value,
+    build_sequence_groups, fail_point, form_sequences, Error, EventDb, LevelValue, QueryGovernor,
+    Result, RowId, SeqQuerySpec, Sequence, SequenceGroups, Sid, Value,
 };
 use solap_index::{build_index, IndexKey, InvertedIndex};
 use solap_pattern::PatternTemplate;
@@ -360,42 +360,25 @@ pub fn extend_groups(
     old: &SequenceGroups,
     rows: Range<RowId>,
 ) -> Result<(SequenceGroups, Vec<Sid>)> {
-    // Cluster keys present in the old groups.
-    let mut old_clusters: BTreeMap<&[LevelValue], ()> = BTreeMap::new();
-    for seq in old.iter_sequences() {
-        old_clusters.insert(&seq.cluster_key, ());
-    }
-    // Run steps 1–4 over the new rows only (we scan manually instead of
-    // re-filtering the whole database).
-    let mut new_cluster_rows: BTreeMap<Vec<LevelValue>, Vec<RowId>> = BTreeMap::new();
-    for row in rows {
-        if !spec.filter.eval(db, row)? {
-            continue;
-        }
-        let mut key = Vec::with_capacity(spec.cluster_by.len());
-        for al in &spec.cluster_by {
-            key.push(db.value_at_level(row, al.attr, al.level)?);
-        }
-        if old_clusters.contains_key(key.as_slice()) {
+    // Steps 1–3 over the new rows only, through the same kernel as a
+    // full build; a new event landing in an old cluster stops the scan.
+    let old_clusters: HashSet<&[LevelValue]> = old
+        .iter_sequences()
+        .map(|seq| seq.cluster_key.as_slice())
+        .collect();
+    let fresh = form_sequences(db, spec, rows, &QueryGovernor::unbounded(), |key| {
+        if old_clusters.contains(key) {
             return Err(Error::ClusterInvalidated {
                 cluster: format!("{key:?}"),
             });
         }
-        new_cluster_rows.entry(key).or_default().push(row);
-    }
-    let sort_keys: Vec<(u32, bool)> = spec
-        .sequence_by
-        .iter()
-        .map(|k| (k.attr, k.ascending))
-        .collect();
+        Ok(())
+    })?;
     let mut next_sid = old.total_sequences as u32;
     // Group new sequences and merge into a copy of the old structure.
     let mut result = old.clone();
     let mut appended: BTreeMap<Vec<LevelValue>, Vec<Sequence>> = BTreeMap::new();
-    for (ckey, mut rows) in new_cluster_rows {
-        if !sort_keys.is_empty() {
-            rows.sort_unstable_by(|&a, &b| db.cmp_rows(a, b, &sort_keys));
-        }
+    for (ckey, rows) in fresh {
         let Some(&first) = rows.first() else {
             continue;
         };

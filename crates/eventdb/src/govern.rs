@@ -143,6 +143,22 @@ impl QueryGovernor {
         self.check_now()
     }
 
+    /// Marks `n` units of scan work at once — a block-at-a-time kernel's
+    /// [`QueryGovernor::tick`]. The deadline and cancel flag are consulted
+    /// exactly when the running total crosses a multiple of
+    /// [`CHECK_INTERVAL`] (once, however many it crosses), so the ticks
+    /// counted and the check points match `n` single ticks.
+    #[inline]
+    pub fn tick_n(&self, n: u64) -> Result<()> {
+        // ord: see tick() — a pure work counter
+        let before = self.events.fetch_add(n, Ordering::Relaxed);
+        let interval = u64::from(CHECK_INTERVAL);
+        if before / interval == (before + n) / interval {
+            return Ok(());
+        }
+        self.check_now()
+    }
+
     /// Consults the deadline and the cancel flag immediately (used at loop
     /// boundaries — group starts, worker spawn/join — where a prompt check
     /// is cheap).
@@ -240,6 +256,33 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn tick_n_checks_where_single_ticks_would() {
+        let interval = u64::from(CHECK_INTERVAL);
+        // Below the first boundary: no check, even past a deadline.
+        let g = QueryGovernor::new(Some(Duration::ZERO), None, None);
+        g.tick_n(interval - 1).unwrap();
+        g.tick_n(0).unwrap();
+        // Reaching the boundary exactly checks, as the interval-th tick does.
+        assert!(g.tick_n(1).is_err());
+        assert_eq!(g.events_ticked(), interval);
+        // One call crossing several boundaries at once checks (once).
+        let g = QueryGovernor::new(Some(Duration::ZERO), None, None);
+        g.tick_n(interval / 2).unwrap();
+        assert!(g.tick_n(3 * interval).is_err());
+        assert_eq!(g.events_ticked(), interval / 2 + 3 * interval);
+        // Within one interval after a boundary: no check again.
+        let g = QueryGovernor::new(Some(Duration::ZERO), None, None);
+        assert!(g.tick_n(interval).is_err());
+        g.tick_n(interval - 1).unwrap();
+        assert!(g.tick_n(1).is_err());
+        // Unbounded: crossing boundaries never trips, and counts add up.
+        let g = QueryGovernor::unbounded();
+        g.tick_n(5 * interval + 7).unwrap();
+        g.tick().unwrap();
+        assert_eq!(g.events_ticked(), 5 * interval + 8);
     }
 
     #[test]

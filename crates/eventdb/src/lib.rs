@@ -67,8 +67,8 @@ pub use metrics::{Counter, EngineMetrics, QueryProfile, QueryRecorder, Stage};
 pub use pred::{CmpOp, Pred};
 pub use schema::{AttrId, ColumnDef, ColumnType, Role, Schema};
 pub use seqquery::{
-    build_sequence_groups, build_sequence_groups_governed, AttrLevel, SeqQuerySpec, Sequence,
-    SequenceGroup, SequenceGroups, SortKey,
+    build_sequence_groups, build_sequence_groups_governed, form_sequences, AttrLevel, SeqQuerySpec,
+    Sequence, SequenceGroup, SequenceGroups, SortKey,
 };
 pub use store::{EventDb, EventDbBuilder};
 pub use value::{LevelValue, RowId, Sid, Value};

@@ -14,14 +14,18 @@
 //! engine" and caches the result in the Sequence Cache; this module is that
 //! engine.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
+use crate::dict::Dictionary;
 use crate::error::{Error, Result};
-use crate::govern::QueryGovernor;
+use crate::govern::{QueryGovernor, CHECK_INTERVAL};
+use crate::hierarchy::{DictHierarchy, Hierarchy, IntHierarchy, TimeGranularity};
 use crate::metrics::{self, Counter, Stage};
 use crate::pred::Pred;
-use crate::schema::AttrId;
+use crate::schema::{AttrId, ColumnType};
 use crate::store::EventDb;
 use crate::value::{LevelValue, RowId, Sid};
 
@@ -209,68 +213,293 @@ pub fn build_sequence_groups(db: &EventDb, spec: &SeqQuerySpec) -> Result<Sequen
 }
 
 /// [`build_sequence_groups`] under a [`QueryGovernor`]: the selection scan
-/// ticks once per event row and each new cluster and group is charged
-/// against the cell budget, so an over-limit query aborts within one check
-/// interval.
+/// ticks once per event row and each new cluster is charged against the
+/// cell budget, so an over-limit query aborts within one check interval.
 pub fn build_sequence_groups_governed(
     db: &EventDb,
     spec: &SeqQuerySpec,
     gov: &QueryGovernor,
 ) -> Result<SequenceGroups> {
-    // Step 1 + 2: select and cluster in one pass. Counted into locals and
-    // flushed once so the per-row cost of profiling stays zero.
+    let sequences = form_sequences(db, spec, 0..db.len() as RowId, gov, |_| gov.charge_cells(1))?;
+    group_sequences(db, spec, gov, sequences)
+}
+
+/// A cluster: its key and its event rows.
+pub type ClusterRows = (Vec<LevelValue>, Vec<RowId>);
+
+/// Steps 1–3 over `rows`: selects with the `WHERE` predicate compiled
+/// once ([`Pred::compile`]), clusters through level readers resolved once,
+/// and sorts each cluster into its sequence. Returns the clusters in key
+/// order, each with its rows in `SEQUENCE BY` order.
+///
+/// The scan runs a block of [`CHECK_INTERVAL`] rows at a time: one
+/// [`QueryGovernor::tick_n`] per block (so ticks and check points match a
+/// tick per row), then the block's selection vector, then its rows into
+/// clusters. `on_new_cluster` sees each cluster's key as its first row
+/// arrives: the full build charges a cell there, and the store path's
+/// carry checks the key against the clusters it already has.
+pub fn form_sequences(
+    db: &EventDb,
+    spec: &SeqQuerySpec,
+    rows: Range<RowId>,
+    gov: &QueryGovernor,
+    mut on_new_cluster: impl FnMut(&[LevelValue]) -> Result<()>,
+) -> Result<Vec<ClusterRows>> {
+    // Counted into locals and flushed once, so profiling costs no per-row
+    // work.
     let rec = gov.recorder();
-    let mut selected: u64 = 0;
-    {
+    let mut clusters = {
         let _span = metrics::span(rec, Stage::SelectCluster);
+        let filter = spec.filter.compile(db);
+        let readers: Vec<LevelReader<'_>> = spec
+            .cluster_by
+            .iter()
+            .map(|&al| LevelReader::new(db, al))
+            .collect();
         let mut clusters = Clusters::new(db, &spec.cluster_by);
-        let mut ckey = Vec::with_capacity(spec.cluster_by.len());
+        let mut lanes = vec![Vec::with_capacity(CHECK_INTERVAL as usize); readers.len()];
+        let mut selection = Vec::with_capacity(CHECK_INTERVAL as usize);
+        let mut selected: u64 = 0;
         let scan = (|| -> Result<()> {
-            for row in 0..db.len() as RowId {
-                gov.tick()?;
-                if !spec.filter.eval(db, row)? {
-                    continue;
+            let mut start = rows.start;
+            while start < rows.end {
+                let end = rows.end.min(start.saturating_add(CHECK_INTERVAL));
+                gov.tick_n(u64::from(end - start))?;
+                selection.clear();
+                filter.select(start..end, &mut selection)?;
+                selected += selection.len() as u64;
+                for (reader, lane) in readers.iter().zip(&mut lanes) {
+                    reader.read_block(db, &selection, lane)?;
                 }
-                selected += 1;
-                ckey.clear();
-                for al in &spec.cluster_by {
-                    ckey.push(db.value_at_level(row, al.attr, al.level)?);
+                // solint: allow(governor-tick) one block of at most CHECK_INTERVAL rows, ticked by the block's tick_n
+                for (i, &row) in selection.iter().enumerate() {
+                    clusters.push(&lanes, i, row, &mut on_new_cluster)?;
                 }
-                if clusters.push(&ckey, row) {
-                    gov.charge_cells(1)?;
-                }
+                start = end;
             }
             Ok(())
         })();
         if let Some(rec) = rec {
-            rec.add(Counter::EventsScanned, db.len() as u64);
+            rec.add(Counter::EventsScanned, u64::from(rows.end - rows.start));
             rec.add(Counter::EventsSelected, selected);
-            rec.add(Counter::SequencesFormed, clusters.rows.len() as u64);
+            rec.add(Counter::SequencesFormed, clusters.keys.len() as u64);
         }
-        scan.map(|()| clusters.into_sorted())
+        scan?;
+        clusters.into_sorted()
+    };
+
+    // Step 3: only a cluster whose rows did not arrive in order is sorted
+    // (event logs arrive sequence by sequence).
+    let _span = metrics::span(rec, Stage::FormGroup);
+    let order = SequenceOrder::new(db, &spec.sequence_by)?;
+    for (_, rows) in &mut clusters {
+        gov.check_now()?;
+        if !order.holds(rows) {
+            rows.sort_unstable_by(|&a, &b| order.cmp(a, b));
+        }
     }
-    .and_then(|clusters| build_groups_from_clusters(db, spec, gov, clusters))
+    Ok(clusters)
 }
 
-/// A cluster: its key and its event rows in arrival order.
-type ClusterRows = (Vec<LevelValue>, Vec<RowId>);
+/// Reads one `(attribute, level)` of a row. The column and hierarchy are
+/// resolved once per statement, so a row costs one slice read and, above
+/// the base level, one hierarchy lookup.
+struct LevelReader<'a> {
+    al: AttrLevel,
+    read: Read<'a>,
+}
 
-/// Step 2's table: the clusters in first-seen order, found by key. The key
-/// is looked up before it is cloned, a row whose key repeats the previous
-/// row's goes straight to that cluster (event logs arrive sequence by
-/// sequence; nothing depends on it), and the lookup key is one integer
-/// when the clustering attributes' domains fit 64 bits.
+enum Read<'a> {
+    /// A raw integer or timestamp: its bits.
+    Raw(&'a [i64]),
+    /// A float: its bits.
+    Bits(&'a [f64]),
+    /// A string's base dictionary id.
+    StrId(&'a [u32]),
+    /// A string mapped up its dictionary hierarchy to a level.
+    StrUp(&'a [u32], &'a DictHierarchy, usize),
+    /// An integer mapped up its hierarchy to a level.
+    IntUp(&'a [i64], &'a IntHierarchy, usize),
+    /// A timestamp's bucket.
+    Bucket(&'a [i64], TimeGranularity),
+    /// A level the attribute does not have: [`EventDb::value_at_level`]
+    /// returns its typed error.
+    Store,
+}
+
+impl<'a> LevelReader<'a> {
+    fn new(db: &'a EventDb, al: AttrLevel) -> Self {
+        let (attr, level) = (al.attr, al.level);
+        let read = match (db.schema().column(attr).ctype, db.hierarchy(attr)) {
+            (ColumnType::Str, h) => db.str_column(attr).and_then(|(ids, _)| match h {
+                _ if level == 0 => Some(Read::StrId(ids)),
+                Hierarchy::Dict(dh) if level <= dh.levels.len() => {
+                    Some(Read::StrUp(ids, dh, level))
+                }
+                _ => None,
+            }),
+            (ColumnType::Int, h) => db.int_column(attr).and_then(|col| match h {
+                _ if level == 0 => Some(Read::Raw(col)),
+                Hierarchy::Int(ih) if level <= ih.levels.len() => Some(Read::IntUp(col, ih, level)),
+                _ => None,
+            }),
+            (ColumnType::Time, h) => db.int_column(attr).and_then(|col| match h {
+                Hierarchy::Time(th) => match th.levels.get(level)? {
+                    TimeGranularity::Raw => Some(Read::Raw(col)),
+                    &g => Some(Read::Bucket(col, g)),
+                },
+                _ if level == 0 => Some(Read::Raw(col)),
+                _ => None,
+            }),
+            (ColumnType::Float, _) if level == 0 => db.float_column(attr).map(Read::Bits),
+            _ => None,
+        };
+        LevelReader {
+            al,
+            read: read.unwrap_or(Read::Store),
+        }
+    }
+
+    /// Fills `lane` with the level values of `rows`, one typed pass. A
+    /// miss — a value its hierarchy does not map, or a level the attribute
+    /// does not have — sends the block through
+    /// [`EventDb::value_at_level`], which returns the first such row's
+    /// typed error.
+    fn read_block(&self, db: &EventDb, rows: &[RowId], lane: &mut Vec<LevelValue>) -> Result<()> {
+        lane.clear();
+        let hit = match self.read {
+            Read::Raw(col) => fill(lane, col, rows, |v| Some(v as LevelValue)),
+            Read::Bits(col) => fill(lane, col, rows, |v| Some(v.to_bits())),
+            Read::StrId(ids) => fill(lane, ids, rows, |id| Some(LevelValue::from(id))),
+            Read::StrUp(ids, dh, level) => fill(lane, ids, rows, |id| {
+                dh.map_up(id, level).map(LevelValue::from)
+            }),
+            Read::IntUp(col, ih, level) => fill(lane, col, rows, |raw| {
+                ih.map_up(raw, level).map(LevelValue::from)
+            }),
+            Read::Bucket(col, g) => fill(lane, col, rows, |t| Some(g.bucket(t) as LevelValue)),
+            Read::Store => false,
+        };
+        if hit {
+            return Ok(());
+        }
+        lane.clear();
+        rows.iter().try_for_each(|&row| {
+            lane.push(db.value_at_level(row, self.al.attr, self.al.level)?);
+            Ok(())
+        })
+    }
+}
+
+/// Appends `f` of each row's stored value to `lane`; `false` if any row
+/// missed.
+fn fill<T: Copy>(
+    lane: &mut Vec<LevelValue>,
+    col: &[T],
+    rows: &[RowId],
+    f: impl Fn(T) -> Option<LevelValue>,
+) -> bool {
+    let mut hit = true;
+    lane.extend(rows.iter().map(|&r| {
+        col.get(r as usize)
+            .copied()
+            .and_then(&f)
+            .unwrap_or_else(|| {
+                hit = false;
+                0
+            })
+    }));
+    hit
+}
+
+/// Step 3's `SEQUENCE BY` order over typed columns: the sort keys in turn,
+/// then the row id, so the order is total and every sort of a cluster
+/// gives the same sequence. IEEE 754 totalOrder for floats (DESIGN §4):
+/// a NaN is a value, so a column holding one still sorts.
+struct SequenceOrder<'a> {
+    keys: Vec<(SortColumn<'a>, bool)>,
+}
+
+enum SortColumn<'a> {
+    Int(&'a [i64]),
+    Float(&'a [f64]),
+    Str(&'a [u32], &'a Dictionary),
+}
+
+impl<'a> SequenceOrder<'a> {
+    fn new(db: &'a EventDb, sequence_by: &[SortKey]) -> Result<Self> {
+        let keys = sequence_by
+            .iter()
+            .map(|k| {
+                let col = if let Some(v) = db.int_column(k.attr) {
+                    SortColumn::Int(v)
+                } else if let Some(v) = db.float_column(k.attr) {
+                    SortColumn::Float(v)
+                } else if let Some((ids, dict)) = db.str_column(k.attr) {
+                    SortColumn::Str(ids, dict)
+                } else {
+                    return Err(Error::Internal(format!(
+                        "SEQUENCE BY attribute #{} has no column",
+                        k.attr
+                    )));
+                };
+                Ok((col, k.ascending))
+            })
+            .collect::<Result<_>>()?;
+        Ok(SequenceOrder { keys })
+    }
+
+    fn cmp(&self, a: RowId, b: RowId) -> Ordering {
+        let (i, j) = (a as usize, b as usize);
+        for (col, ascending) in &self.keys {
+            let ord = match col {
+                SortColumn::Int(v) => v.get(i).cmp(&v.get(j)),
+                SortColumn::Float(v) => match (v.get(i), v.get(j)) {
+                    (Some(x), Some(y)) => x.total_cmp(y),
+                    (x, y) => x.is_some().cmp(&y.is_some()),
+                },
+                SortColumn::Str(ids, dict) => match (ids.get(i), ids.get(j)) {
+                    (x, y) if x == y => Ordering::Equal,
+                    (x, y) => x
+                        .and_then(|&x| dict.resolve(x))
+                        .cmp(&y.and_then(|&y| dict.resolve(y))),
+                },
+            };
+            let ord = if *ascending { ord } else { ord.reverse() };
+            if ord.is_ne() {
+                return ord;
+            }
+        }
+        a.cmp(&b)
+    }
+
+    /// Whether a cluster's rows are already in sequence order — always,
+    /// with no `SEQUENCE BY`, where rows keep their arrival order.
+    fn holds(&self, rows: &[RowId]) -> bool {
+        self.keys.is_empty() || rows.is_sorted_by(|&a, &b| self.cmp(a, b).is_le())
+    }
+}
+
+/// Step 2's table: the clusters in first-seen order, found by key, and
+/// the selected rows in scan order, cut into runs of one cluster each. A
+/// row whose key repeats the previous row's extends the current run (event
+/// logs arrive sequence by sequence; nothing depends on it). When the
+/// clustering attributes' domains fit 64 bits the key is packed into one
+/// integer, so that test is one compare, the lookup hashes one integer and
+/// a key is only built for a cluster the row creates.
 struct Clusters {
-    rows: Vec<ClusterRows>,
-    /// The cluster the previous row joined.
-    last: usize,
+    keys: Vec<Vec<LevelValue>>,
+    rows: Vec<RowId>,
+    /// `(cluster, first index into rows)` per run.
+    runs: Vec<(u32, usize)>,
     index: ClusterIndex,
 }
 
 enum ClusterIndex {
-    /// Bit width per clustering attribute, and clusters by packed key.
-    Packed(Vec<u32>, HashMap<u64, usize>),
-    Wide(HashMap<Vec<LevelValue>, usize>),
+    /// Bit width per clustering attribute, clusters by packed key, and the
+    /// previous row's packed key.
+    Packed(Vec<u32>, HashMap<u64, u32>, Option<u64>),
+    Wide(HashMap<Vec<LevelValue>, u32>),
 }
 
 impl Clusters {
@@ -285,85 +514,109 @@ impl Clusters {
             })
             .collect();
         let index = if widths.iter().map(|&w| u64::from(w)).sum::<u64>() <= 64 {
-            ClusterIndex::Packed(widths, HashMap::new())
+            ClusterIndex::Packed(widths, HashMap::new(), None)
         } else {
             ClusterIndex::Wide(HashMap::new())
         };
         Clusters {
+            keys: Vec::new(),
             rows: Vec::new(),
-            last: 0,
+            runs: Vec::new(),
             index,
         }
     }
 
-    /// Adds `row` to the cluster of `key`; `true` if that created it.
-    fn push(&mut self, key: &[LevelValue], row: RowId) -> bool {
-        if let Some((last_key, rows)) = self.rows.get_mut(self.last) {
-            if last_key == key {
-                rows.push(row);
-                return false;
-            }
-        }
-        let next = self.rows.len();
-        self.last = match &mut self.index {
-            ClusterIndex::Packed(widths, by_code) => {
-                let code = widths
-                    .iter()
-                    .zip(key)
-                    .fold(0u64, |code, (&w, &v)| code.checked_shl(w).unwrap_or(0) | v);
-                *by_code.entry(code).or_insert(next)
-            }
-            ClusterIndex::Wide(by_key) => match by_key.get(key) {
-                Some(&found) => found,
-                None => {
-                    by_key.insert(key.to_vec(), next);
-                    next
+    /// Adds `row`, whose key is entry `i` of the block's `lanes`, to its
+    /// cluster; `on_new` sees the key of a cluster `row` creates.
+    #[inline]
+    fn push(
+        &mut self,
+        lanes: &[Vec<LevelValue>],
+        i: usize,
+        row: RowId,
+        on_new: &mut impl FnMut(&[LevelValue]) -> Result<()>,
+    ) -> Result<()> {
+        let value = |lane: &Vec<LevelValue>| lane.get(i).copied().unwrap_or_default();
+        let next = self.keys.len() as u32;
+        let cluster = match &mut self.index {
+            ClusterIndex::Packed(widths, by_code, last) => {
+                let code = widths.iter().zip(lanes).fold(0u64, |code, (&w, lane)| {
+                    code.checked_shl(w).unwrap_or(0) | value(lane)
+                });
+                if *last == Some(code) {
+                    None
+                } else {
+                    *last = Some(code);
+                    Some(*by_code.entry(code).or_insert(next))
                 }
-            },
+            }
+            ClusterIndex::Wide(by_key) => {
+                let current = self
+                    .runs
+                    .last()
+                    .and_then(|&(c, _)| self.keys.get(c as usize));
+                if current.is_some_and(|k| k.iter().zip(lanes).all(|(&v, lane)| v == value(lane))) {
+                    None
+                } else {
+                    let key: Vec<LevelValue> = lanes.iter().map(value).collect();
+                    Some(*by_key.entry(key).or_insert(next))
+                }
+            }
         };
-        match self.rows.get_mut(self.last) {
-            Some((_, rows)) => {
-                rows.push(row);
-                false
+        if let Some(cluster) = cluster {
+            if cluster == next {
+                let key: Vec<LevelValue> = lanes.iter().map(value).collect();
+                on_new(&key)?;
+                self.keys.push(key);
             }
-            None => {
-                self.rows.push((key.to_vec(), vec![row]));
-                true
-            }
+            self.runs.push((cluster, self.rows.len()));
         }
+        self.rows.push(row);
+        Ok(())
     }
 
-    /// The clusters in key order — the order sids are assigned in.
-    fn into_sorted(mut self) -> Vec<ClusterRows> {
-        self.rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        self.rows
+    /// The clusters in key order — the order sids are assigned in — each
+    /// with its rows in scan order, allocated once at their final length.
+    fn into_sorted(self) -> Vec<ClusterRows> {
+        let ends = self
+            .runs
+            .iter()
+            .skip(1)
+            .map(|&(_, start)| start)
+            .chain([self.rows.len()]);
+        let mut sizes = vec![0; self.keys.len()];
+        for (&(c, start), end) in self.runs.iter().zip(ends.clone()) {
+            if let Some(n) = sizes.get_mut(c as usize) {
+                *n += end - start;
+            }
+        }
+        let mut members: Vec<Vec<RowId>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (&(c, start), end) in self.runs.iter().zip(ends) {
+            if let (Some(to), Some(from)) = (members.get_mut(c as usize), self.rows.get(start..end))
+            {
+                to.extend_from_slice(from);
+            }
+        }
+        let mut clusters: Vec<ClusterRows> = self.keys.into_iter().zip(members).collect();
+        clusters.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        clusters
     }
 }
 
-/// Steps 3–4: sorts each cluster into a sequence and groups sequences by
-/// global-dimension values.
-fn build_groups_from_clusters(
+/// Step 4: groups the sequences [`form_sequences`] formed by
+/// global-dimension values, and assigns sids in group, then cluster-key
+/// order.
+fn group_sequences(
     db: &EventDb,
     spec: &SeqQuerySpec,
     gov: &QueryGovernor,
-    clusters: Vec<ClusterRows>,
+    sequences: Vec<ClusterRows>,
 ) -> Result<SequenceGroups> {
     let rec = gov.recorder();
     let _span = metrics::span(rec, Stage::FormGroup);
-
-    // Step 3: sort each cluster into a sequence.
-    let sort_keys: Vec<(AttrId, bool)> = spec
-        .sequence_by
-        .iter()
-        .map(|k| (k.attr, k.ascending))
-        .collect();
-    // Step 4: group sequences by global-dimension values.
     let mut grouped: BTreeMap<Vec<LevelValue>, Vec<ClusterRows>> = BTreeMap::new();
-    for (ckey, mut rows) in clusters {
+    for (ckey, rows) in sequences {
         gov.check_now()?;
-        if !sort_keys.is_empty() {
-            rows.sort_unstable_by(|&a, &b| db.cmp_rows(a, b, &sort_keys));
-        }
         let Some(&first) = rows.first() else {
             return Err(Error::Internal("empty cluster in sequence grouping".into()));
         };
@@ -383,13 +636,12 @@ fn build_groups_from_clusters(
         let sequences: Vec<Sequence> = seqs
             .into_iter()
             .map(|(cluster_key, rows)| {
+                // The group set outlives the query in the sequence cache;
+                // `rows` was allocated at its exact length.
                 let s = Sequence {
                     sid: next_sid,
                     cluster_key,
-                    // The group set outlives the query in the sequence
-                    // cache: an exact copy, and the push-grown buffers go
-                    // back to the allocator for the next scan to grow into.
-                    rows: rows.as_slice().to_vec(),
+                    rows,
                 };
                 next_sid += 1;
                 s

@@ -282,6 +282,32 @@ impl EventDb {
         }
     }
 
+    /// The stored values of an `Int` or `Time` column, staged rows
+    /// included: the typed slice a compiled kernel reads.
+    pub(crate) fn int_column(&self, attr: AttrId) -> Option<&[i64]> {
+        match self.cols.get(attr as usize)? {
+            ColumnData::Int(v) | ColumnData::Time(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The stored values of a `Float` column, staged rows included.
+    pub(crate) fn float_column(&self, attr: AttrId) -> Option<&[f64]> {
+        match self.cols.get(attr as usize)? {
+            ColumnData::Float(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The dictionary ids of a `Str` column, staged rows included, with
+    /// the dictionary they index.
+    pub(crate) fn str_column(&self, attr: AttrId) -> Option<(&[u32], &Dictionary)> {
+        match self.cols.get(attr as usize)? {
+            ColumnData::Str { dict, data } => Some((data, dict)),
+            _ => None,
+        }
+    }
+
     /// The hierarchy attached to an attribute.
     pub fn hierarchy(&self, attr: AttrId) -> &Hierarchy {
         &self.hierarchies[attr as usize]
@@ -739,34 +765,6 @@ impl EventDb {
         self.cols.iter().map(ColumnData::heap_bytes).sum()
     }
 
-    /// Compares two rows by a list of `(attribute, ascending)` sort keys,
-    /// used by sequence formation (`SEQUENCE BY`).
-    pub fn cmp_rows(&self, a: RowId, b: RowId, keys: &[(AttrId, bool)]) -> std::cmp::Ordering {
-        use std::cmp::Ordering;
-        for &(attr, asc) in keys {
-            let ord = match &self.cols[attr as usize] {
-                ColumnData::Int(v) | ColumnData::Time(v) => v[a as usize].cmp(&v[b as usize]),
-                // IEEE 754 totalOrder (DESIGN §4): NaN is a value, so a
-                // sort over a column holding one stays a total order.
-                ColumnData::Float(v) => v[a as usize].total_cmp(&v[b as usize]),
-                ColumnData::Str { dict, data } => {
-                    let (x, y) = (data[a as usize], data[b as usize]);
-                    if x == y {
-                        Ordering::Equal
-                    } else {
-                        dict.resolve(x).cmp(&dict.resolve(y))
-                    }
-                }
-            };
-            let ord = if asc { ord } else { ord.reverse() };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        // Tie-break on row id for deterministic, stable sequences.
-        a.cmp(&b)
-    }
-
     fn unknown_level_err(&self, attr: AttrId, level: usize) -> Error {
         Error::UnknownLevel {
             attribute: self.schema.column(attr).name.clone(),
@@ -1053,18 +1051,6 @@ mod tests {
         // Unknown values error.
         assert!(db.parse_level_value(2, 0, "Atlantis").is_err());
         assert!(db.parse_level_value(1, 0, "not-a-number").is_err());
-    }
-
-    #[test]
-    fn cmp_rows_orders_by_keys() {
-        use std::cmp::Ordering;
-        let db = transit_db();
-        assert_eq!(db.cmp_rows(0, 1, &[(0, true)]), Ordering::Less);
-        assert_eq!(db.cmp_rows(0, 1, &[(0, false)]), Ordering::Greater);
-        // Same card-id → falls through to row-id tiebreak.
-        assert_eq!(db.cmp_rows(0, 1, &[(1, true)]), Ordering::Less);
-        // String ordering is lexicographic, not id-order.
-        assert_eq!(db.cmp_rows(0, 1, &[(2, true)]), Ordering::Less); // Glenmont < Pentagon
     }
 
     #[test]

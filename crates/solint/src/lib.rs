@@ -212,10 +212,16 @@ pub fn default_hot_keywords() -> Vec<String> {
 /// Identifiers proving a loop body is governed: direct governor calls, the
 /// `*_governed` entry points, and governor attachment.
 pub fn default_governed_markers() -> Vec<String> {
-    ["tick", "check_now", "charge_cells", "with_governor"]
-        .into_iter()
-        .map(String::from)
-        .collect()
+    [
+        "tick",
+        "tick_n",
+        "check_now",
+        "charge_cells",
+        "with_governor",
+    ]
+    .into_iter()
+    .map(String::from)
+    .collect()
 }
 
 /// Workspace crate roots: `src/lib.rs` / `src/main.rs` beside every

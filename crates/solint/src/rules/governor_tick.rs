@@ -12,8 +12,9 @@
 //!   plural-folded, is one of [`crate::Config::hot_keywords`]
 //!   (`event`, `row`, `seq`, `sid`, `posting`, `list`, `group`, …);
 //! * it is **governed** when its body (nested loops included) mentions a
-//!   [`crate::Config::governed_markers`] identifier — `tick`, `check_now`,
-//!   `charge_cells`, `with_governor`, or any `*_governed` entry point.
+//!   [`crate::Config::governed_markers`] identifier — `tick`, `tick_n`,
+//!   `check_now`, `charge_cells`, `with_governor`, or any `*_governed`
+//!   entry point.
 //!
 //! A hot, ungoverned loop is a finding unless escaped with a justified
 //! `// solint: allow(governor-tick) <reason>` comment on the loop line or
