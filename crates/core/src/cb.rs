@@ -53,7 +53,7 @@ pub(crate) fn group_selected(spec: &SCuboidSpec, key: &[LevelValue]) -> bool {
 /// at a coarser level than the dimension (a slice set before a
 /// P-DRILL-DOWN), in which case the cell value is rolled up before the
 /// comparison.
-pub(crate) fn cell_selected(db: &EventDb, spec: &SCuboidSpec, cell: &[LevelValue]) -> Result<bool> {
+fn cell_selected(db: &EventDb, spec: &SCuboidSpec, cell: &[LevelValue]) -> Result<bool> {
     for (&d, &(level, v)) in &spec.pattern_slice {
         let dim = &spec.template.dims[d];
         let at_slice_level = if level == dim.level {
@@ -250,6 +250,7 @@ pub fn counter_based(
     mode: CounterMode,
     meter: &mut ScanMeter,
 ) -> Result<SCuboid> {
+    // solint: allow(ungoverned) the ungoverned form itself, for tests and benches
     counter_based_governed(db, groups, spec, mode, meter, &QueryGovernor::unbounded())
 }
 
@@ -304,11 +305,11 @@ pub fn dense_cell_space(db: &EventDb, spec: &SCuboidSpec) -> Option<usize> {
     usize::try_from(space).ok()
 }
 
-/// A parallel variant of [`counter_based`] covering **every** aggregate
-/// function: the sequences of each group are sharded across `threads`
-/// workers, each folding a thread-local cell table and a thread-local
-/// [`ScanMeter`]; at join time the partial states are merged with
-/// [`AggState::merge`] and the meters absorbed into `meter`.
+/// A parallel variant of [`counter_based_governed`] covering **every**
+/// aggregate function: the sequences of each group are sharded across
+/// `threads` workers, each folding a thread-local cell table and a
+/// thread-local [`ScanMeter`]; at join time the partial states are merged
+/// with [`AggState::merge`] and the meters absorbed into `meter`.
 ///
 /// Determinism: worker results are merged **in chunk order** (the order
 /// the shards were cut from the group's sid-sorted sequence list), so each
@@ -317,28 +318,12 @@ pub fn dense_cell_space(db: &EventDb, spec: &SCuboidSpec) -> Option<usize> {
 /// order**. Count/Min/Max merges are order-independent outright; Sum/Avg
 /// carry `(sum, n)` partials whose fixed association order makes the
 /// float result reproducible run-to-run.
-pub fn counter_based_parallel(
-    db: &EventDb,
-    groups: &SequenceGroups,
-    spec: &SCuboidSpec,
-    threads: usize,
-    meter: &mut ScanMeter,
-) -> Result<SCuboid> {
-    counter_based_parallel_governed(
-        db,
-        groups,
-        spec,
-        threads,
-        meter,
-        &QueryGovernor::unbounded(),
-    )
-}
-
-/// [`counter_based_parallel`] under a [`QueryGovernor`]. The governor is
-/// shared by reference across the workers: each worker's matcher ticks it,
-/// each thread-local cell is charged, and the first limit to trip aborts
-/// the whole group at merge time. A panicking worker is isolated and
-/// surfaced as [`Error::Internal`] instead of poisoning the engine.
+///
+/// The governor is shared by reference across the workers: each worker's
+/// matcher ticks it, each thread-local cell is charged, and the first
+/// limit to trip aborts the whole group at merge time. A panicking worker
+/// is isolated and surfaced as [`Error::Internal`] instead of poisoning
+/// the engine.
 pub fn counter_based_parallel_governed(
     db: &EventDb,
     groups: &SequenceGroups,
@@ -561,7 +546,8 @@ mod tests {
         let mut m1 = ScanMeter::new();
         let s = counter_based(&db, &g, &spec, CounterMode::Hash, &mut m1).unwrap();
         let mut m2 = ScanMeter::new();
-        let p = counter_based_parallel(&db, &g, &spec, 3, &mut m2).unwrap();
+        let gov = QueryGovernor::unbounded();
+        let p = counter_based_parallel_governed(&db, &g, &spec, 3, &mut m2, &gov).unwrap();
         assert_eq!(s.cells(), p.cells());
         assert_eq!(m1.count(), m2.count());
     }
@@ -579,7 +565,8 @@ mod tests {
         assert!(counter_based_parallel_governed(&db, &g, &spec, 3, &mut meter, &gov).is_err());
         assert_eq!(meter.count(), 0, "failed run must not be metered");
         // The same meter then records exactly one successful run.
-        let ok = counter_based_parallel(&db, &g, &spec, 3, &mut meter).unwrap();
+        let gov = QueryGovernor::unbounded();
+        let ok = counter_based_parallel_governed(&db, &g, &spec, 3, &mut meter, &gov).unwrap();
         assert_eq!(meter.count(), 4);
         assert!(!ok.is_empty());
     }

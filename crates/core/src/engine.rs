@@ -11,9 +11,10 @@ use solap_eventdb::metrics::{self, Counter, QueryProfile, QueryRecorder};
 use solap_eventdb::seqcache::SequenceCache;
 use solap_eventdb::{
     fail_point, panic_message, CancelToken, Error, EventDb, EventLog, FsyncPolicy, Pred,
-    QueryGovernor, RecoveryReport, Result, SequenceGroups, Value,
+    QueryGovernor, RecoveryReport, Result, SeqQuerySpec, Value,
 };
 use solap_index::{IndexKey, IndexStore};
+use solap_pattern::{CellRestriction, RegexTemplate};
 
 use crate::cb::{counter_based_governed, counter_based_parallel_governed, CounterMode};
 use crate::cuboid::SCuboid;
@@ -23,6 +24,7 @@ use crate::ops::{self, Op};
 use crate::plan::{
     self, CostModel, PlanAlternative, PlanChoice, PlanInputs, PlanReport, Planner, QueryPlan,
 };
+use crate::regexq::regex_cuboid_governed;
 use crate::repo::CuboidRepo;
 use crate::spec::SCuboidSpec;
 use crate::stats::{ExecStats, ScanMeter};
@@ -415,12 +417,6 @@ impl Engine {
         &self.cost_model
     }
 
-    /// The sequence groups for a spec (cached).
-    pub fn sequence_groups(&self, spec: &SCuboidSpec) -> Result<Arc<SequenceGroups>> {
-        let db = self.db.read();
-        self.seq_cache.get_or_build(&db, &spec.seq)
-    }
-
     /// Whether the cost-based planner decides this configuration's
     /// queries (it does unless a strategy is fixed).
     fn planner_active(config: &EngineConfig) -> bool {
@@ -526,7 +522,7 @@ impl Engine {
     /// path becomes [`Error::Internal`] and the engine stays usable (the
     /// shared caches only ever insert fully-built entries).
     pub fn execute(&self, spec: &SCuboidSpec) -> Result<QueryOutput> {
-        self.isolated(|| self.execute_with(spec, None, &self.config))
+        self.execute_configured(spec, &self.config)
     }
 
     /// [`Engine::execute`] under a caller-supplied configuration instead
@@ -544,7 +540,7 @@ impl Engine {
         spec: &SCuboidSpec,
         config: &EngineConfig,
     ) -> Result<QueryOutput> {
-        self.isolated(|| self.execute_with(spec, None, config))
+        self.isolated(|| Engine::recorded(|| self.execute_inner(spec, None, config)))
     }
 
     /// [`Engine::execute_op`] under a caller-supplied configuration — see
@@ -557,7 +553,7 @@ impl Engine {
     ) -> Result<(SCuboidSpec, QueryOutput)> {
         self.isolated(|| {
             let new_spec = ops::apply(&self.db.read(), prev, op)?;
-            let out = self.execute_with(&new_spec, Some((prev, op)), config)?;
+            let out = Engine::recorded(|| self.execute_inner(&new_spec, Some((prev, op)), config))?;
             Ok((new_spec, out))
         })
     }
@@ -570,11 +566,7 @@ impl Engine {
     /// Runs under the same governance and panic isolation as
     /// [`Engine::execute`].
     pub fn execute_op(&self, prev: &SCuboidSpec, op: &Op) -> Result<(SCuboidSpec, QueryOutput)> {
-        self.isolated(|| {
-            let new_spec = ops::apply(&self.db.read(), prev, op)?;
-            let out = self.execute_with(&new_spec, Some((prev, op)), &self.config)?;
-            Ok((new_spec, out))
-        })
+        self.execute_op_configured(prev, op, &self.config)
     }
 
     /// Converts a panic escaping `f` into [`Error::Internal`]. The caches
@@ -681,20 +673,72 @@ impl Engine {
         })
     }
 
-    /// Governed + instrumented query execution: wraps [`Engine::execute_inner`]
-    /// with process-wide metrics accounting.
-    fn execute_with(
-        &self,
-        spec: &SCuboidSpec,
-        hint: Option<(&SCuboidSpec, &Op)>,
-        config: &EngineConfig,
-    ) -> Result<QueryOutput> {
-        let result = self.execute_inner(spec, hint, config);
+    /// Runs one query and folds its outcome into the process-wide
+    /// metrics: its profile on success, one failure otherwise.
+    fn recorded(query: impl FnOnce() -> Result<QueryOutput>) -> Result<QueryOutput> {
+        let result = query();
         match &result {
             Ok(out) => metrics::global().record(&out.profile),
             Err(_) => metrics::global().record_failure(),
         }
         result
+    }
+
+    /// Executes a regex-template COUNT query (§3.2's extension) with the
+    /// same per-query set-up as [`Engine::execute_configured`]. Regex
+    /// templates have one construction path (CB), so nothing is planned
+    /// and the cuboid repository is not consulted.
+    pub fn execute_regex_configured(
+        &self,
+        seq: &SeqQuerySpec,
+        template: &RegexTemplate,
+        restriction: CellRestriction,
+        config: &EngineConfig,
+    ) -> Result<QueryOutput> {
+        self.isolated(|| {
+            Engine::recorded(|| {
+                let db = self.db.read();
+                let start = Instant::now();
+                let rec = Arc::new(QueryRecorder::default());
+                let gov = Engine::governor(config).with_recorder(Arc::clone(&rec));
+                let groups = self.seq_cache.get_or_build_governed(&db, seq, &gov)?;
+                let mut meter = ScanMeter::new();
+                let cuboid =
+                    regex_cuboid_governed(&db, &groups, template, restriction, &mut meter, &gov)?;
+                let stats = ExecStats {
+                    strategy: "regex/CB",
+                    sequences_scanned: meter.count(),
+                    elapsed: start.elapsed(),
+                    ..Default::default()
+                };
+                Ok(Engine::output(&rec, &gov, stats, cuboid))
+            })
+        })
+    }
+
+    /// The output of a constructed (not repository-answered) query, its
+    /// profile being what the recorder counted plus the execution's totals.
+    fn output(
+        rec: &QueryRecorder,
+        gov: &QueryGovernor,
+        stats: ExecStats,
+        cuboid: SCuboid,
+    ) -> QueryOutput {
+        rec.add(Counter::SequencesScanned, stats.sequences_scanned);
+        rec.add(Counter::CellsMaterialized, cuboid.len() as u64);
+        rec.add(Counter::IndicesBuilt, stats.indices_built);
+        rec.add(Counter::IndexBytesBuilt, stats.index_bytes_built as u64);
+        rec.add(Counter::IndexJoins, stats.index_joins);
+        rec.add(Counter::GovernorTicks, gov.events_ticked());
+        rec.add(Counter::CellsCharged, gov.cells_consumed());
+        let mut profile = QueryProfile::from_recorder(rec);
+        profile.strategy = stats.strategy;
+        profile.elapsed_nanos = stats.elapsed.as_nanos() as u64;
+        QueryOutput {
+            cuboid: Arc::new(cuboid),
+            stats,
+            profile,
+        }
     }
 
     fn execute_inner(
@@ -810,9 +854,14 @@ impl Engine {
             }
         } else {
             stats.strategy = "II";
-            let ex = IiExecutor::new(&db, &groups, spec.seq.fingerprint(), &self.index_store)
-                .with_threads(config.threads)
-                .with_governor(&gov);
+            let ex = IiExecutor::new(
+                &db,
+                &groups,
+                spec.seq.fingerprint(),
+                &self.index_store,
+                &gov,
+            )
+            .with_threads(config.threads);
             if let Some((prev, op)) = hint {
                 // Preparation only touches the index store; on any
                 // refusal the generic QUERYINDICES path takes over.
@@ -852,31 +901,14 @@ impl Engine {
                 );
             }
         }
-        rec.add(Counter::SequencesScanned, meter.count());
-        rec.add(Counter::CellsMaterialized, cuboid.len() as u64);
-        rec.add(Counter::IndicesBuilt, stats.indices_built);
-        rec.add(Counter::IndexBytesBuilt, stats.index_bytes_built as u64);
-        rec.add(Counter::IndexJoins, stats.index_joins);
-        rec.add(Counter::GovernorTicks, gov.events_ticked());
-        rec.add(Counter::CellsCharged, gov.cells_consumed());
-        let mut profile = QueryProfile::from_recorder(&rec);
-        profile.strategy = stats.strategy;
-        profile.elapsed_nanos = stats.elapsed.as_nanos() as u64;
-        let cuboid = Arc::new(cuboid);
+        let out = Engine::output(&rec, &gov, stats, cuboid);
         if config.use_cuboid_repo {
             fail_point!("engine.insert");
-            self.cuboid_repo.insert(
-                fp,
-                db.version(),
-                Arc::clone(&cuboid),
-                stats.elapsed.as_nanos() as u64,
-            );
+            let cost = out.stats.elapsed.as_nanos() as u64;
+            self.cuboid_repo
+                .insert(fp, db.version(), Arc::clone(&out.cuboid), cost);
         }
-        Ok(QueryOutput {
-            cuboid,
-            stats,
-            profile,
-        })
+        Ok(out)
     }
 
     /// Precomputes the generic size-`m` inverted index at `(attr, level)`
@@ -891,9 +923,16 @@ impl Engine {
         m: usize,
     ) -> Result<usize> {
         let db = self.db.read();
-        let groups = self.seq_cache.get_or_build(&db, &spec.seq)?;
-        let ex = IiExecutor::new(&db, &groups, spec.seq.fingerprint(), &self.index_store)
-            .with_threads(self.config.threads);
+        let gov = Engine::governor(&self.config);
+        let groups = self.seq_cache.get_or_build_governed(&db, &spec.seq, &gov)?;
+        let ex = IiExecutor::new(
+            &db,
+            &groups,
+            spec.seq.fingerprint(),
+            &self.index_store,
+            &gov,
+        )
+        .with_threads(self.config.threads);
         ex.precompute_generic(attr, level, m, spec.template.kind)
     }
 }

@@ -47,20 +47,20 @@ pub struct IiExecutor<'a> {
     pub groups_fp: u64,
     store: &'a IndexStore,
     threads: usize,
-    gov: Option<&'a QueryGovernor>,
-    /// Unbounded stand-in used when no governor is attached, so internal
-    /// plumbing can always pass a `&QueryGovernor`.
-    fallback_gov: QueryGovernor,
+    /// Index builds, verification scans and cuboid folding tick it, and
+    /// new inverted lists / cuboid cells are charged against its budget.
+    gov: &'a QueryGovernor,
 }
 
 impl<'a> IiExecutor<'a> {
-    /// Creates an executor (single-threaded index construction; see
-    /// [`IiExecutor::with_threads`]).
+    /// Creates an executor running under `gov` (single-threaded index
+    /// construction; see [`IiExecutor::with_threads`]).
     pub fn new(
         db: &'a EventDb,
         groups: &'a SequenceGroups,
         groups_fp: u64,
         store: &'a IndexStore,
+        gov: &'a QueryGovernor,
     ) -> Self {
         IiExecutor {
             db,
@@ -68,8 +68,7 @@ impl<'a> IiExecutor<'a> {
             groups_fp,
             store,
             threads: 1,
-            gov: None,
-            fallback_gov: QueryGovernor::unbounded(),
+            gov,
         }
     }
 
@@ -78,18 +77,6 @@ impl<'a> IiExecutor<'a> {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Attaches a [`QueryGovernor`]: index builds, verification scans and
-    /// cuboid folding tick it, and new inverted lists / cuboid cells are
-    /// charged against its cell budget.
-    pub fn with_governor(mut self, gov: &'a QueryGovernor) -> Self {
-        self.gov = Some(gov);
-        self
-    }
-
-    fn gov(&self) -> &QueryGovernor {
-        self.gov.unwrap_or(&self.fallback_gov)
     }
 
     fn key(
@@ -182,7 +169,7 @@ impl<'a> IiExecutor<'a> {
                         continue;
                     }
                     for sid in set.iter() {
-                        self.gov().tick()?;
+                        self.gov.tick()?;
                         seen.insert(sid);
                     }
                 }
@@ -190,7 +177,7 @@ impl<'a> IiExecutor<'a> {
                 (seen.len() * 2 < group_size).then_some(seen)
             };
             let verified = if let Some(members) = members {
-                let _span = metrics::span(self.gov().recorder(), Stage::IndexBuild);
+                let _span = metrics::span(self.gov.recorder(), Stage::IndexBuild);
                 let mut sids: Vec<u32> = members.iter().collect();
                 sids.sort_unstable();
                 // solint: allow(governor-tick) O(1) meter touch per sid; the collection pass above ticked every posting
@@ -201,15 +188,14 @@ impl<'a> IiExecutor<'a> {
                     .iter()
                     .map(|&s| self.groups.sequence(s))
                     .collect::<Result<Vec<_>>>()?;
-                let (mut raw, _) =
-                    build_index_governed(self.db, seqs, &target_template, self.gov())?;
+                let (mut raw, _) = build_index_governed(self.db, seqs, &target_template, self.gov)?;
                 raw.lists.retain(|pattern, _| matches_slice(pattern));
                 raw
             } else {
                 let pair_template = PatternTemplate::from_signature(&pair_sig);
                 let pair_index = self.ensure_index(group_idx, &pair_template, meter, stats)?;
                 let candidate = {
-                    let _span = metrics::span(self.gov().recorder(), Stage::IndexJoin);
+                    let _span = metrics::span(self.gov.recorder(), Stage::IndexJoin);
                     join(
                         &current,
                         &pair_index,
@@ -294,13 +280,13 @@ impl<'a> IiExecutor<'a> {
         stats: &mut ExecStats,
     ) -> Result<Arc<InvertedIndex>> {
         fail_point!("ii.build_base");
-        self.gov().check_now()?;
-        let _span = metrics::span(self.gov().recorder(), Stage::IndexBuild);
+        self.gov.check_now()?;
+        let _span = metrics::span(self.gov.recorder(), Stage::IndexBuild);
         let group = &self.groups.groups[group_idx];
         let index = if self.threads > 1 && group.sequences.len() > 1 {
             self.build_base_parallel(group, template)?
         } else {
-            build_index_governed(self.db, &group.sequences, template, self.gov())?.0
+            build_index_governed(self.db, &group.sequences, template, self.gov)?.0
         };
         // solint: allow(governor-tick) O(1) meter touch per sequence; the build above ticked per event and check_now ran at entry
         for seq in &group.sequences {
@@ -323,7 +309,7 @@ impl<'a> IiExecutor<'a> {
         template: &PatternTemplate,
     ) -> Result<InvertedIndex> {
         let chunk = group.sequences.len().div_ceil(self.threads).max(1);
-        let gov = self.gov();
+        let gov = self.gov;
         let partials: Vec<Result<InvertedIndex>> = std::thread::scope(|scope| {
             let handles: Vec<_> = group
                 .sequences
@@ -380,10 +366,10 @@ impl<'a> IiExecutor<'a> {
         meter: &mut ScanMeter,
     ) -> Result<InvertedIndex> {
         fail_point!("ii.verify");
-        let rec = self.gov().recorder();
+        let rec = self.gov.recorder();
         let _span = metrics::span(rec, Stage::IndexVerify);
         let trivial = MatchPred::True;
-        let matcher = Matcher::new(self.db, template, &trivial).with_governor(self.gov());
+        let matcher = Matcher::new(self.db, template, &trivial).with_governor(self.gov);
         let mut out = InvertedIndex::new(candidate.sig.clone());
         // solint: allow(governor-tick) contains_pattern below ticks per window/DFS node through the attached governor
         for (pattern, sids) in candidate.lists {
@@ -429,7 +415,7 @@ impl<'a> IiExecutor<'a> {
             spec.template.dims.clone(),
             spec.agg,
         );
-        let mut fold = CellFold::<A>::new(self.db, spec, self.gov(), false);
+        let mut fold = CellFold::<A>::new(self.db, spec, self.gov, false);
         let pos_slice = Self::position_slice(spec);
         // Counting needs no sequence access at all when the predicate is
         // trivial, the restriction is left-maximality and we only COUNT:
@@ -443,13 +429,13 @@ impl<'a> IiExecutor<'a> {
             if !group_selected(spec, &group.key) {
                 continue;
             }
-            self.gov().check_now()?;
+            self.gov.check_now()?;
             // Restricted to the pattern slice: every list is a cell asked for.
             let index =
                 self.ensure_index_sliced(group_idx, &spec.template, &pos_slice, meter, stats)?;
             if count_by_len {
                 for (pattern, sids) in &index.lists {
-                    self.gov().charge_cells(1)?;
+                    self.gov.charge_cells(1)?;
                     let key = CellKey {
                         global: group.key.clone(),
                         pattern: spec.template.cell_of(pattern),
@@ -466,11 +452,11 @@ impl<'a> IiExecutor<'a> {
             let mut indexed = solap_index::Bitmap::new();
             for sids in index.lists.values() {
                 for sid in sids.iter() {
-                    self.gov().tick()?;
+                    self.gov.tick()?;
                     indexed.insert(sid);
                 }
             }
-            let _fold_span = metrics::span(self.gov().recorder(), Stage::Aggregate);
+            let _fold_span = metrics::span(self.gov.recorder(), Stage::Aggregate);
             for sid in indexed.iter() {
                 meter.touch(sid);
                 fold.scan_governed(self.groups.sequence(sid)?)?;
@@ -513,7 +499,7 @@ impl<'a> IiExecutor<'a> {
             {
                 continue;
             }
-            self.gov().check_now()?;
+            self.gov.check_now()?;
             let Some(ix) = self.store.get(&self.key(group_idx, prev_sig.clone(), &[])) else {
                 return Ok(false);
             };
@@ -584,7 +570,7 @@ impl<'a> IiExecutor<'a> {
                     continue;
                 }
                 for sid in set.iter() {
-                    self.gov().tick()?;
+                    self.gov.tick()?;
                     if !seen.contains(sid) {
                         seen.insert(sid);
                         sids.push(sid);
@@ -600,8 +586,8 @@ impl<'a> IiExecutor<'a> {
             for &sid in &sids {
                 meter.touch(sid);
             }
-            let _span = metrics::span(self.gov().recorder(), Stage::IndexBuild);
-            let (mut fine, _) = build_index_governed(self.db, seqs, new, self.gov())?;
+            let _span = metrics::span(self.gov.recorder(), Stage::IndexBuild);
+            let (mut fine, _) = build_index_governed(self.db, seqs, new, self.gov)?;
             // Keep only fine lists compatible with the slice (the scan
             // enumerated every pattern of the visited sequences).
             fine.lists
@@ -644,7 +630,7 @@ impl<'a> IiExecutor<'a> {
             {
                 continue;
             }
-            self.gov().check_now()?;
+            self.gov.check_now()?;
             let Some(prev_ix) = self.store.get(&self.key(group_idx, prev_sig.clone(), &[])) else {
                 return Ok(false);
             };
@@ -660,7 +646,7 @@ impl<'a> IiExecutor<'a> {
             let pair_template = PatternTemplate::from_signature(&pair_sig);
             let pair_index = self.ensure_index(group_idx, &pair_template, meter, stats)?;
             let candidate = {
-                let _span = metrics::span(self.gov().recorder(), Stage::IndexJoin);
+                let _span = metrics::span(self.gov.recorder(), Stage::IndexJoin);
                 join(
                     &pair_index,
                     &prev_ix,
@@ -698,7 +684,7 @@ impl<'a> IiExecutor<'a> {
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
         for group_idx in 0..self.groups.groups.len() {
-            self.gov().check_now()?;
+            self.gov.check_now()?;
             let ix = self.ensure_index(group_idx, &template, &mut meter, &mut stats)?;
             bytes += ix.heap_bytes();
         }
@@ -791,7 +777,8 @@ mod tests {
         let mut m1 = ScanMeter::new();
         let cb = counter_based(db, &groups, spec, CounterMode::Hash, &mut m1).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(db, &groups, 42, &store);
+        let gov = QueryGovernor::unbounded();
+        let ex = IiExecutor::new(db, &groups, 42, &store, &gov);
         let mut m2 = ScanMeter::new();
         let mut stats = ExecStats::default();
         let ii = ex.execute(spec, &mut m2, &mut stats).unwrap();
@@ -857,7 +844,8 @@ mod tests {
             build_sequence_groups(&db, &spec.seq).unwrap()
         };
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store);
+        let gov = QueryGovernor::unbounded();
+        let ex = IiExecutor::new(&db, &groups, 42, &store, &gov);
         // Qa = (X, Y).
         let qa = spec_with(&db, &["X", "Y"], 0, true);
         let mut meter = ScanMeter::new();
@@ -890,7 +878,8 @@ mod tests {
         let spec = spec_with(&db, &["X", "Y"], 0, false); // trivial predicate
         let groups = build_sequence_groups(&db, &spec.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store);
+        let gov = QueryGovernor::unbounded();
+        let ex = IiExecutor::new(&db, &groups, 42, &store, &gov);
         // Precompute the index, then measure the query alone.
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
@@ -917,7 +906,8 @@ mod tests {
         let coarse = spec_with(&db, &["X", "Y"], 1, false);
         let groups = build_sequence_groups(&db, &fine.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store);
+        let gov = QueryGovernor::unbounded();
+        let ex = IiExecutor::new(&db, &groups, 42, &store, &gov);
         // Run the fine query to populate its index.
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
@@ -944,7 +934,8 @@ mod tests {
         let coarse = spec_with(&db, &["X", "Y", "Y", "X"], 1, false);
         let groups = build_sequence_groups(&db, &fine.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store);
+        let gov = QueryGovernor::unbounded();
+        let ex = IiExecutor::new(&db, &groups, 42, &store, &gov);
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
         ex.execute(&fine, &mut meter, &mut stats).unwrap();
@@ -966,7 +957,8 @@ mod tests {
         let fine = spec_with(&db, &["X", "Y"], 0, false);
         let groups = build_sequence_groups(&db, &coarse.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store);
+        let gov = QueryGovernor::unbounded();
+        let ex = IiExecutor::new(&db, &groups, 42, &store, &gov);
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
         ex.execute(&coarse, &mut meter, &mut stats).unwrap();
@@ -990,7 +982,8 @@ mod tests {
         let new = spec_with(&db, &["Z", "X", "Y"], 0, false);
         let groups = build_sequence_groups(&db, &prev.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store);
+        let gov = QueryGovernor::unbounded();
+        let ex = IiExecutor::new(&db, &groups, 42, &store, &gov);
         let mut meter = ScanMeter::new();
         let mut stats = ExecStats::default();
         ex.execute(&prev, &mut meter, &mut stats).unwrap();
@@ -1013,7 +1006,8 @@ mod tests {
         let spec = spec_with(&db, &["X", "Y"], 0, true);
         let groups = build_sequence_groups(&db, &spec.seq).unwrap();
         let store = IndexStore::default();
-        let ex = IiExecutor::new(&db, &groups, 42, &store);
+        let gov = QueryGovernor::unbounded();
+        let ex = IiExecutor::new(&db, &groups, 42, &store, &gov);
         let bytes = ex
             .precompute_generic(2, 0, 2, PatternKind::Substring)
             .unwrap();

@@ -20,15 +20,18 @@
 //!   verification scans, and the P-ROLL-UP merge / P-DRILL-DOWN refinement
 //!   fast paths.
 //! * [`engine::Engine`] — the S-OLAP engine of Figure 6, wiring the
-//!   sequence cache, index store and cuboid repository together.
+//!   sequence cache, index store and cuboid repository together. Every
+//!   statement runs through one of its entries (`execute_configured`,
+//!   `execute_op_configured`, `execute_regex_configured`,
+//!   `append_events_configured`) under its session's
+//!   [`QueryGovernor`](solap_eventdb::QueryGovernor).
 //! * [`ops`] / [`session::Session`] — the six S-OLAP operations (APPEND,
 //!   PREPEND, DE-TAIL, DE-HEAD, P-ROLL-UP, P-DRILL-DOWN) plus the classical
 //!   roll-up/drill-down/slice on global dimensions, with interactive
 //!   navigation state.
 //! * [`lattice`] — the S-cube partial order (§3.4) and its
 //!   non-summarizability.
-//! * §6 extensions: [`iceberg`] (minimum-support cells) and [`online`]
-//!   (online aggregation with periodic approximate refreshes).
+//! * §6 extensions: [`iceberg`] (minimum-support cells).
 //! * [`ingest`] — the store path (`STORE`): stage → carry → publish →
 //!   retire, carrying cached sequence groups and inverted indices forward
 //!   over a new day of events without a full rebuild (§6 "Incremental
@@ -38,7 +41,8 @@
 //!   ancestor-reuse alternatives, and the index-materialization advisor
 //!   ([`plan::Planner::advise`], §4.2.2's open problem).
 //! * Future-work prototypes the paper calls out: [`regexq`]
-//!   (regular-expression pattern templates, §3.2).
+//!   (regular-expression pattern templates, §3.2), run through
+//!   [`Engine::execute_regex_configured`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,12 +50,10 @@
 pub mod cb;
 pub mod cuboid;
 pub mod engine;
-pub mod federation;
 pub mod iceberg;
 pub mod ii;
 pub mod ingest;
 pub mod lattice;
-pub mod online;
 pub mod ops;
 pub mod plan;
 pub mod regexq;

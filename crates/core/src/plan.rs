@@ -870,6 +870,7 @@ fn estimate_bytes(
     let total = groups.total_sequences.max(1);
     let take = sample.min(total);
     let seqs = groups.iter_sequences().take(take);
+    // solint: allow(ungoverned) bounded by `sample` sequences
     let (index, _) = build_index(db, seqs, &template)?;
     Ok(index.heap_bytes() * total / take.max(1))
 }
@@ -1368,7 +1369,8 @@ mod tests {
     fn applied_advice_makes_the_first_query_hit_the_store() {
         let workload = vec![lane_query(&["X", "Y"], 0, 1.0)];
         let engine = crate::engine::Engine::new(synthetic(40, 10, 400));
-        let groups = engine.sequence_groups(&workload[0].spec).unwrap();
+        let groups =
+            solap_eventdb::build_sequence_groups(&engine.db(), &workload[0].spec.seq).unwrap();
         let advice = Planner::advise(&PlanContext {
             db: &engine.db(),
             groups: &groups,

@@ -4,7 +4,9 @@
 //! `solap-pattern::regex` implements the template model and matcher, and
 //! this module runs COUNT cuboids over sequence groups with them
 //! (counter-based strategy; regex templates have no inverted-index
-//! equivalent in the paper and none is invented here).
+//! equivalent in the paper and none is invented here). Statements reach
+//! it through [`crate::Engine::execute_regex_configured`], under the
+//! session's governor.
 
 use solap_eventdb::{EventDb, QueryGovernor, Result, SequenceGroups};
 use solap_pattern::{AggValue, CellRestriction, RegexMatcher, RegexTemplate};
@@ -13,27 +15,10 @@ use crate::cuboid::{CellKey, SCuboid};
 use crate::stats::ScanMeter;
 
 /// Computes the COUNT S-cuboid of a regex template over sequence groups
-/// (global dimensions come from the groups; every group is scanned).
-pub fn regex_cuboid(
-    db: &EventDb,
-    groups: &SequenceGroups,
-    template: &RegexTemplate,
-    restriction: CellRestriction,
-    meter: &mut ScanMeter,
-) -> Result<SCuboid> {
-    regex_cuboid_governed(
-        db,
-        groups,
-        template,
-        restriction,
-        meter,
-        &QueryGovernor::unbounded(),
-    )
-}
-
-/// [`regex_cuboid`] under a [`QueryGovernor`]: the backtracking walk ticks
-/// per node (regex templates are the paper's explosive-match-count case)
-/// and each new cell is charged against the budget.
+/// (global dimensions come from the groups; every group is scanned) under
+/// a [`QueryGovernor`]: the backtracking walk ticks per node (regex
+/// templates are the paper's explosive-match-count case) and each new
+/// cell is charged against the budget.
 pub fn regex_cuboid_governed(
     db: &EventDb,
     groups: &SequenceGroups,
@@ -154,12 +139,13 @@ mod tests {
         )
         .unwrap();
         let mut meter = ScanMeter::new();
-        let c = regex_cuboid(
+        let c = regex_cuboid_governed(
             &db,
             &g,
             &t,
             CellRestriction::LeftMaximalityMatchedGo,
             &mut meter,
+            &QueryGovernor::unbounded(),
         )
         .unwrap();
         let p = db.parse_level_value(2, 0, "P").unwrap();

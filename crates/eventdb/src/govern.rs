@@ -119,8 +119,9 @@ impl QueryGovernor {
         self.recorder.as_deref()
     }
 
-    /// A governor with no limits (used by the compatibility wrappers of
-    /// pre-governance entry points).
+    /// A governor with no limits, for tests, benches and the ungoverned
+    /// conveniences they call. Serving code may use it only where
+    /// something else bounds the work (solint's `ungoverned` rule).
     pub fn unbounded() -> Self {
         QueryGovernor::new(None, None, None)
     }

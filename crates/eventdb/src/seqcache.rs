@@ -43,12 +43,8 @@ impl SequenceCache {
         }
     }
 
-    /// Returns the sequence groups for `spec`, building them on a miss.
-    pub fn get_or_build(&self, db: &EventDb, spec: &SeqQuerySpec) -> Result<Arc<SequenceGroups>> {
-        self.get_or_build_governed(db, spec, &QueryGovernor::unbounded())
-    }
-
-    /// [`SequenceCache::get_or_build`] under a [`QueryGovernor`].
+    /// Returns the sequence groups for `spec`, building them under `gov`
+    /// on a miss.
     ///
     /// The build runs outside the cache lock and the result is inserted
     /// only on success, so an aborted or failed build leaves no partial
@@ -203,12 +199,20 @@ mod tests {
         }
     }
 
+    fn get(
+        cache: &SequenceCache,
+        db: &EventDb,
+        spec: &SeqQuerySpec,
+    ) -> Result<Arc<SequenceGroups>> {
+        cache.get_or_build_governed(db, spec, &QueryGovernor::unbounded())
+    }
+
     #[test]
     fn caches_and_reuses() {
         let db = db();
         let cache = SequenceCache::default();
-        let a = cache.get_or_build(&db, &spec()).unwrap();
-        let b = cache.get_or_build(&db, &spec()).unwrap();
+        let a = get(&cache, &db, &spec()).unwrap();
+        let b = get(&cache, &db, &spec()).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats(), (1, 1));
     }
@@ -217,9 +221,9 @@ mod tests {
     fn db_mutation_invalidates() {
         let mut db = db();
         let cache = SequenceCache::default();
-        let a = cache.get_or_build(&db, &spec()).unwrap();
+        let a = get(&cache, &db, &spec()).unwrap();
         db.push_row(&[Value::Int(3), Value::from("c")]).unwrap();
-        let b = cache.get_or_build(&db, &spec()).unwrap();
+        let b = get(&cache, &db, &spec()).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(b.total_sequences, 3);
     }
@@ -241,8 +245,8 @@ mod tests {
             .groups
             .clone();
         for _ in 0..10 {
-            let a = cache.get_or_build(&db, &spec()).unwrap();
-            let b = cache.get_or_build(&db, &s2).unwrap();
+            let a = get(&cache, &db, &spec()).unwrap();
+            let b = get(&cache, &db, &s2).unwrap();
             assert_eq!(a.groups, fresh_a);
             assert_eq!(b.groups, fresh_b);
             assert!(cache.len() <= 1, "budget must keep at most one entry");
@@ -259,13 +263,13 @@ mod tests {
         let mut bad = spec();
         // Comparing the Str `page` column to an Int is a TypeMismatch.
         bad.filter = Pred::cmp(1, crate::pred::CmpOp::Eq, Value::Int(3));
-        assert!(cache.get_or_build(&db, &bad).is_err());
+        assert!(get(&cache, &db, &bad).is_err());
         assert!(cache.is_empty(), "failed builds must not be cached");
         // A governed abort must not poison the cache either.
         let gov = QueryGovernor::new(None, Some(0), None);
         assert!(cache.get_or_build_governed(&db, &spec(), &gov).is_err());
         assert!(cache.is_empty());
-        let ok = cache.get_or_build(&db, &spec()).unwrap();
+        let ok = get(&cache, &db, &spec()).unwrap();
         assert_eq!(ok.total_sequences, 2);
     }
 
@@ -273,7 +277,7 @@ mod tests {
     fn cached_is_a_peek() {
         let db = db();
         let cache = SequenceCache::default();
-        cache.get_or_build(&db, &spec()).unwrap();
+        get(&cache, &db, &spec()).unwrap();
         let before = cache.stats();
         assert!(cache.cached(&spec(), db.version()).is_some());
         assert!(cache.cached(&spec(), db.version() + 1).is_none());
@@ -285,10 +289,10 @@ mod tests {
         let mut db = db();
         let cache = SequenceCache::default();
         let v0 = db.version();
-        cache.get_or_build(&db, &spec()).unwrap();
+        get(&cache, &db, &spec()).unwrap();
         db.push_row(&[Value::Int(3), Value::from("c")]).unwrap();
         let v1 = db.version();
-        cache.get_or_build(&db, &spec()).unwrap();
+        get(&cache, &db, &spec()).unwrap();
         assert_eq!(cache.versions(), Some((v0, v1)));
         assert!(cache.total_bytes() > 0);
         assert_eq!(cache.retire_before(v0), 0, "nothing is older than v0");
@@ -303,10 +307,10 @@ mod tests {
     fn distinct_specs_distinct_entries() {
         let db = db();
         let cache = SequenceCache::default();
-        cache.get_or_build(&db, &spec()).unwrap();
+        get(&cache, &db, &spec()).unwrap();
         let mut s2 = spec();
         s2.cluster_by = vec![AttrLevel::new(1, 0)];
-        cache.get_or_build(&db, &s2).unwrap();
+        get(&cache, &db, &s2).unwrap();
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());

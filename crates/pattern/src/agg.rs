@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn sharded_updates_merged_in_chunk_order_equal_sequential() {
-        // State-level model of counter_based_parallel: split one cell's
+        // State-level model of counter_based_parallel_governed: split one cell's
         // assignment stream into chunks, fold each into a fresh partial,
         // merge partials in chunk order — identical result to the single
         // sequential fold. Dyadic measures make SUM/AVG bit-exact.

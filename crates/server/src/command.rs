@@ -258,13 +258,13 @@ pub fn help_text() -> &'static str {
   .stats           cache entries, bytes, versions held, hits, evictions
   .profile on|off  print each query's per-stage profile (always recorded)
   .metrics         process-wide cumulative engine metrics
-  .online [CHUNK]  re-run the current COUNT query with online-aggregation snapshots
   .history         operations applied so far
   .quit
 anything else is parsed as an S-cuboid query; end it with `;`
 prefix a query with EXPLAIN to see its plan, or PROFILE to run it and see counters
 STORE INTO Event VALUES (v, ...), (v, ...);  appends events through the store path
-(CUBOID BY REGEX (X, Y+, .*, X) runs regex templates on the CB path)
+(CUBOID BY REGEX (X, Y+, .*, X) runs a regex template through the engine, governed
+ like any query; it has one construction path (CB), so PROFILE works and EXPLAIN does not)
 (multi-line input: keep typing, the query runs at the `;`)
 "
 }

@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use solap_core::{Engine, PlanReport, Session, HISTORY_CAP};
+use solap_core::{Engine, PlanReport, QueryOutput, Session, HISTORY_CAP};
 use solap_eventdb::CancelToken;
 
 use crate::command::{self, ArgError};
@@ -62,11 +62,6 @@ impl SessionCtx {
     /// The underlying navigation session.
     pub fn session(&self) -> &Session {
         &self.session
-    }
-
-    /// Mutable access to the underlying session (tests, config pokes).
-    pub fn session_mut(&mut self) -> &mut Session {
-        &mut self.session
     }
 
     /// The session's cancel token — what a server trips when this
@@ -502,35 +497,6 @@ fn dispatch_command(ctx: &mut SessionCtx, rest: &str) -> Result<Response, Fail> 
             other => Err(usage(format!("usage: .profile on|off (got {other:?})"))),
         },
         "metrics" => Ok(Response::ok(solap_eventdb::metrics::global().export_text())),
-        "online" => {
-            let chunk: usize = args
-                .first()
-                .map(|s| {
-                    s.parse()
-                        .map_err(|_| usage("usage: .online CHUNK (a positive sequence count)"))
-                })
-                .transpose()?
-                .unwrap_or(64);
-            let spec = ctx
-                .session
-                .spec()
-                .ok_or_else(|| usage("no current query — run a COUNT query first"))?
-                .clone();
-            let engine = ctx.session.engine_arc();
-            let groups = engine.sequence_groups(&spec)?;
-            let db = engine.db();
-            let mut body = String::new();
-            let cuboid = solap_core::online::online_count(&db, &groups, &spec, chunk, |snap| {
-                let _ = writeln!(
-                    body,
-                    "  {:>5.1}% processed → {} cells (estimated)",
-                    snap.progress * 100.0,
-                    snap.estimate.cells().len()
-                );
-            })?;
-            body.push_str(&cuboid.tabulate(&db, 10, true));
-            Ok(Response::ok(body))
-        }
         other => Err(usage(format!("unknown command `.{other}` — try `.help`"))),
     }
 }
@@ -545,15 +511,8 @@ fn dispatch_query(ctx: &mut SessionCtx, text: &str) -> Result<Response, Fail> {
         return dispatch_store(ctx, text);
     }
     // Regex-template queries (the §3.2 extension) use `CUBOID BY REGEX`
-    // and run on the counter-based path.
+    // and run on the engine's counter-based regex entry.
     if text.to_ascii_uppercase().contains("CUBOID BY REGEX") {
-        let head = text.split_whitespace().next().unwrap_or("");
-        if head.eq_ignore_ascii_case("EXPLAIN") || head.eq_ignore_ascii_case("PROFILE") {
-            return Err(usage(
-                "EXPLAIN/PROFILE is not supported for regex-template queries \
-                 (they run outside the planned engine path)",
-            ));
-        }
         return dispatch_regex_query(ctx, text);
     }
     let engine = ctx.session.engine_arc();
@@ -566,31 +525,38 @@ fn dispatch_query(ctx: &mut SessionCtx, text: &str) -> Result<Response, Fail> {
         response.plan_json = Some(plan_to_json(&report));
         return Ok(response);
     }
-    let spec = stmt.spec;
-    let result = ctx.session.query(spec)?;
+    let profile = stmt.mode == solap_query::ExplainMode::Profile;
+    let result = ctx.session.query(stmt.spec)?;
     let spec = ctx.session.spec().ok_or_else(|| Fail {
         code: "internal".into(),
         msg: "query left no current spec".into(),
     })?;
-    let table = result.cuboid.tabulate(&engine.db(), 15, true);
     let label = spec.template.render_head();
+    Ok(render_query(ctx, &result, profile, label))
+}
+
+/// Renders an executed query — the header line, its profile when asked
+/// for (`PROFILE` or `.profile on`), then the top of the cuboid — and
+/// labels the step for `.history`.
+fn render_query(ctx: &mut SessionCtx, out: &QueryOutput, profile: bool, label: String) -> Response {
+    let table = out.cuboid.tabulate(&ctx.session.engine().db(), 15, true);
     ctx.label(label);
     let mut body = format!(
         "{} cells via {} in {:?} ({} sequences scanned, {} KiB of indices built)\n",
-        result.cuboid.len(),
-        result.stats.strategy,
-        result.stats.elapsed,
-        result.stats.sequences_scanned,
-        result.stats.index_bytes_built / 1024
+        out.cuboid.len(),
+        out.stats.strategy,
+        out.stats.elapsed,
+        out.stats.sequences_scanned,
+        out.stats.index_bytes_built / 1024
     );
     let mut response = Response::ok("");
-    if stmt.mode == solap_query::ExplainMode::Profile || ctx.show_profile {
-        body.push_str(&result.profile.render_text(false));
-        response.profile_json = Some(result.profile.to_json());
+    if profile || ctx.show_profile {
+        body.push_str(&out.profile.render_text(false));
+        response.profile_json = Some(out.profile.to_json());
     }
     body.push_str(&table);
     response.body = body;
-    Ok(response)
+    response
 }
 
 fn dispatch_store(ctx: &mut SessionCtx, text: &str) -> Result<Response, Fail> {
@@ -618,22 +584,28 @@ fn dispatch_store(ctx: &mut SessionCtx, text: &str) -> Result<Response, Fail> {
 }
 
 fn dispatch_regex_query(ctx: &mut SessionCtx, text: &str) -> Result<Response, Fail> {
+    let (head, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
+    if head.eq_ignore_ascii_case("EXPLAIN") {
+        return Err(usage(
+            "EXPLAIN is not supported for regex-template queries (they have one \
+             construction path, CB, so there is no plan to choose)",
+        ));
+    }
+    let profile = head.eq_ignore_ascii_case("PROFILE");
     let engine = ctx.session.engine_arc();
-    let db = engine.db();
-    let q = solap_query::parse_regex_query(&db, text)?;
-    let start = std::time::Instant::now();
-    let groups = solap_eventdb::build_sequence_groups(&db, &q.seq)?;
-    let mut meter = solap_core::stats::ScanMeter::new();
-    let cuboid =
-        solap_core::regexq::regex_cuboid(&db, &groups, &q.template, q.restriction, &mut meter)?;
-    let table = cuboid.tabulate(&db, 15, true);
-    ctx.label(format!("REGEX {}", q.template.render()));
-    Ok(Response::ok(format!(
-        "{} cells via regex/CB in {:?} ({} sequences scanned)\n{table}",
-        cuboid.len(),
-        start.elapsed(),
-        meter.count()
-    )))
+    let q = solap_query::parse_regex_query(&engine.db(), if profile { rest } else { text })?;
+    let out = engine.execute_regex_configured(
+        &q.seq,
+        &q.template,
+        q.restriction,
+        ctx.session.config(),
+    )?;
+    Ok(render_query(
+        ctx,
+        &out,
+        profile,
+        format!("REGEX {}", q.template.render()),
+    ))
 }
 
 #[cfg(test)]
@@ -728,25 +700,6 @@ mod tests {
         assert!(!r.ok);
         assert_eq!(r.code.as_deref(), Some("parse"));
         assert_eq!(c.session().engine().db().len(), before + 2);
-    }
-
-    #[test]
-    fn online_command_reports_snapshots() {
-        let mut c = ctx();
-        let r = dispatch(&mut c, ".online 8");
-        assert!(!r.ok, "needs a current query first");
-        assert_eq!(r.code.as_deref(), Some("usage"));
-        let r = dispatch(&mut c, QUERY);
-        assert!(r.ok, "{}", r.body);
-        let r = dispatch(&mut c, ".online 8");
-        assert!(r.ok, "{}", r.body);
-        assert!(r.body.contains("% processed"), "{}", r.body);
-        let r = dispatch(&mut c, ".online zero");
-        assert!(!r.ok);
-        assert_eq!(r.code.as_deref(), Some("usage"));
-        let r = dispatch(&mut c, ".online 0");
-        assert!(!r.ok);
-        assert_eq!(r.code.as_deref(), Some("invalid_operation"));
     }
 
     #[test]
@@ -879,6 +832,9 @@ mod tests {
         }
     }
 
+    /// A REGEX statement runs through the engine: it is profiled and
+    /// counted like any query, and its steps 1–4 come from the sequence
+    /// cache on a repeat. It has one construction path, so no EXPLAIN.
     #[test]
     fn regex_queries_run() {
         let mut c = ctx();
@@ -888,12 +844,37 @@ mod tests {
             CUBOID BY REGEX (X, Y, .*, Y, X)
               WITH X AS location AT station, Y AS location AT station
               LEFT-MAXIMALITY;"#;
-        let r = dispatch(&mut c, q);
-        assert!(r.ok && r.body.contains("via regex/CB"), "{}", r.body);
+        let seq_cache = |r: &Response| -> (u64, u64) {
+            let p = crate::json::Json::parse(r.profile_json.as_deref().expect("profile")).unwrap();
+            let counter = |name| {
+                let v = p.get("counters").and_then(|c| c.get(name));
+                v.and_then(|v| v.as_f64()).expect("counter in profile") as u64
+            };
+            (counter("seq_cache_hits"), counter("seq_cache_misses"))
+        };
+        let queries = || solap_eventdb::metrics::global().queries();
+        let before = queries();
+        let first = dispatch(&mut c, &format!("PROFILE {q}"));
+        assert!(
+            first.ok && first.body.contains("via regex/CB"),
+            "{}",
+            first.body
+        );
+        assert!(first.body.contains("profile:"), "{}", first.body);
+        assert_eq!(seq_cache(&first), (0, 1), "first run forms its groups");
+        let second = dispatch(&mut c, &format!("PROFILE {q}"));
+        assert!(second.ok, "{}", second.body);
+        assert_eq!(
+            seq_cache(&second),
+            (1, 0),
+            "repeat reads the sequence cache"
+        );
+        assert!(queries() >= before + 2, "each REGEX statement is counted");
         let r = dispatch(&mut c, ".history");
         assert!(r.body.contains("REGEX (X, Y, .*, Y, X)"), "{}", r.body);
         let r = dispatch(&mut c, &format!("EXPLAIN {q}"));
         assert!(!r.ok);
-        assert!(r.body.contains("not supported for regex-template"));
+        assert_eq!(r.code.as_deref(), Some("usage"));
+        assert!(r.body.contains("one construction path"), "{}", r.body);
     }
 }

@@ -16,9 +16,11 @@
 //!   `locks.toml`; inter-procedural acquisition edges must strictly
 //!   increase in rank, cycles are never escapable),
 //!   [`Rule::NoBlockingInEventLoop`] (no blocking syscalls or event-loop
-//!   lock parking reachable from the readiness loop), and
-//!   [`Rule::StaleEscape`] (every `// solint: allow(rule)` must still
-//!   cover a live finding);
+//!   lock parking reachable from the readiness loop),
+//!   [`Rule::Ungoverned`] (serving code builds under the session's
+//!   governor, never `QueryGovernor::unbounded()` or an ungoverned
+//!   construction form), and [`Rule::StaleEscape`] (every
+//!   `// solint: allow(rule)` must still cover a live finding);
 //! * **doc-drift rules** — [`Rule::DocFailpoints`], [`Rule::DocCounters`],
 //!   [`Rule::DocKnobs`], [`Rule::DocLocks`] (the `locks.toml` manifest,
 //!   the shim rank constants, and the DESIGN.md §14 rank table must agree
@@ -70,6 +72,9 @@ pub struct Config {
     pub ordering_files: Vec<String>,
     /// Directory prefixes where bare `std::sync::Mutex`/`RwLock` is banned.
     pub mutex_dirs: Vec<String>,
+    /// Directory prefixes whose non-test code must stay governed
+    /// (`ungoverned`).
+    pub ungoverned_dirs: Vec<String>,
     /// Crate-root files that must carry `#![forbid(unsafe_code)]`.
     pub crate_roots: Vec<String>,
     /// DESIGN.md (relative), for the failpoint §5 / counter §6 catalogs.
@@ -140,6 +145,7 @@ impl Config {
                 "crates/eventdb/src/failpoint.rs".into(),
             ],
             mutex_dirs: vec!["crates/".into(), "src/".into()],
+            ungoverned_dirs: vec!["crates/core/src/".into(), "crates/server/src/".into()],
             crate_roots,
             design_md: Some("DESIGN.md".into()),
             design_sections: vec![
@@ -172,6 +178,7 @@ impl Config {
             baseline: None,
             ordering_files: vec![],
             mutex_dirs: vec![],
+            ungoverned_dirs: vec![],
             crate_roots: vec![],
             design_md: None,
             design_sections: vec![],
@@ -209,19 +216,13 @@ pub fn default_hot_keywords() -> Vec<String> {
     .collect()
 }
 
-/// Identifiers proving a loop body is governed: direct governor calls, the
-/// `*_governed` entry points, and governor attachment.
+/// Identifiers proving a loop body is governed: direct governor calls
+/// (the `*_governed` entry points count too).
 pub fn default_governed_markers() -> Vec<String> {
-    [
-        "tick",
-        "tick_n",
-        "check_now",
-        "charge_cells",
-        "with_governor",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect()
+    ["tick", "tick_n", "check_now", "charge_cells"]
+        .into_iter()
+        .map(String::from)
+        .collect()
 }
 
 /// Workspace crate roots: `src/lib.rs` / `src/main.rs` beside every
@@ -287,6 +288,7 @@ pub fn run(config: &Config) -> Analysis {
     findings.extend(rules::forbid_unsafe::check(config, &files));
     findings.extend(rules::lock_order::check(config, &files));
     findings.extend(rules::no_blocking::check(config, &files));
+    findings.extend(rules::ungoverned::check(config, &files));
     findings.extend(rules::doc_failpoints::check(config, &files));
     findings.extend(rules::doc_counters::check(config, &files));
     findings.extend(rules::doc_knobs::check(config, &files));

@@ -28,6 +28,9 @@ pub enum Rule {
     /// acquisition, no blocking syscalls, on any function reachable from
     /// the configured event-loop entry points.
     NoBlockingInEventLoop,
+    /// Serving code may not build with `QueryGovernor::unbounded()` or
+    /// call the ungoverned construction forms outside a justified escape.
+    Ungoverned,
     /// Every `// solint: allow(rule)` escape must still suppress a live
     /// finding; stale escapes are errors.
     StaleEscape,
@@ -57,6 +60,7 @@ impl Rule {
             Rule::ForbidUnsafe => "forbid-unsafe",
             Rule::LockOrder => "lock-order",
             Rule::NoBlockingInEventLoop => "no-blocking-in-event-loop",
+            Rule::Ungoverned => "ungoverned",
             Rule::StaleEscape => "stale-escape",
             Rule::DocFailpoints => "doc-failpoints",
             Rule::DocCounters => "doc-counters",
@@ -67,7 +71,7 @@ impl Rule {
     }
 
     /// All rules, in report order.
-    pub const ALL: [Rule; 13] = [
+    pub const ALL: [Rule; 14] = [
         Rule::GovernorTick,
         Rule::NoPanicRatchet,
         Rule::AtomicOrdering,
@@ -75,6 +79,7 @@ impl Rule {
         Rule::ForbidUnsafe,
         Rule::LockOrder,
         Rule::NoBlockingInEventLoop,
+        Rule::Ungoverned,
         Rule::StaleEscape,
         Rule::DocFailpoints,
         Rule::DocCounters,

@@ -13,8 +13,7 @@
 //!   (`event`, `row`, `seq`, `sid`, `posting`, `list`, `group`, …);
 //! * it is **governed** when its body (nested loops included) mentions a
 //!   [`crate::Config::governed_markers`] identifier — `tick`, `tick_n`,
-//!   `check_now`, `charge_cells`, `with_governor`, or any `*_governed`
-//!   entry point.
+//!   `check_now`, `charge_cells`, or any `*_governed` entry point.
 //!
 //! A hot, ungoverned loop is a finding unless escaped with a justified
 //! `// solint: allow(governor-tick) <reason>` comment on the loop line or

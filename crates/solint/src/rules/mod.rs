@@ -16,6 +16,7 @@ pub(crate) mod lockgraph;
 pub mod no_blocking;
 pub mod panic_ratchet;
 pub mod stale_escape;
+pub mod ungoverned;
 
 use crate::source::SourceFile;
 

@@ -5,8 +5,6 @@
 //! Run with: `cargo run --release --example future_work`
 
 use s_olap::core::plan::{apply_advice, PlanContext, Planner, WorkloadQuery};
-use s_olap::core::regexq::regex_cuboid;
-use s_olap::core::stats::ScanMeter;
 use s_olap::pattern::{RegexElem, RegexTemplate};
 use s_olap::prelude::*;
 
@@ -38,7 +36,6 @@ fn main() {
         "#,
     )
     .expect("parses");
-    let groups = engine.sequence_groups(&base).expect("groups");
     let dim = |name: &str| s_olap::pattern::PatternDim {
         name: name.into(),
         attr: location,
@@ -55,15 +52,15 @@ fn main() {
         ],
     )
     .expect("valid regex");
-    let mut meter = ScanMeter::new();
-    let cuboid = regex_cuboid(
-        &engine.db(),
-        &groups,
-        &layover_roundtrip,
-        CellRestriction::LeftMaximalityMatchedGo,
-        &mut meter,
-    )
-    .expect("regex query runs");
+    let cuboid = engine
+        .execute_regex_configured(
+            &base.seq,
+            &layover_roundtrip,
+            CellRestriction::LeftMaximalityMatchedGo,
+            engine.config(),
+        )
+        .expect("regex query runs")
+        .cuboid;
     println!(
         "regex {} — {} cells, total {} layover round trips (top 5):",
         layover_roundtrip.render(),
@@ -93,6 +90,7 @@ fn main() {
         },
     ];
     let guard = engine.db();
+    let groups = s_olap::eventdb::build_sequence_groups(&guard, &base.seq).expect("groups");
     let advice = Planner::advise(&PlanContext {
         db: &guard,
         groups: &groups,

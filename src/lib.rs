@@ -22,8 +22,9 @@
 //! * [`index`] — inverted indices: BUILDINDEX, joins, merges, bitmap sets.
 //! * [`core`] — the S-OLAP engine: counter-based and inverted-index
 //!   construction, the cuboid repository, the six S-OLAP operations,
-//!   navigation sessions, the S-cube lattice, and the §6 extensions
-//!   (iceberg, online aggregation, incremental update).
+//!   navigation sessions, the S-cube lattice, the §6 extensions (iceberg,
+//!   incremental update) and regex-template queries, every statement
+//!   under its session's governor.
 //! * [`query`] — the Figure-3 query language (lexer + parser).
 //! * [`datagen`] — seeded data generators: the §5.2 synthetic workload and
 //!   the transit/clickstream substitutes for the paper's proprietary

@@ -348,6 +348,57 @@ fn delay_plus_deadline_trips_the_governor() {
     assert_matches_fresh(&mut engine);
 }
 
+/// Every statement a session can send runs under its governor: under
+/// `.budget 5` and under `.timeout 1`, a REGEX statement aborts with the
+/// same typed `resource_exhausted` error as a SUBSTRING one, and the
+/// same session answers both once the limit is lifted.
+#[test]
+fn regex_and_substring_statements_abort_alike_under_session_limits() {
+    use s_olap::datagen::{generate_transit, TransitConfig};
+    use s_olap::server::{dispatch, SessionCtx};
+    let _g = locked();
+    failpoint::clear_all();
+    let db = generate_transit(&TransitConfig {
+        passengers: 60,
+        days: 3,
+        ..Default::default()
+    })
+    .unwrap();
+    let mut ctx = SessionCtx::new(std::sync::Arc::new(Engine::new(db)));
+    let head = "SELECT COUNT(*) FROM Event CLUSTER BY card-id AT individual, time AT day \
+                SEQUENCE BY time ASCENDING CUBOID BY";
+    let x_y = "X AS location AT station, Y AS location AT station";
+    let substring = format!("{head} SUBSTRING (X, Y) WITH {x_y} LEFT-MAXIMALITY (x1, y1);");
+    let regex = format!(
+        "{head} REGEX (X, .*, Y, .*, Z) WITH {x_y}, Z AS location AT station LEFT-MAXIMALITY;"
+    );
+    // The delay holds each sequence-group build past the 1 ms deadline,
+    // so the deadline trips at the build's first check on any machine.
+    failpoint::configure("seqcache.build", Action::Delay(25));
+    for (limit, off, resource) in [
+        (".budget 5", ".budget 0", "cells limit 5"),
+        (".timeout 1", ".timeout 0", "time_ms limit 1"),
+    ] {
+        assert!(dispatch(&mut ctx, limit).ok);
+        for q in [&substring, &regex] {
+            let r = dispatch(&mut ctx, q);
+            let code = r.code.as_deref();
+            assert!(
+                !r.ok && code == Some("resource_exhausted"),
+                "{limit}: {code:?} {}",
+                r.body
+            );
+            assert!(r.body.contains(resource), "{limit}: {}", r.body);
+        }
+        assert!(dispatch(&mut ctx, off).ok);
+    }
+    failpoint::clear_all();
+    for q in [&substring, &regex] {
+        let r = dispatch(&mut ctx, q);
+        assert!(r.ok && r.body.contains("cells via"), "{}", r.body);
+    }
+}
+
 #[test]
 fn persist_failpoints_error_cleanly() {
     let _g = locked();

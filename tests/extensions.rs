@@ -1,10 +1,8 @@
 //! Integration tests for the §6 extensions working together through the
-//! engine: iceberg cuboids, online aggregation, incremental update, and
-//! bitmap-encoded inverted lists — each verified against the exact
-//! baseline.
+//! engine: iceberg cuboids, incremental update, and bitmap-encoded
+//! inverted lists — each verified against the exact baseline.
 
 use s_olap::core::ingest::{extend_groups, extend_index};
-use s_olap::core::online::online_count;
 use s_olap::index::{build_index, SidSet};
 use s_olap::prelude::*;
 
@@ -73,22 +71,6 @@ fn iceberg_thresholds_nest() {
             .map(|(k, _)| (*k).clone())
             .collect();
     }
-}
-
-#[test]
-fn online_aggregation_converges_to_engine_result() {
-    let engine = Engine::new(synthetic_db(600, 9));
-    let spec = xy_query(&engine.db(), "group");
-    let exact = engine.execute(&spec).unwrap();
-    let groups = engine.sequence_groups(&spec).unwrap();
-    let mut snapshots = 0;
-    let final_cuboid = online_count(&engine.db(), &groups, &spec, 100, |snap| {
-        snapshots += 1;
-        assert!(snap.progress > 0.0 && snap.progress <= 1.0);
-    })
-    .unwrap();
-    assert!(snapshots >= 5);
-    assert_eq!(final_cuboid.cells(), exact.cuboid.cells());
 }
 
 #[test]

@@ -85,13 +85,23 @@ fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     cond()
 }
 
+/// The §3.2 regex extension, sent on the wire like any statement.
+const REGEX_QUERY: &str = "SELECT COUNT(*) FROM Event CLUSTER BY card-id AT individual, time AT day SEQUENCE BY time ASCENDING CUBOID BY REGEX (X, .*, Y, .*, Z) WITH X AS location AT station, Y AS location AT station, Z AS location AT station LEFT-MAXIMALITY";
+
 /// A client that vanishes mid-query trips the session's cancel token:
 /// the governor counts a failure, the server counts the disconnect, no
 /// response is written, and — with a single execution slot — the slot is
-/// reclaimed for the next client.
+/// reclaimed for the next client. Holds for a SUBSTRING and a REGEX
+/// statement alike: both run under the session's governor.
 #[test]
 fn disconnect_mid_query_cancels_and_reclaims_the_slot() {
     let _g = locked();
+    for statement in [QUERY, REGEX_QUERY] {
+        disconnect_mid_statement_cancels_and_reclaims_the_slot(statement);
+    }
+}
+
+fn disconnect_mid_statement_cancels_and_reclaims_the_slot(statement: &str) {
     failpoint::clear_all();
 
     let engine = transit_engine(1);
@@ -111,26 +121,26 @@ fn disconnect_mid_query_cancels_and_reclaims_the_slot() {
     let failures_before = metrics::global().failures();
 
     let mut doomed = Client::connect(addr).expect("connect");
-    doomed.send_only(QUERY).expect("send");
+    doomed.send_only(statement).expect("send");
     drop(doomed); // hang up without reading the response
 
     assert!(
         wait_for(Duration::from_secs(10), || {
             handle.stats().cancelled_disconnect == 1
         }),
-        "server never counted the mid-query disconnect: {:?}",
+        "server never counted the mid-query disconnect of {statement:?}: {:?}",
         handle.stats()
     );
     assert!(
         metrics::global().failures() > failures_before,
-        "the cancelled query must be recorded as a governor failure"
+        "the cancelled {statement:?} must be recorded as a governor failure"
     );
 
     // The permit died with the query; a fresh client must get the single
     // slot back and complete the same query normally.
     failpoint::clear_all();
     let mut survivor = Client::connect(addr).expect("connect");
-    let r = survivor.request(QUERY).expect("request");
+    let r = survivor.request(statement).expect("request");
     assert!(r.ok, "slot not reclaimed after disconnect: {:?}", r.body);
     assert!(r.body.contains("cells via"));
 

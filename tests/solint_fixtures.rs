@@ -86,6 +86,22 @@ fn bare_mutex_fires_per_std_sync_lock() {
     assert!(msgs.iter().any(|m| m.contains("RwLock")));
 }
 
+/// Today's escaped batch carry passes; a REGEX dispatch that forms its
+/// groups and builds its cuboid ungoverned fires on both calls.
+#[test]
+fn ungoverned_fires_on_both_side_door_calls_and_honours_the_escape() {
+    let mut config = Config::bare(fixture("ungoverned"));
+    config.ungoverned_dirs = vec!["src/".into()];
+    let findings = expect_only(&config, Rule::Ungoverned, 2);
+    assert!(findings.iter().all(|f| f.file == "src/dispatch.rs"));
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        vec![10, 13],
+        "build_sequence_groups, then regex_cuboid"
+    );
+}
+
 #[test]
 fn forbid_unsafe_fires_on_missing_attr_and_unsafe_use() {
     let mut config = Config::bare(fixture("forbid_unsafe"));
