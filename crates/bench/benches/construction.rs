@@ -162,7 +162,7 @@ fn bench_tabulate(c: &mut Criterion) {
             global: vec![],
             pattern: vec![i % 100, i / 100],
         };
-        cuboid.cells_mut().insert(key, AggValue::Count(i % 50));
+        cuboid.insert(key, AggValue::Count(i % 50));
     }
     let mut g = c.benchmark_group("tabulate-10k");
     g.bench_function("first-call", |b| {

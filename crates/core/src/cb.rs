@@ -15,16 +15,14 @@
 //! into the counters for every caller: the sequential scan, the parallel
 //! workers and the inverted-index executor's predicate pass.
 
-use std::collections::HashMap;
-
 use solap_eventdb::metrics::{self, Counter, Stage};
 use solap_eventdb::{
     fail_point, panic_message, Error, EventDb, LevelValue, QueryGovernor, Result, Sequence,
     SequenceGroups,
 };
-use solap_pattern::{AggFunc, AggState, AggValue, CellCodec, CellTable, Content, Matcher};
+use solap_pattern::{AggFunc, AggState, AggValue, CellCodec, CellMap, CellTable, Content, Matcher};
 
-use crate::cuboid::{CellKey, SCuboid};
+use crate::cuboid::SCuboid;
 use crate::spec::SCuboidSpec;
 use crate::stats::ScanMeter;
 
@@ -124,20 +122,14 @@ impl Accumulator for AggState {
     }
 }
 
-/// Moves a sequence group's finished cells into the cuboid.
+/// Moves a sequence group's finished cells into the cuboid, keyed as the
+/// scan keyed them.
 pub(crate) fn insert_cells<A: Accumulator>(
     cuboid: &mut SCuboid,
     global: &[LevelValue],
-    cells: Vec<(Vec<LevelValue>, A)>,
+    cells: CellMap<A>,
 ) {
-    let out = cuboid.cells_mut();
-    for (pattern, acc) in cells {
-        let key = CellKey {
-            global: global.to_vec(),
-            pattern,
-        };
-        out.insert(key, acc.finish());
-    }
+    cuboid.insert_group(global, cells.map_values(|acc| acc.finish()));
 }
 
 /// Runs `$body` with `$acc` bound to the accumulator type of `$agg`.
@@ -224,12 +216,13 @@ impl<'a, A: Accumulator> CellFold<'a, A> {
         Ok(())
     }
 
-    /// Ends the current sequence group: its non-empty cells, keys
-    /// materialised once each.
-    pub(crate) fn take_cells(&mut self) -> Vec<(Vec<LevelValue>, A)> {
-        self.cells
-            .take()
-            .map_or_else(Vec::new, CellTable::into_cells)
+    /// Ends the current sequence group: its non-empty cells, in code
+    /// order, no key unpacked.
+    pub(crate) fn take_cells(&mut self) -> CellMap<A> {
+        self.cells.take().map_or_else(
+            || CellMap::new(self.matcher.codec().clone()),
+            CellTable::into_map,
+        )
     }
 
     /// Flushes the scan's work counters into the query recorder.
@@ -356,15 +349,15 @@ pub fn counter_based_parallel_governed(
 }
 
 /// One worker per shard, each a [`CellFold`] of its own; partial cells
-/// merged in shard order and returned in sorted key order.
+/// merged in shard order.
 fn scan_sharded<'a, A: Accumulator>(
     db: &EventDb,
     spec: &SCuboidSpec,
     gov: &QueryGovernor,
     shards: impl Iterator<Item = &'a [Sequence]>,
     meter: &mut ScanMeter,
-) -> Result<Vec<(Vec<LevelValue>, A)>> {
-    type Partial<A> = (Vec<(Vec<LevelValue>, A)>, ScanMeter);
+) -> Result<CellMap<A>> {
+    type Partial<A> = (CellMap<A>, ScanMeter);
     let rec = gov.recorder();
     let partials: Vec<Result<Partial<A>>> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
@@ -404,19 +397,12 @@ fn scan_sharded<'a, A: Accumulator>(
     // meter: a governor abort mid-merge must not leave the failed run's
     // scan accounting behind in a caller-reused meter.
     let partials: Vec<Partial<A>> = partials.into_iter().collect::<Result<_>>()?;
-    let mut merged: HashMap<Vec<LevelValue>, A> = HashMap::new();
+    let mut merged = CellMap::new(CellCodec::new(db, &spec.template.dims));
     for (local, local_meter) in partials {
         meter.absorb(&local_meter);
-        for (cell, acc) in local {
-            merged
-                .entry(cell)
-                .or_insert_with(|| A::fresh(spec.agg))
-                .merge(&acc);
-        }
+        merged = merged.merge(local, |acc, partial| acc.merge(&partial));
     }
-    let mut cells: Vec<(Vec<LevelValue>, A)> = merged.into_iter().collect();
-    cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    Ok(cells)
+    Ok(merged)
 }
 
 #[cfg(test)]

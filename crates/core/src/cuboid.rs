@@ -1,31 +1,27 @@
 //! The sequence cuboid: the tabulated result of an S-OLAP query.
 
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::fmt;
 use std::sync::OnceLock;
 
 use solap_eventdb::{AttrLevel, EventDb, LevelValue};
-use solap_pattern::{AggFunc, AggValue, PatternDim};
+use solap_pattern::{AggFunc, AggValue, CellCodec, CellMap, PatternDim};
 
 /// How many ranked cells a cuboid keeps once it has been ranked: every row
 /// count a serving surface asks for (`.op` 10, `SELECT` 15, `.show` 20).
 /// A larger [`SCuboid::top_k`] selects from the cells afresh.
 pub const HEAD_ROWS: usize = 20;
 
-/// A borrowed cell.
-type CellRef<'a> = (&'a CellKey, &'a AggValue);
+/// A cell by position: its group's rank in global-key order, its rank in
+/// the group's pattern order, and its value. Position order is key order.
+type Slot<'a> = (usize, usize, &'a AggValue);
 
 /// The ranking order: value descending by `f64::total_cmp`, then key
 /// ascending. Keys are unique, so no two cells compare equal.
-fn rank(a: &CellRef, b: &CellRef) -> Ordering {
-    b.1.as_f64()
-        .total_cmp(&a.1.as_f64())
-        .then_with(|| a.0.cmp(b.0))
-}
-
-/// Key order.
-fn by_key(a: &CellRef, b: &CellRef) -> Ordering {
-    a.0.cmp(b.0)
+fn rank(a: &Slot, b: &Slot) -> Ordering {
+    b.2.as_f64()
+        .total_cmp(&a.2.as_f64())
+        .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
 }
 
 /// A cell key: global-dimension values followed by pattern-dimension values.
@@ -41,7 +37,9 @@ pub struct CellKey {
 /// dimensions and `n` pattern dimensions (Figure 4's shaded result).
 ///
 /// Cells with no assigned sequences are omitted (S-cuboid spaces are sparse
-/// — §6 notes "many S-cuboid cells are often sparsely distributed").
+/// — §6 notes "many S-cuboid cells are often sparsely distributed"). They
+/// are stored per global key, in key order, each group's cells in a
+/// [`CellMap`] keyed by pattern code; [`CellKey`] is only the public view.
 #[derive(Debug, Clone)]
 pub struct SCuboid {
     /// The global dimensions.
@@ -50,9 +48,9 @@ pub struct SCuboid {
     pub pattern_dims: Vec<PatternDim>,
     /// The aggregate function computed.
     pub agg: AggFunc,
-    /// The non-empty cells. Private so that every mutation passes through
-    /// [`SCuboid::cells_mut`], which drops `head`.
-    cells: HashMap<CellKey, AggValue>,
+    /// The non-empty groups in global-key order. Private so that every
+    /// mutation drops `head`.
+    groups: Vec<(Vec<LevelValue>, CellMap<AggValue>)>,
     /// The first [`HEAD_ROWS`] cells in rank order, filled by the first
     /// [`SCuboid::top_k`]; a repository hit tabulates by copying from it.
     head: OnceLock<Vec<(CellKey, AggValue)>>,
@@ -65,60 +63,137 @@ impl SCuboid {
             global_dims,
             pattern_dims,
             agg,
-            cells: HashMap::new(),
+            groups: Vec::new(),
             head: OnceLock::new(),
         }
     }
 
-    /// The non-empty cells.
-    pub fn cells(&self) -> &HashMap<CellKey, AggValue> {
-        &self.cells
+    /// A read-only view of the non-empty cells, in key order.
+    pub fn cells(&self) -> Cells<'_> {
+        Cells { cuboid: self }
     }
 
-    /// Mutable access to the cells. Drops the ranked head, so it is rebuilt
-    /// from the mutated cells on the next [`SCuboid::top_k`].
-    pub fn cells_mut(&mut self) -> &mut HashMap<CellKey, AggValue> {
+    /// The non-empty groups in global-key order, each with its cells keyed
+    /// by pattern code.
+    pub fn groups(&self) -> impl Iterator<Item = (&[LevelValue], &CellMap<AggValue>)> + '_ {
+        self.groups.iter().map(|(g, cells)| (g.as_slice(), cells))
+    }
+
+    /// Where the group of `global` is (`Ok`) or would go (`Err`).
+    fn group(&self, global: &[LevelValue]) -> Result<usize, usize> {
+        self.groups
+            .binary_search_by(|(g, _)| g.as_slice().cmp(global))
+    }
+
+    /// Adds a group's cells; a cell already present takes the new value.
+    /// Drops the ranked head.
+    pub fn insert_group(&mut self, global: &[LevelValue], cells: CellMap<AggValue>) {
+        if cells.is_empty() {
+            return;
+        }
         self.head.take();
-        &mut self.cells
+        match self.group(global) {
+            Ok(i) => {
+                if let Some((_, old)) = self.groups.get_mut(i) {
+                    let merged = std::mem::replace(old, CellMap::new(CellCodec::wide(0)));
+                    *old = merged.merge(cells, |mine, theirs| *mine = theirs);
+                }
+            }
+            Err(i) => self.groups.insert(i, (global.to_vec(), cells)),
+        }
+    }
+
+    /// Sets one cell, returning the value it replaces. Drops the ranked
+    /// head. A new group is keyed like the cuboid's other groups.
+    pub fn insert(&mut self, key: CellKey, value: AggValue) -> Option<AggValue> {
+        self.head.take();
+        let i = match self.group(&key.global) {
+            Ok(i) => i,
+            Err(i) => {
+                let codec = match self.groups.first() {
+                    Some((_, cells)) if cells.codec().arity() == key.pattern.len() => {
+                        cells.codec().clone()
+                    }
+                    _ => CellCodec::wide(key.pattern.len()),
+                };
+                self.groups.insert(i, (key.global, CellMap::new(codec)));
+                i
+            }
+        };
+        let (_, cells) = self.groups.get_mut(i)?;
+        cells.insert(&key.pattern, value)
+    }
+
+    /// Keeps the cells whose value satisfies `keep`. Drops the ranked head.
+    pub fn retain(&mut self, mut keep: impl FnMut(&AggValue) -> bool) {
+        self.head.take();
+        for (_, cells) in &mut self.groups {
+            cells.retain(|_, v| keep(v));
+        }
+        self.groups.retain(|(_, cells)| !cells.is_empty());
     }
 
     /// Number of non-empty cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.groups.iter().map(|(_, cells)| cells.len()).sum()
     }
 
     /// Whether the cuboid has no cells.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.groups.is_empty()
     }
 
     /// The value of a cell, if non-empty.
     pub fn get(&self, global: &[LevelValue], pattern: &[LevelValue]) -> Option<&AggValue> {
-        self.cells.get(&CellKey {
-            global: global.to_vec(),
+        let (_, cells) = self.groups.get(self.group(global).ok()?)?;
+        cells.get(pattern)
+    }
+
+    /// The key of the cell at a [`Slot`] position.
+    fn key_at(&self, g: usize, e: usize) -> Option<CellKey> {
+        let (global, cells) = self.groups.get(g)?;
+        let (pattern, _) = cells.entry_at(e)?;
+        Some(CellKey {
+            global: global.clone(),
             pattern: pattern.to_vec(),
         })
     }
 
     /// Cells in deterministic (key-sorted) order.
-    pub fn iter_sorted(&self) -> Vec<(&CellKey, &AggValue)> {
-        self.first_k(self.cells.len(), by_key)
+    pub fn iter_sorted(&self) -> Vec<(CellKey, &AggValue)> {
+        self.cells().iter().collect()
     }
 
-    /// The first `k` cells in `order`: a partial selection, then a sort of
-    /// the selected `k` only.
-    fn first_k(&self, k: usize, order: fn(&CellRef, &CellRef) -> Ordering) -> Vec<CellRef<'_>> {
+    /// The first `k` cells in rank order: a partial selection over cell
+    /// positions, then a sort of the selected `k` only; only their keys
+    /// are materialised.
+    fn ranked(&self, k: usize) -> Vec<(CellKey, &AggValue)> {
         if k == 0 {
             return Vec::new();
         }
-        let mut v: Vec<_> = self.cells.iter().collect();
+        let mut v: Vec<Slot> = Vec::with_capacity(self.len());
+        for (g, (_, cells)) in self.groups.iter().enumerate() {
+            v.extend(cells.values().enumerate().map(|(e, value)| (g, e, value)));
+        }
         if k < v.len() {
-            v.select_nth_unstable_by(k - 1, order);
+            v.select_nth_unstable_by(k - 1, rank);
             v.truncate(k);
         }
-        // `order` never ties two distinct keys, so unstable is exact.
-        v.sort_unstable_by(order);
-        v
+        // `rank` never ties two distinct cells, so unstable is exact.
+        v.sort_unstable_by(rank);
+        v.into_iter()
+            .filter_map(|(g, e, value)| Some((self.key_at(g, e)?, value)))
+            .collect()
+    }
+
+    /// The first [`HEAD_ROWS`] cells in rank order, selected once.
+    fn head(&self) -> &[(CellKey, AggValue)] {
+        self.head.get_or_init(|| {
+            self.ranked(HEAD_ROWS)
+                .into_iter()
+                .map(|(key, value)| (key, *value))
+                .collect()
+        })
     }
 
     /// The `k` largest cells by aggregate value, ties broken by key. Values
@@ -127,25 +202,20 @@ impl SCuboid {
     ///
     /// For `k ≤` [`HEAD_ROWS`] the answer is copied from the cuboid's
     /// ranked head, selected once per cuboid; a larger `k` selects afresh.
-    pub fn top_k(&self, k: usize) -> Vec<(&CellKey, &AggValue)> {
+    pub fn top_k(&self, k: usize) -> Vec<(CellKey, &AggValue)> {
         if k > HEAD_ROWS {
-            return self.first_k(k, rank);
+            return self.ranked(k);
         }
-        let head = self.head.get_or_init(|| {
-            self.first_k(HEAD_ROWS, rank)
-                .into_iter()
-                .map(|(key, value)| (key.clone(), *value))
-                .collect()
-        });
-        head.iter()
+        self.head()
+            .iter()
             .take(k)
-            .map(|(key, value)| (key, value))
+            .map(|(key, value)| (key.clone(), value))
             .collect()
     }
 
     /// Sum of cell counts (only meaningful for COUNT cuboids).
     pub fn total_count(&self) -> u64 {
-        self.cells.values().filter_map(AggValue::as_count).sum()
+        self.cells().values().filter_map(AggValue::as_count).sum()
     }
 
     /// Renders a cell key human-readably, e.g.
@@ -192,12 +262,7 @@ impl SCuboid {
         let mut out = String::new();
         out.push_str(&header.join(" | "));
         out.push_str(" | value\n");
-        let rows = if by_count {
-            self.top_k(limit)
-        } else {
-            self.first_k(limit, by_key)
-        };
-        for (key, value) in rows {
+        let mut row = |key: &CellKey, value: &AggValue| {
             let cols: Vec<String> = key
                 .global
                 .iter()
@@ -212,6 +277,20 @@ impl SCuboid {
                 .collect();
             out.push_str(&cols.join(" | "));
             out.push_str(&format!(" | {value}\n"));
+        };
+        if !by_count {
+            for (key, value) in self.cells().iter().take(limit) {
+                row(&key, value);
+            }
+        } else if limit <= HEAD_ROWS {
+            // A repository hit renders straight from the ranked head.
+            for (key, value) in self.head().iter().take(limit) {
+                row(key, value);
+            }
+        } else {
+            for (key, value) in self.ranked(limit) {
+                row(&key, value);
+            }
         }
         if self.len() > limit {
             out.push_str(&format!("… ({} more cells)\n", self.len() - limit));
@@ -219,13 +298,68 @@ impl SCuboid {
         out
     }
 
-    /// Approximate heap bytes (cuboid-repository weight) of the cells. The
-    /// ranked head (at most [`HEAD_ROWS`] cloned cells) is not charged.
+    /// Heap bytes (cuboid-repository weight) of the cells: the group
+    /// array, each global key and each group's [`CellMap`]. The ranked
+    /// head (at most [`HEAD_ROWS`] cloned cells) is not charged.
     pub fn heap_bytes(&self) -> usize {
-        self.cells
-            .keys()
-            .map(|k| (k.global.len() + k.pattern.len()) * 8 + 64)
-            .sum()
+        self.groups.capacity() * std::mem::size_of::<(Vec<LevelValue>, CellMap<AggValue>)>()
+            + self
+                .groups
+                .iter()
+                .map(|(g, cells)| g.capacity() * 8 + cells.heap_bytes(|_| 0))
+                .sum::<usize>()
+    }
+}
+
+/// The non-empty cells of an [`SCuboid`] in key order, each key
+/// materialised as it is read. Two views are equal when they hold the same
+/// cells with the same values, however each cuboid keyed them.
+#[derive(Clone, Copy)]
+pub struct Cells<'a> {
+    cuboid: &'a SCuboid,
+}
+
+impl<'a> Cells<'a> {
+    /// The value of a cell, if non-empty.
+    pub fn get(&self, key: &CellKey) -> Option<&'a AggValue> {
+        self.cuboid.get(&key.global, &key.pattern)
+    }
+
+    /// The cells with their keys, in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (CellKey, &'a AggValue)> + 'a {
+        self.cuboid.groups.iter().flat_map(|(global, cells)| {
+            cells.iter().map(move |(pattern, value)| {
+                let key = CellKey {
+                    global: global.clone(),
+                    pattern: pattern.to_vec(),
+                };
+                (key, value)
+            })
+        })
+    }
+
+    /// The values, in key order.
+    pub fn values(&self) -> impl Iterator<Item = &'a AggValue> + 'a {
+        self.cuboid
+            .groups
+            .iter()
+            .flat_map(|(_, cells)| cells.values())
+    }
+}
+
+impl PartialEq for Cells<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&self.cuboid.groups, &other.cuboid.groups);
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|((ga, ca), (gb, cb))| ga == gb && ca == cb)
+    }
+}
+
+impl fmt::Debug for Cells<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -255,9 +389,9 @@ mod tests {
             global: vec![],
             pattern: p.to_vec(),
         };
-        c.cells_mut().insert(key(&[0, 1]), AggValue::Count(7));
-        c.cells_mut().insert(key(&[1, 0]), AggValue::Count(3));
-        c.cells_mut().insert(key(&[2, 0]), AggValue::Count(9));
+        c.insert(key(&[0, 1]), AggValue::Count(7));
+        c.insert(key(&[1, 0]), AggValue::Count(3));
+        c.insert(key(&[2, 0]), AggValue::Count(9));
         (db, c)
     }
 
@@ -279,23 +413,23 @@ mod tests {
                 global: vec![],
                 pattern: vec![*x, *y],
             };
-            c.cells_mut().insert(key, *v);
+            c.insert(key, *v);
         }
         (db, c)
     }
 
     /// The first `k` cells by sorting every cell, as `top_k` and
     /// `tabulate` did before partial selection.
-    fn reference(c: &SCuboid, k: usize, by_count: bool) -> Vec<(&CellKey, &AggValue)> {
+    fn reference(c: &SCuboid, k: usize, by_count: bool) -> Vec<(CellKey, &AggValue)> {
         let mut v: Vec<_> = c.cells().iter().collect();
         if by_count {
             v.sort_by(|a, b| {
                 b.1.as_f64()
                     .total_cmp(&a.1.as_f64())
-                    .then_with(|| a.0.cmp(b.0))
+                    .then_with(|| a.0.cmp(&b.0))
             });
         } else {
-            v.sort_by(|a, b| a.0.cmp(b.0));
+            v.sort_by(|a, b| a.0.cmp(&b.0));
         }
         v.truncate(k);
         v
@@ -318,10 +452,10 @@ mod tests {
     }
 
     /// Bit-exact view of ranked cells (NaN ≠ NaN under `PartialEq`).
-    fn bits(cells: Vec<(&CellKey, &AggValue)>) -> Vec<(CellKey, u64)> {
+    fn bits(cells: Vec<(CellKey, &AggValue)>) -> Vec<(CellKey, u64)> {
         cells
             .into_iter()
-            .map(|(k, v)| (k.clone(), v.as_f64().to_bits()))
+            .map(|(k, v)| (k, v.as_f64().to_bits()))
             .collect()
     }
 
@@ -368,11 +502,11 @@ mod tests {
     }
 
     #[test]
-    fn cells_mut_drops_the_ranked_head() {
+    fn insert_drops_the_ranked_head() {
         let (db, mut c) = fixture();
         let before = c.tabulate(&db, 2, true);
         assert_eq!(before.lines().nth(1), Some("Glenmont | Pentagon | 9"));
-        c.cells_mut().insert(
+        c.insert(
             CellKey {
                 global: vec![],
                 pattern: vec![1, 1],
@@ -440,11 +574,9 @@ mod tests {
             global: vec![],
             pattern: p.to_vec(),
         };
-        c.cells_mut()
-            .insert(key(&[0, 0]), AggValue::Float(f64::NAN));
-        c.cells_mut()
-            .insert(key(&[1, 1]), AggValue::Float(f64::NAN));
-        c.cells_mut().insert(key(&[2, 2]), AggValue::Float(8.0));
+        c.insert(key(&[0, 0]), AggValue::Float(f64::NAN));
+        c.insert(key(&[1, 1]), AggValue::Float(f64::NAN));
+        c.insert(key(&[2, 2]), AggValue::Float(8.0));
         let top: Vec<_> = c.top_k(6).into_iter().map(|(k, _)| k.pattern[0]).collect();
         // NaNs first (key order between them), then 9, 8, 7, 3.
         assert_eq!(top, vec![0, 1, 2, 2, 0, 1]);
@@ -463,7 +595,7 @@ mod tests {
     #[test]
     fn render_and_tabulate() {
         let (db, c) = fixture();
-        let (key, _) = c.top_k(1)[0];
+        let (key, _) = &c.top_k(1)[0];
         assert_eq!(c.render_key(&db, key), "(Glenmont, Pentagon)");
         let table = c.tabulate(&db, 2, true);
         assert!(table.contains("X(location:location)"), "{table}");

@@ -14,7 +14,7 @@ use crate::cuboid::SCuboid;
 /// are removed. Returns the number of cells dropped.
 pub fn apply_min_support(cuboid: &mut SCuboid, min_support: u64) -> usize {
     let before = cuboid.len();
-    cuboid.cells_mut().retain(|_, v| match v.as_count() {
+    cuboid.retain(|v| match v.as_count() {
         Some(c) => c >= min_support,
         None => true,
     });
@@ -59,7 +59,7 @@ mod tests {
     fn cuboid(counts: &[u64]) -> SCuboid {
         let mut c = SCuboid::new(vec![], vec![], AggFunc::Count);
         for (i, &n) in counts.iter().enumerate() {
-            c.cells_mut().insert(
+            c.insert(
                 CellKey {
                     global: vec![],
                     pattern: vec![i as u64],
@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn non_count_values_survive() {
         let mut c = cuboid(&[]);
-        c.cells_mut().insert(
+        c.insert(
             CellKey {
                 global: vec![],
                 pattern: vec![0],

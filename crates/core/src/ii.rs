@@ -27,11 +27,12 @@ use solap_index::{
     SidSet,
 };
 use solap_pattern::{
-    AggFunc, CellRestriction, MatchPred, Matcher, PatternTemplate, TemplateSignature,
+    AggFunc, AggValue, Cell, CellCodec, CellMap, CellMapBuilder, CellRestriction, MatchPred,
+    Matcher, PatternTemplate, TemplateSignature,
 };
 
 use crate::cb::{group_selected, insert_cells, with_accumulator, Accumulator, CellFold};
-use crate::cuboid::{CellKey, SCuboid};
+use crate::cuboid::SCuboid;
 use crate::spec::SCuboidSpec;
 use crate::stats::{ExecStats, ScanMeter};
 
@@ -136,7 +137,7 @@ impl<'a> IiExecutor<'a> {
             }
         };
         let matches_slice =
-            |pattern: &[LevelValue]| self.positions_match_slice(template, pos_slice, pattern);
+            |pattern: Cell<'_>| self.positions_match_slice(template, pos_slice, pattern);
         while k < m {
             let target_sig = sig.prefix(k + 1);
             let target_template = PatternTemplate::from_signature(&target_sig);
@@ -164,7 +165,7 @@ impl<'a> IiExecutor<'a> {
                 None
             } else {
                 let mut seen = solap_index::Bitmap::new();
-                for (pattern, set) in &current.lists {
+                for (pattern, set) in current.lists().iter() {
                     if !matches_slice(pattern) {
                         continue;
                     }
@@ -189,7 +190,7 @@ impl<'a> IiExecutor<'a> {
                     .map(|&s| self.groups.sequence(s))
                     .collect::<Result<Vec<_>>>()?;
                 let (mut raw, _) = build_index_governed(self.db, seqs, &target_template, self.gov)?;
-                raw.lists.retain(|pattern, _| matches_slice(pattern));
+                raw.retain(matches_slice);
                 raw
             } else {
                 let pair_template = PatternTemplate::from_signature(&pair_sig);
@@ -220,17 +221,21 @@ impl<'a> IiExecutor<'a> {
         // What was found may be complete for a coarser slice than asked
         // (the unsliced index at worst): cut it down, don't rebuild it.
         let sliced = pos_slice.iter().any(Option::is_some);
-        if !sliced || current.lists.keys().all(|pattern| matches_slice(pattern)) {
+        if !sliced
+            || current
+                .lists()
+                .iter()
+                .all(|(pattern, _)| matches_slice(pattern))
+        {
             return Ok(current);
         }
-        let mut cut = InvertedIndex::new(current.sig.clone());
-        // solint: allow(governor-tick) filters a cached index; bounded by its list count
-        for (pattern, set) in &current.lists {
-            if matches_slice(pattern) {
-                cut.lists.insert(pattern.clone(), set.clone());
-            }
-        }
-        Ok(Arc::new(cut))
+        let cut = current
+            .lists()
+            .filtered(|pattern, _| matches_slice(pattern));
+        Ok(Arc::new(InvertedIndex::from_lists(
+            current.sig.clone(),
+            cut,
+        )))
     }
 
     /// Whether value `v` may stand at position `p` under the position
@@ -252,17 +257,21 @@ impl<'a> IiExecutor<'a> {
             .is_ok_and(|at_level| at_level == want)
     }
 
-    /// Whether a (possibly partial) pattern respects the position slice.
+    /// Whether a (possibly partial) pattern respects the position slice:
+    /// only its fixed positions are read out of the pattern code.
     fn positions_match_slice(
         &self,
         template: &PatternTemplate,
         pos_slice: &[Option<(usize, LevelValue)>],
-        pattern: &[LevelValue],
+        pattern: Cell<'_>,
     ) -> bool {
-        pattern
+        pos_slice
             .iter()
+            .take(pattern.len())
             .enumerate()
-            .all(|(p, &v)| self.slice_admits(template, pos_slice, p, v))
+            .all(|(p, fixed)| {
+                fixed.is_none() || self.slice_admits(template, pos_slice, p, pattern.get(p))
+            })
     }
 
     /// BUILDINDEX over the group's sequences (used for `m ≤ 2` bases).
@@ -335,7 +344,8 @@ impl<'a> IiExecutor<'a> {
                 })
                 .collect()
         });
-        let mut merged = InvertedIndex::new(template.signature());
+        let codec = CellCodec::positions(self.db, template);
+        let mut merged = InvertedIndex::new(template.signature(), codec);
         for partial in partials {
             // Shard order = ascending sid ranges, so per-pattern pushes
             // arrive in the same nondecreasing sid order as a full scan.
@@ -370,9 +380,12 @@ impl<'a> IiExecutor<'a> {
         let _span = metrics::span(rec, Stage::IndexVerify);
         let trivial = MatchPred::True;
         let matcher = Matcher::new(self.db, template, &trivial).with_governor(self.gov);
-        let mut out = InvertedIndex::new(candidate.sig.clone());
+        // Candidates are in pattern order, so the survivors are too.
+        let mut out = CellMapBuilder::new(candidate.codec().clone());
+        let mut pattern = Vec::with_capacity(candidate.m());
         // solint: allow(governor-tick) contains_pattern below ticks per window/DFS node through the attached governor
-        for (pattern, sids) in candidate.lists {
+        for (cell, sids) in candidate.lists().iter() {
+            cell.write_into(&mut pattern);
             let mut kept = SidSet::empty_list();
             // solint: allow(governor-tick) governed inside contains_pattern (matcher carries the governor)
             for sid in sids.iter() {
@@ -382,16 +395,18 @@ impl<'a> IiExecutor<'a> {
                 }
             }
             if !kept.is_empty() {
-                out.lists.insert(pattern, kept);
+                // Canonicalize before the caller caches it: each list
+                // settles on its density encoding.
+                out.push(&pattern, kept.sealed());
             }
         }
         if let Some(rec) = rec {
             rec.add(Counter::MatchWindows, matcher.take_windows());
         }
-        // Canonicalize before the caller caches it: each list settles on
-        // its density encoding.
-        out.seal();
-        Ok(out)
+        Ok(InvertedIndex::from_lists(
+            candidate.sig,
+            out.build(|_, _| {}),
+        ))
     }
 
     /// QUERYINDICES: computes the S-cuboid for `spec` (Figure 15).
@@ -434,15 +449,10 @@ impl<'a> IiExecutor<'a> {
             let index =
                 self.ensure_index_sliced(group_idx, &spec.template, &pos_slice, meter, stats)?;
             if count_by_len {
-                for (pattern, sids) in &index.lists {
+                for _ in index.lists().values() {
                     self.gov.charge_cells(1)?;
-                    let key = CellKey {
-                        global: group.key.clone(),
-                        pattern: spec.template.cell_of(pattern),
-                    };
-                    let count = solap_pattern::AggValue::Count(sids.len() as u64);
-                    cuboid.cells_mut().insert(key, count);
                 }
+                cuboid.insert_group(&group.key, count_lists(&index, &spec.template));
                 continue;
             }
             // Restriction/predicate verification: scan each indexed
@@ -450,7 +460,7 @@ impl<'a> IiExecutor<'a> {
             // sequences the lists mention) and fold its assignments — far
             // cheaper than re-enumerating occurrences per (cell, sid).
             let mut indexed = solap_index::Bitmap::new();
-            for sids in index.lists.values() {
+            for sids in index.lists().values() {
                 for sid in sids.iter() {
                     self.gov.tick()?;
                     indexed.insert(sid);
@@ -503,7 +513,8 @@ impl<'a> IiExecutor<'a> {
             let Some(ix) = self.store.get(&self.key(group_idx, prev_sig.clone(), &[])) else {
                 return Ok(false);
             };
-            let mut merged = rollup_merge(&ix, new_sig.clone(), |pos, v| {
+            let codec = CellCodec::positions(self.db, new);
+            let mut merged = rollup_merge(&ix, new_sig.clone(), codec, |pos, v| {
                 let d_prev = prev.dim_at(pos);
                 let d_new = new.dim_at(pos);
                 self.db.map_up(d_prev.attr, d_prev.level, v, d_new.level)
@@ -565,7 +576,7 @@ impl<'a> IiExecutor<'a> {
             // covers every fine pattern the query can report.
             let mut sids: Vec<u32> = Vec::new();
             let mut seen = solap_index::Bitmap::new();
-            for (pattern, set) in &coarse.lists {
+            for (pattern, set) in coarse.lists().iter() {
                 if !self.positions_match_slice(prev, &pos_slice, pattern) {
                     continue;
                 }
@@ -590,8 +601,7 @@ impl<'a> IiExecutor<'a> {
             let (mut fine, _) = build_index_governed(self.db, seqs, new, self.gov)?;
             // Keep only fine lists compatible with the slice (the scan
             // enumerated every pattern of the visited sequences).
-            fine.lists
-                .retain(|pattern, _| self.positions_match_slice(new, &pos_slice, pattern));
+            fine.retain(|pattern| self.positions_match_slice(new, &pos_slice, pattern));
             let fine = Arc::new(fine);
             stats.indices_built += 1;
             stats.index_bytes_built += fine.heap_bytes();
@@ -690,6 +700,31 @@ impl<'a> IiExecutor<'a> {
         }
         Ok(bytes)
     }
+}
+
+/// The COUNT cells of a verified index under the trivial predicate and
+/// left-maximality: each list's length, keyed by the cell its pattern
+/// instantiates. With the dimensions in position order the pattern code
+/// is the cell code; otherwise each cell is read off its first positions.
+fn count_lists(index: &InvertedIndex, template: &PatternTemplate) -> CellMap<AggValue> {
+    let counts = index
+        .lists()
+        .map_ref(|sids| AggValue::Count(sids.len() as u64));
+    if template.in_position_order() {
+        return counts;
+    }
+    let first: Vec<usize> = (0..template.n())
+        .map(|d| template.symbols.iter().position(|&s| s == d).unwrap_or(0))
+        .collect();
+    let codec = index.codec().select(&first);
+    counts.map_cells(
+        codec,
+        |pattern, cell| {
+            cell.clear();
+            cell.extend(first.iter().map(|&p| pattern.get(p)));
+        },
+        |_, _| {},
+    )
 }
 
 #[cfg(test)]

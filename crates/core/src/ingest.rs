@@ -44,7 +44,7 @@ use solap_eventdb::{
     fail_point, form_sequences, Error, EventDb, LevelValue, QueryGovernor, Result, RowId,
     SeqQuerySpec, Sequence, SequenceGroups, Sid, Value,
 };
-use solap_index::{build_index, IndexKey, InvertedIndex};
+use solap_index::{build_index, IndexKey, InvertedIndex, SidSet};
 use solap_pattern::PatternTemplate;
 
 use crate::engine::{Engine, EngineConfig};
@@ -312,7 +312,9 @@ impl Engine {
 
 /// Appends sequences to an inverted index in place-by-copy: the returned
 /// index contains the old lists plus entries for `new_sequences`. New sids
-/// must be strictly greater than every sid already indexed (checked).
+/// must be strictly greater than every sid already indexed (checked). When
+/// the batch grew a dictionary, the old lists are re-keyed under the new
+/// codec as they are merged, not counted again.
 pub fn extend_index(
     db: &EventDb,
     base: &InvertedIndex,
@@ -320,16 +322,13 @@ pub fn extend_index(
     template: &PatternTemplate,
 ) -> Result<InvertedIndex> {
     debug_assert_eq!(base.sig, template.signature());
-    let max_old = base
-        .lists
-        .values()
-        .flat_map(|s| s.iter())
-        .max()
-        .unwrap_or(0);
-    if let Some(bad) = new_sequences
-        .iter()
-        .find(|s| !base.lists.is_empty() && s.sid <= max_old)
-    {
+    // Each list's largest sid is read off its tail, bitmap top or skip
+    // table: nothing is decoded.
+    let max_old = base.lists().values().filter_map(SidSet::max).max();
+    if let Some((bad, max_old)) = max_old.and_then(|max_old| {
+        let bad = new_sequences.iter().find(|s| s.sid <= max_old)?;
+        Some((bad, max_old))
+    }) {
         return Err(Error::InvalidOperation(format!(
             "incremental extend requires fresh sids; sid {} is not greater than {}",
             bad.sid, max_old
@@ -339,6 +338,9 @@ pub fn extend_index(
     let (fresh, _) = build_index(db, new_sequences, template)?;
     let mut out = base.clone();
     out.append(fresh);
+    // A grown list settles on the encoding its new length calls for, so
+    // the carried index is the one a fresh build would store.
+    out.seal();
     Ok(out)
 }
 
@@ -585,8 +587,12 @@ mod tests {
         let extended = extend_index(&db, &old_index, &new_seqs, &t).unwrap();
         let (rebuilt, _) = build_index(&db, extended_groups.iter_sequences(), &t).unwrap();
         assert_eq!(extended.list_count(), rebuilt.list_count());
-        for (k, v) in &rebuilt.lists {
-            assert_eq!(extended.lists[k].to_vec(), v.to_vec(), "pattern {k:?}");
+        for (k, v) in rebuilt.iter_sorted() {
+            assert_eq!(
+                extended.list(&k).map(|l| l.to_vec()),
+                Some(v.to_vec()),
+                "pattern {k:?}"
+            );
         }
     }
 

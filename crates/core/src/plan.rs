@@ -23,16 +23,17 @@
 //! indices to precompute for a workload, with its inputs gathered into a
 //! [`PlanContext`].
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use solap_eventdb::{AttrId, Error, EventDb, QueryGovernor, Result, SequenceGroups};
+use solap_eventdb::{AttrId, Error, EventDb, LevelValue, QueryGovernor, Result, SequenceGroups};
 use solap_index::build_index;
-use solap_pattern::{AggFunc, AggValue, CellRestriction, PatternKind, PatternTemplate};
+use solap_pattern::{
+    AggFunc, AggValue, CellCodec, CellMapBuilder, CellRestriction, PatternKind, PatternTemplate,
+};
 
-use crate::cuboid::{CellKey, SCuboid};
+use crate::cuboid::SCuboid;
 use crate::lattice::spec_le;
 use crate::spec::SCuboidSpec;
 
@@ -562,19 +563,14 @@ pub fn roll_up_cuboid(
         }
         pattern_map.push((sj, td.attr, sd.level, td.level));
     }
-    let mut out = SCuboid::new(
-        target.seq.group_by.clone(),
-        target.template.dims.clone(),
-        target.agg,
-    );
     let mut merged: u64 = 0;
-    for (key, value) in source.cells() {
-        gov.tick()?;
-        merged += 1;
+    let codec = CellCodec::new(db, &target.template.dims);
+    let mut groups: BTreeMap<Vec<LevelValue>, CellMapBuilder<AggValue>> = BTreeMap::new();
+    let mut pattern: Vec<LevelValue> = Vec::with_capacity(pattern_map.len());
+    for (key, cells) in source.groups() {
         let mut global = Vec::with_capacity(global_map.len());
         for &(si, attr, from, to) in &global_map {
             let v = key
-                .global
                 .get(si)
                 .copied()
                 .ok_or_else(|| bad("source cell key narrower than its dimensions"))?;
@@ -584,30 +580,42 @@ pub fn roll_up_cuboid(
                 db.map_up(attr, from, v, to)?
             });
         }
-        let mut pattern = Vec::with_capacity(pattern_map.len());
-        for &(sj, attr, from, to) in &pattern_map {
-            let v = key
-                .pattern
-                .get(sj)
-                .copied()
-                .ok_or_else(|| bad("source cell key narrower than its dimensions"))?;
-            pattern.push(if to == from {
-                v
-            } else {
-                db.map_up(attr, from, v, to)?
-            });
-        }
-        match out.cells_mut().entry(CellKey { global, pattern }) {
-            Entry::Occupied(mut e) => {
-                let combined = merge_values(target.agg, *e.get(), *value)
-                    .ok_or_else(|| bad("aggregate values are not merge-closed"))?;
-                e.insert(combined);
+        let out = groups
+            .entry(global)
+            .or_insert_with(|| CellMapBuilder::new(codec.clone()));
+        for (cell, value) in cells.iter() {
+            gov.tick()?;
+            merged += 1;
+            pattern.clear();
+            for &(sj, attr, from, to) in &pattern_map {
+                if sj >= cell.len() {
+                    return Err(bad("source cell key narrower than its dimensions"));
+                }
+                let v = cell.get(sj);
+                pattern.push(if to == from {
+                    v
+                } else {
+                    db.map_up(attr, from, v, to)?
+                });
             }
-            Entry::Vacant(e) => {
-                gov.charge_cells(1)?;
-                e.insert(*value);
-            }
+            out.push(&pattern, *value);
         }
+    }
+    let mut out = SCuboid::new(
+        target.seq.group_by.clone(),
+        target.template.dims.clone(),
+        target.agg,
+    );
+    for (global, cells) in groups {
+        let cells = cells.try_build(|acc, value| {
+            *acc = merge_values(target.agg, *acc, value)
+                .ok_or_else(|| bad("aggregate values are not merge-closed"))?;
+            Ok(())
+        })?;
+        for _ in cells.values() {
+            gov.charge_cells(1)?;
+        }
+        out.insert_group(&global, cells);
     }
     Ok((out, merged))
 }
@@ -905,6 +913,7 @@ pub fn apply_advice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cuboid::CellKey;
     use solap_eventdb::{AttrLevel, ColumnType, EventDbBuilder, SortKey, Value};
     use solap_pattern::PatternTemplate;
 
@@ -1118,15 +1127,9 @@ mod tests {
             pattern: p.to_vec(),
         };
         // Pentagon and Clarendon are both D10: their groups merge.
-        source
-            .cells_mut()
-            .insert(key(pentagon, &[pentagon, wheaton]), AggValue::Count(2));
-        source
-            .cells_mut()
-            .insert(key(clarendon, &[pentagon, wheaton]), AggValue::Count(3));
-        source
-            .cells_mut()
-            .insert(key(wheaton, &[wheaton, pentagon]), AggValue::Count(5));
+        source.insert(key(pentagon, &[pentagon, wheaton]), AggValue::Count(2));
+        source.insert(key(clarendon, &[pentagon, wheaton]), AggValue::Count(3));
+        source.insert(key(wheaton, &[wheaton, pentagon]), AggValue::Count(5));
         let gov = QueryGovernor::new(None, None, None);
         let (rolled, merged) = roll_up_cuboid(&db, &fine, &source, &coarse, &gov).unwrap();
         assert_eq!(merged, 3);
@@ -1162,12 +1165,8 @@ mod tests {
             global: vec![],
             pattern: p.to_vec(),
         };
-        source
-            .cells_mut()
-            .insert(key(&[pentagon, wheaton]), AggValue::Count(1));
-        source
-            .cells_mut()
-            .insert(key(&[clarendon, wheaton]), AggValue::Count(4));
+        source.insert(key(&[pentagon, wheaton]), AggValue::Count(1));
+        source.insert(key(&[clarendon, wheaton]), AggValue::Count(4));
         let gov = QueryGovernor::new(None, None, None);
         let (rolled, merged) = roll_up_cuboid(&db, &fine, &source, &coarse, &gov).unwrap();
         assert_eq!(merged, 2);
@@ -1186,14 +1185,14 @@ mod tests {
         let pentagon = db.parse_level_value(1, 0, "Pentagon").unwrap();
         let wheaton = db.parse_level_value(1, 0, "Wheaton").unwrap();
         let mut source = SCuboid::new(vec![], fine.template.dims.clone(), AggFunc::Count);
-        source.cells_mut().insert(
+        source.insert(
             CellKey {
                 global: vec![],
                 pattern: vec![pentagon, wheaton],
             },
             AggValue::Count(1),
         );
-        source.cells_mut().insert(
+        source.insert(
             CellKey {
                 global: vec![],
                 pattern: vec![wheaton, pentagon],

@@ -9,9 +9,11 @@
 //! session's governor.
 
 use solap_eventdb::{EventDb, QueryGovernor, Result, SequenceGroups};
-use solap_pattern::{AggValue, CellRestriction, RegexMatcher, RegexTemplate};
+use solap_pattern::{
+    AggValue, CellCodec, CellMapBuilder, CellRestriction, RegexMatcher, RegexTemplate,
+};
 
-use crate::cuboid::{CellKey, SCuboid};
+use crate::cuboid::SCuboid;
 use crate::stats::ScanMeter;
 
 /// Computes the COUNT S-cuboid of a regex template over sequence groups
@@ -28,6 +30,7 @@ pub fn regex_cuboid_governed(
     gov: &QueryGovernor,
 ) -> Result<SCuboid> {
     let matcher = RegexMatcher::new(db, template).with_governor(gov);
+    let codec = CellCodec::new(db, &template.dims);
     let mut cuboid = SCuboid::new(
         groups.global_dims.clone(),
         template.dims.clone(),
@@ -48,15 +51,12 @@ pub fn regex_cuboid_governed(
                 }
             }
         }
+        let mut cells = CellMapBuilder::new(codec.clone());
+        cells.reserve(counts.len());
         for (cell, c) in counts {
-            cuboid.cells_mut().insert(
-                CellKey {
-                    global: group.key.clone(),
-                    pattern: cell,
-                },
-                AggValue::Count(c),
-            );
+            cells.push(&cell, AggValue::Count(c));
         }
+        cuboid.insert_group(&group.key, cells.build(|_, _| {}));
     }
     Ok(cuboid)
 }

@@ -272,7 +272,7 @@ mod tests {
     fn sized(cells: u64) -> Arc<SCuboid> {
         let mut c = SCuboid::new(vec![], vec![], AggFunc::Count);
         for i in 0..cells {
-            c.cells_mut().insert(
+            c.insert(
                 CellKey {
                     global: vec![],
                     pattern: vec![i],

@@ -126,6 +126,11 @@ impl CompressedSidSet {
 
     /// Builds from a sorted, deduplicated vec and seals every block.
     pub fn from_sorted(v: Vec<Sid>) -> Self {
+        Self::from_sorted_slice(&v)
+    }
+
+    /// [`CompressedSidSet::from_sorted`] over a borrowed slice.
+    pub fn from_sorted_slice(v: &[Sid]) -> Self {
         debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "sids must be sorted");
         let mut c = CompressedSidSet::new();
         for chunk in v.chunks(BLOCK) {
@@ -167,6 +172,12 @@ impl CompressedSidSet {
         self.data.shrink_to_fit();
         self.skips.shrink_to_fit();
         self.tail.shrink_to_fit();
+    }
+
+    /// The largest sid: the staged tail's last, else the last block's
+    /// maximum from the skip table — nothing is decoded.
+    pub fn max(&self) -> Option<Sid> {
+        self.tail.last().copied().or_else(|| self.max_sealed())
     }
 
     /// Largest sid in any sealed block.

@@ -1,11 +1,12 @@
 //! The inverted index `L_m` and the BUILDINDEX algorithm (Figure 9).
 
-use std::collections::HashMap;
-
 use solap_eventdb::{EventDb, LevelValue, QueryGovernor, Result, Sequence, Sid};
 use solap_pattern::{
-    CellRestriction, CellTable, MatchPred, Matcher, PatternTemplate, TemplateSignature,
+    Cell, CellCodec, CellMap, CellRestriction, CellTable, MatchPred, Matcher, PatternTemplate,
+    TemplateSignature,
 };
+
+use crate::sidset::SidSet;
 
 /// Largest code space whose lists BUILDINDEX collects in an array indexed
 /// by pattern code; larger spaces collect in a hash map keyed by the code.
@@ -18,6 +19,10 @@ const LIST_SLOTS: u64 = 1 << 16;
 /// subsequence, per the signature's kind). Only template instantiations are
 /// keyed — for a repeated-symbol template like `(X, Y, Y, X)` the index is
 /// `L^T_m`, the template-restricted subset of the paper's notation.
+///
+/// The lists live in a [`CellMap`] keyed by the pattern's packed code over
+/// its *positions* (one radix digit per position, first most significant),
+/// so they are stored and iterated in pattern order.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     /// The structural identity: per-position `(attr, level)` bindings, the
@@ -26,16 +31,30 @@ pub struct InvertedIndex {
     /// The non-empty inverted lists, each in the encoding
     /// [`crate::sidset::choose_encoding`] picks for its density once the
     /// index is sealed.
-    pub lists: HashMap<Vec<LevelValue>, crate::sidset::SidSet>,
+    lists: CellMap<SidSet>,
 }
 
 impl InvertedIndex {
-    /// An empty index with the given identity.
-    pub fn new(sig: TemplateSignature) -> Self {
-        InvertedIndex {
-            sig,
-            lists: HashMap::new(),
-        }
+    /// An empty index with the given identity, keyed under `codec` (one
+    /// dimension per position).
+    pub fn new(sig: TemplateSignature, codec: CellCodec) -> Self {
+        Self::from_lists(sig, CellMap::new(codec))
+    }
+
+    /// An index over the given lists.
+    pub fn from_lists(sig: TemplateSignature, lists: CellMap<SidSet>) -> Self {
+        debug_assert_eq!(lists.codec().arity(), sig.m());
+        InvertedIndex { sig, lists }
+    }
+
+    /// The lists, keyed by pattern code, in pattern order.
+    pub fn lists(&self) -> &CellMap<SidSet> {
+        &self.lists
+    }
+
+    /// The layout the lists are keyed with.
+    pub fn codec(&self) -> &CellCodec {
+        self.lists.codec()
     }
 
     /// Pattern length `m`.
@@ -50,35 +69,37 @@ impl InvertedIndex {
 
     /// Total number of sid entries across lists.
     pub fn entry_count(&self) -> usize {
-        self.lists.values().map(|s| s.len()).sum()
+        self.lists.values().map(SidSet::len).sum()
     }
 
-    /// Approximate heap bytes — the "Size of II" column of Table 1.
+    /// Heap bytes — the "Size of II" column of Table 1: the code array,
+    /// the list array and every list's own bytes (exact for a sealed
+    /// index; see [`CellMap::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
-        self.lists
-            .iter()
-            .map(|(k, v)| k.len() * 8 + v.heap_bytes() + 48)
-            .sum()
+        self.lists.heap_bytes(SidSet::heap_bytes)
     }
 
     /// The list for a concrete pattern, if non-empty.
-    pub fn list(&self, pattern: &[LevelValue]) -> Option<&crate::sidset::SidSet> {
+    pub fn list(&self, pattern: &[LevelValue]) -> Option<&SidSet> {
         self.lists.get(pattern)
+    }
+
+    /// Keeps the lists whose pattern satisfies `keep`.
+    pub fn retain(&mut self, mut keep: impl FnMut(Cell<'_>) -> bool) {
+        self.lists.retain(|pattern, _| keep(pattern));
     }
 
     /// Appends an index built over strictly later sids: per-pattern lists
     /// are concatenated, so appending shards in sid order reproduces the
-    /// lists of one pass over all of them.
+    /// lists of one pass over all of them. An index keyed under another
+    /// codec (the dictionary grew in between) is re-keyed first.
     pub fn append(&mut self, later: InvertedIndex) {
-        for (pattern, set) in later.lists {
-            let slot = self
-                .lists
-                .entry(pattern)
-                .or_insert_with(crate::sidset::SidSet::empty_list);
-            for sid in set.iter() {
-                slot.push(sid);
+        let lists = std::mem::replace(&mut self.lists, CellMap::new(CellCodec::wide(0)));
+        self.lists = lists.merge(later.lists, |earlier, later| {
+            for sid in later.iter() {
+                earlier.push(sid);
             }
-        }
+        });
     }
 
     /// Canonicalizes every list for long-term storage (see
@@ -87,17 +108,13 @@ impl InvertedIndex {
     /// union left it in. Executors call this before caching an index, so
     /// [`InvertedIndex::heap_bytes`] accounts the stored form exactly.
     pub fn seal(&mut self) {
-        for v in self.lists.values_mut() {
-            let s = std::mem::replace(v, crate::sidset::SidSet::empty_list());
-            *v = s.sealed();
-        }
+        let lists = std::mem::replace(&mut self.lists, CellMap::new(CellCodec::wide(0)));
+        self.lists = lists.map_values(SidSet::sealed);
     }
 
-    /// Iterates `(pattern, list)` pairs in deterministic (sorted-key) order.
-    pub fn iter_sorted(&self) -> Vec<(&Vec<LevelValue>, &crate::sidset::SidSet)> {
-        let mut v: Vec<_> = self.lists.iter().collect();
-        v.sort_by(|a, b| a.0.cmp(b.0));
-        v
+    /// `(pattern, list)` pairs in pattern order, patterns materialised.
+    pub fn iter_sorted(&self) -> Vec<(Vec<LevelValue>, &SidSet)> {
+        self.lists.iter().map(|(k, v)| (k.to_vec(), v)).collect()
     }
 }
 
@@ -161,7 +178,7 @@ pub fn build_index_governed<'a>(
         rec.add(solap_eventdb::Counter::MatchWindows, matcher.take_windows());
     }
     // Pass 2: a counting sort by list keeps each list's sids in scan (sid)
-    // order, and every list is allocated once, at its final length.
+    // order.
     let mut starts = vec![0usize; last_sid.len() + 1];
     for &(list, _) in &postings {
         starts[list as usize + 1] += 1;
@@ -175,25 +192,31 @@ pub fn build_index_governed<'a>(
         sorted[cursor[list as usize]] = sid;
         cursor[list as usize] += 1;
     }
-    // The `pattern → SidSet` form, once per list. With the dimensions in
-    // position order (no repeats, no PREPEND reordering) a cell is its own
-    // pattern.
-    let cell_is_pattern = template.symbols.iter().copied().eq(0..template.n());
-    let mut index = InvertedIndex::new(template.signature());
-    index.lists.reserve(last_sid.len());
-    for (cell, list) in list_of.into_cells() {
-        let sids = sorted[starts[list as usize]..starts[list as usize + 1]].to_vec();
-        let pattern = if cell_is_pattern {
-            cell
-        } else {
-            template.expand_cell(&cell)
-        };
-        index
-            .lists
-            .insert(pattern, crate::sidset::SidSet::List(sids));
-    }
-    index.seal();
-    Ok((index, scanned))
+    // Each list goes from its slice of the sort straight into its sealed
+    // encoding, in cell-code order. With the dimensions in position order
+    // (no repeats, no PREPEND reordering) a cell is its own pattern;
+    // otherwise each cell is re-keyed as its pattern.
+    let lists = list_of.into_map().map_values(|list| {
+        let list = list as usize;
+        SidSet::sealed_from(&sorted[starts[list]..starts[list + 1]])
+    });
+    let lists = if template.in_position_order() {
+        lists
+    } else {
+        let positions = lists.codec().select(&template.symbols);
+        lists.map_cells(
+            positions,
+            |cell, pattern| {
+                pattern.clear();
+                pattern.extend(template.symbols.iter().map(|&d| cell.get(d)));
+            },
+            |_, _| {},
+        )
+    };
+    Ok((
+        InvertedIndex::from_lists(template.signature(), lists),
+        scanned,
+    ))
 }
 
 #[cfg(test)]
@@ -306,7 +329,17 @@ mod tests {
             );
         }
         assert_eq!(l2.entry_count(), 12);
-        assert!(l2.heap_bytes() > 0);
+        // Exact bytes: 9 codes, 9 list slots, 12 four-byte sids, and the
+        // two-dimension codec (two sizes, two strides).
+        let slots = 9 * (8 + std::mem::size_of::<crate::sidset::SidSet>());
+        let codec = 2 * std::mem::size_of::<Option<u64>>() + 2 * 8;
+        assert_eq!(l2.codec().heap_bytes(), codec);
+        assert_eq!(l2.heap_bytes(), slots + 12 * 4 + codec);
+        assert_eq!(
+            l2.heap_bytes(),
+            384,
+            "the Figure 10 L2, as in EXPERIMENTS.md"
+        );
     }
 
     #[test]

@@ -16,9 +16,10 @@
 use std::collections::HashMap;
 
 use solap_eventdb::{LevelValue, Result};
-use solap_pattern::TemplateSignature;
+use solap_pattern::{Cell, CellCodec, CellMapBuilder, TemplateSignature};
 
 use crate::inverted::InvertedIndex;
+use crate::sidset::SidSet;
 
 /// Joins `left` (length `i`) with `right` (length `j`), overlapping the last
 /// element of each left pattern with the first element of each right
@@ -31,6 +32,10 @@ use crate::inverted::InvertedIndex;
 /// compatible with the slice. `accept` filters the candidates that remain
 /// (e.g. "must instantiate the target template" — for `(X, Y, Y, X)` the
 /// fourth element must equal the first). Empty intersections are dropped.
+///
+/// Both sides are in pattern order and every candidate extends its left
+/// pattern, so candidates come out in pattern order: the result is keyed
+/// without a sort, under the concatenation of the two sides' codecs.
 pub fn join(
     left: &InvertedIndex,
     right: &InvertedIndex,
@@ -43,47 +48,45 @@ pub fn join(
         left.m() + right.m() - 1,
         "target length must be left + right - overlap"
     );
-    let admitted = |pattern: &[LevelValue], at: usize| {
-        pattern.iter().enumerate().all(|(p, &v)| admits(at + p, v))
-    };
+    let admitted =
+        |pattern: Cell<'_>, at: usize| (0..pattern.len()).all(|p| admits(at + p, pattern.get(p)));
     // Bucket the admissible right lists by the first element of their
     // pattern.
     let overlap = left.m() - 1;
-    let mut by_first: HashMap<LevelValue, Vec<(&Vec<LevelValue>, &crate::sidset::SidSet)>> =
-        HashMap::new();
-    for (k, v) in &right.lists {
+    let mut by_first: HashMap<LevelValue, Vec<(Cell<'_>, &SidSet)>> = HashMap::new();
+    for (k, v) in right.lists().iter() {
         if admitted(k, overlap) {
-            by_first.entry(k[0]).or_default().push((k, v));
+            by_first.entry(k.get(0)).or_default().push((k, v));
         }
     }
-    let mut out = InvertedIndex::new(target_sig);
+    let mut out = CellMapBuilder::new(left.codec().concat(right.codec(), 1));
     let mut candidate: Vec<LevelValue> = Vec::new();
-    for (lk, lv) in &left.lists {
+    for (lk, lv) in left.lists().iter() {
         if !admitted(lk, 0) {
             continue;
         }
-        let Some(rights) = by_first.get(lk.last().expect("non-empty pattern")) else {
+        let Some(rights) = by_first.get(&lk.get(overlap)) else {
             continue;
         };
         for (rk, rv) in rights {
-            candidate.clear();
-            candidate.extend_from_slice(lk);
-            candidate.extend_from_slice(&rk[1..]);
+            lk.write_into(&mut candidate);
+            candidate.extend(rk.values().skip(1));
             if !accept(&candidate) {
                 continue;
             }
             let inter = lv.intersect(rv);
             if !inter.is_empty() {
-                out.lists.insert(candidate.clone(), inter);
+                out.push(&candidate, inter);
             }
         }
     }
-    out
+    InvertedIndex::from_lists(target_sig, out.build(|_, _| {}))
 }
 
 /// Merges an index to a coarser abstraction for P-ROLL-UP (§4.2.2 item 4):
 /// each pattern is mapped elementwise by `map_value(position, value)` and
-/// lists landing on the same coarse pattern are unioned.
+/// lists landing on the same coarse pattern are unioned. The result is
+/// keyed under `codec`, the coarse levels' layout.
 ///
 /// Only legal when the template's symbols are pairwise distinct (the
 /// paper's s6 counter-example shows repeated symbols under-approximate);
@@ -91,24 +94,22 @@ pub fn join(
 pub fn rollup_merge(
     index: &InvertedIndex,
     target_sig: TemplateSignature,
+    codec: CellCodec,
     mut map_value: impl FnMut(usize, LevelValue) -> Result<LevelValue>,
 ) -> Result<InvertedIndex> {
     assert_eq!(target_sig.m(), index.m());
-    let mut out = InvertedIndex::new(target_sig);
+    let mut out = CellMapBuilder::new(codec);
+    out.reserve(index.list_count());
     let mut coarse: Vec<LevelValue> = Vec::with_capacity(index.m());
-    for (k, v) in &index.lists {
+    for (k, v) in index.lists().iter() {
         coarse.clear();
-        for (p, &val) in k.iter().enumerate() {
+        for (p, val) in k.values().enumerate() {
             coarse.push(map_value(p, val)?);
         }
-        match out.lists.get_mut(&coarse) {
-            Some(existing) => *existing = existing.union(v),
-            None => {
-                out.lists.insert(coarse.clone(), v.clone());
-            }
-        }
+        out.push(&coarse, v.clone());
     }
-    Ok(out)
+    let lists = out.build(|merged, v| *merged = merged.union(&v));
+    Ok(InvertedIndex::from_lists(target_sig, lists))
 }
 
 #[cfg(test)]
@@ -231,8 +232,8 @@ mod tests {
         // Figure 14: the only non-empty list is [P,W,W,P] = {s1, s2}.
         assert_eq!(l4.list(&[p, w, w, p]).unwrap().to_vec(), vec![0, 1]);
         // Candidates violating X-repetition must have been filtered.
-        for k in l4.lists.keys() {
-            assert!(txyyx.is_instantiation(k), "non-instantiation {k:?} leaked");
+        for (k, _) in l4.iter_sorted() {
+            assert!(txyyx.is_instantiation(&k), "non-instantiation {k:?} leaked");
         }
     }
 
@@ -308,7 +309,8 @@ mod tests {
         let coarse = |_pos: usize, v: LevelValue| -> Result<LevelValue> {
             Ok(if v == p || v == c { 100 } else { 200 })
         };
-        let merged = rollup_merge(&l2, l2.sig.clone(), coarse).unwrap();
+        let codec = CellCodec::from_sizes([Some(201), Some(201)]);
+        let merged = rollup_merge(&l2, l2.sig.clone(), codec, coarse).unwrap();
         // L2[Wheaton,Clarendon] = {s4}, L2[Wheaton,Pentagon] = {s1,s2} →
         // [D20, D10] ⊇ union {s1,s2,s4}; also Wheaton→Pentagon etc.
         let w_d10 = merged.list(&[200, 100]).unwrap().to_vec();

@@ -102,6 +102,12 @@ impl Bitmap {
         })
     }
 
+    /// The largest set bit: the top bit of the last non-zero word.
+    pub fn max(&self) -> Option<Sid> {
+        let (i, w) = self.words.iter().enumerate().rev().find(|(_, &w)| w != 0)?;
+        Some(i as Sid * 64 + (63 - w.leading_zeros()))
+    }
+
     /// Heap bytes.
     pub fn heap_bytes(&self) -> usize {
         self.words.len() * 8
@@ -205,6 +211,18 @@ impl SidSet {
         SidSet::List(v).encoded(encoding)
     }
 
+    /// The canonical sealed form of a sorted, deduplicated slice, built
+    /// directly in its [`choose_encoding`] encoding — the same set as
+    /// `SidSet::from_sorted(v.to_vec()).sealed()`, without the interim list.
+    pub fn sealed_from(v: &[Sid]) -> Self {
+        debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "sids must be sorted");
+        match choose_encoding(v.len(), v.last().copied().unwrap_or(0)) {
+            Encoding::List => SidSet::List(v.to_vec()),
+            Encoding::Bitmap => v.iter().copied().collect::<Bitmap>().into(),
+            Encoding::Compressed => CompressedSidSet::from_sorted_slice(v).into(),
+        }
+    }
+
     /// Appends a sid; list and compressed encodings require nondecreasing
     /// insertion order (BUILDINDEX scans sequences in sid order, so this
     /// holds naturally).
@@ -233,6 +251,16 @@ impl SidSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// The largest sid, read without decoding: a list's last element, a
+    /// bitmap's top set bit, a compressed set's last block maximum.
+    pub fn max(&self) -> Option<Sid> {
+        match self {
+            SidSet::List(v) => v.last().copied(),
+            SidSet::Bitmap(b) => b.max(),
+            SidSet::Compressed(c) => c.max(),
+        }
     }
 
     /// Membership test.
@@ -300,12 +328,16 @@ impl SidSet {
     /// `InvertedIndex::seal` before an index is cached, so `heap_bytes`
     /// accounting always sees the final form.
     pub fn sealed(self) -> SidSet {
-        let max = match &self {
-            SidSet::List(v) => v.last().copied(),
-            other => other.iter().last(),
-        };
-        let encoding = choose_encoding(self.len(), max.unwrap_or(0));
-        self.encoded(encoding)
+        let encoding = choose_encoding(self.len(), self.max().unwrap_or(0));
+        match self.encoded(encoding) {
+            // A list grown by pushes gives back its spare capacity, so the
+            // stored form's heap bytes are exactly what it holds.
+            SidSet::List(mut v) => {
+                v.shrink_to_fit();
+                SidSet::List(v)
+            }
+            other => other,
+        }
     }
 
     /// Intersection; the result keeps `self`'s encoding. Mixed encodings
@@ -493,6 +525,29 @@ mod tests {
         assert_eq!(b.intersect(&a).to_vec(), vec![2, 100]);
         assert_eq!(a.union(&b).to_vec(), vec![1, 2, 3, 100, 101]);
         assert_eq!(b.union(&a).to_vec(), vec![1, 2, 3, 100, 101]);
+    }
+
+    /// `max` reads the largest sid off each encoding without decoding:
+    /// a list's last element, a bitmap's top bit, a compressed set's skip
+    /// table (or its staged tail).
+    #[test]
+    fn max_in_every_encoding() {
+        let sids: Vec<Sid> = (0..300).map(|i| i * 7 + 3).collect();
+        for encoding in [Encoding::List, Encoding::Bitmap, Encoding::Compressed] {
+            let set = SidSet::from_sorted(sids.clone()).encoded(encoding);
+            assert_eq!(set.max(), Some(2096), "{encoding:?}");
+            assert_eq!(SidSet::empty_list().encoded(encoding).max(), None);
+        }
+        let mut staged = SidSet::from(CompressedSidSet::from_sorted(sids));
+        staged.push(5000);
+        assert_eq!(staged.max(), Some(5000), "staged tail");
+        assert_eq!(bitmap(&[64, 127, 1]).max(), Some(127));
+        for v in [&[][..], &[4], &[1, 2, 3], &[0, 9000]] {
+            assert_eq!(
+                SidSet::sealed_from(v),
+                SidSet::from_sorted(v.to_vec()).sealed()
+            );
+        }
     }
 
     #[test]

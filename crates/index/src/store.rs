@@ -219,7 +219,8 @@ mod tests {
     }
 
     fn empty_index(syms: &[&str]) -> Arc<InvertedIndex> {
-        Arc::new(InvertedIndex::new(sig(syms)))
+        let codec = solap_pattern::CellCodec::wide(syms.len());
+        Arc::new(InvertedIndex::new(sig(syms), codec))
     }
 
     #[test]

@@ -10,7 +10,7 @@ use solap_index::{
     build_index, choose_encoding, join::join, join::rollup_merge, Bitmap, CompressedSidSet,
     Encoding, SidSet,
 };
-use solap_pattern::{MatchPred, Matcher, PatternKind, PatternTemplate};
+use solap_pattern::{CellCodec, MatchPred, Matcher, PatternKind, PatternTemplate};
 
 fn sorted(v: &mut Vec<u32>) -> Vec<u32> {
     v.sort_unstable();
@@ -115,10 +115,10 @@ proptest! {
         let trivial = MatchPred::True;
         let matcher = Matcher::new(&db, &full, &trivial);
         let mut verified: Vec<(Vec<u64>, Vec<u32>)> = Vec::new();
-        for (pattern, sids) in &candidate.lists {
+        for (pattern, sids) in candidate.iter_sorted() {
             let kept: Vec<u32> = sids
                 .iter()
-                .filter(|&s| matcher.contains_pattern(&sequences[s as usize], pattern).unwrap())
+                .filter(|&s| matcher.contains_pattern(&sequences[s as usize], &pattern).unwrap())
                 .collect();
             if !kept.is_empty() {
                 verified.push((pattern.clone(), kept));
@@ -127,9 +127,9 @@ proptest! {
         verified.sort();
         let (direct, _) = build_index(&db, &sequences, &full).unwrap();
         let mut expected: Vec<(Vec<u64>, Vec<u32>)> = direct
-            .lists
-            .iter()
-            .map(|(k, v)| (k.clone(), v.to_vec()))
+            .iter_sorted()
+            .into_iter()
+            .map(|(k, v)| (k, v.to_vec()))
             .collect();
         expected.sort();
         prop_assert_eq!(verified, expected);
@@ -162,13 +162,14 @@ proptest! {
         )
         .unwrap();
         let (l_fine, _) = build_index(&db, &sequences, &fine).unwrap();
-        let merged = rollup_merge(&l_fine, coarse.signature(), |_pos, v| {
+        let codec = CellCodec::positions(&db, &coarse);
+        let merged = rollup_merge(&l_fine, coarse.signature(), codec, |_pos, v| {
             db.map_up(0, 0, v, 1)
         })
         .unwrap();
         let (l_coarse, _) = build_index(&db, &sequences, &coarse).unwrap();
         let norm = |ix: &solap_index::InvertedIndex| -> Vec<(Vec<u64>, Vec<u32>)> {
-            let mut v: Vec<_> = ix.lists.iter().map(|(k, s)| (k.clone(), s.to_vec())).collect();
+            let mut v: Vec<_> = ix.iter_sorted().into_iter().map(|(k, s)| (k, s.to_vec())).collect();
             v.sort();
             v
         };
@@ -188,10 +189,10 @@ proptest! {
         prop_assert_eq!(scanned, sequences.len() as u64);
         let trivial = MatchPred::True;
         let matcher = Matcher::new(&db, &t, &trivial);
-        for (pattern, set) in &index.lists {
+        for (pattern, set) in index.iter_sorted() {
             let holders: Vec<u32> = sequences
                 .iter()
-                .filter(|s| matcher.contains_pattern(s, pattern).unwrap())
+                .filter(|s| matcher.contains_pattern(s, &pattern).unwrap())
                 .map(|s| s.sid)
                 .collect();
             prop_assert_eq!(set.to_vec(), holders);

@@ -34,7 +34,7 @@ pub mod regex;
 pub mod template;
 
 pub use agg::{AggFunc, AggState, AggValue, SumMode};
-pub use code::{CellCodec, CellTable};
+pub use code::{Cell, CellCodec, CellMap, CellMapBuilder, CellTable};
 pub use matcher::{AssignedContent, Assignment, Content, Matcher, Occurrence};
 pub use mpred::MatchPred;
 pub use regex::{regex_counts, RegexElem, RegexMatcher, RegexOccurrence, RegexTemplate};

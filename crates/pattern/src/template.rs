@@ -147,6 +147,12 @@ impl PatternTemplate {
         self.n() == self.m()
     }
 
+    /// Whether position `p` binds dimension `p` for every `p` (no repeated
+    /// symbol, no PREPEND reordering): a cell is then its own pattern.
+    pub fn in_position_order(&self) -> bool {
+        self.symbols.iter().copied().eq(0..self.n())
+    }
+
     /// Whether a concrete length-`m` value string instantiates the template
     /// (repeated symbols must carry equal values).
     pub fn is_instantiation(&self, values: &[LevelValue]) -> bool {

@@ -44,4 +44,4 @@ pub use lexer::{tokenize, Token, TokenKind};
 pub use parser::{
     parse_query, parse_statement, parse_store, ExplainMode, Statement, StoreStatement,
 };
-pub use regex_parser::{parse_regex_query, RegexQuery};
+pub use regex_parser::{is_regex_query, parse_regex_query, RegexQuery};

@@ -36,6 +36,19 @@ pub struct RegexQuery {
     pub restriction: CellRestriction,
 }
 
+/// Whether `src` is a regex-template query: its tokens hold `CUBOID BY
+/// REGEX` in a row. Text inside a string literal is one token, so a
+/// literal that spells the phrase does not count. Text that does not
+/// tokenize is not a regex query (the main parser reports the error).
+pub fn is_regex_query(src: &str) -> bool {
+    let Ok(tokens) = tokenize(src) else {
+        return false;
+    };
+    tokens
+        .windows(3)
+        .any(|w| w[0].is_kw("CUBOID") && w[1].is_kw("BY") && w[2].is_kw("REGEX"))
+}
+
 /// Parses a regex-template COUNT query.
 pub fn parse_regex_query(db: &EventDb, src: &str) -> Result<RegexQuery> {
     let tokens = tokenize(src)?;
@@ -178,6 +191,20 @@ mod tests {
             .unwrap();
         db.set_base_level_name(2, "station");
         db
+    }
+
+    #[test]
+    fn a_regex_query_is_told_by_its_tokens() {
+        assert!(is_regex_query(
+            "SELECT COUNT(*) FROM Event CUBOID by  regex (X, .*) WITH X AS a AT b"
+        ));
+        assert!(!is_regex_query(
+            r#"SELECT COUNT(*) FROM Event WHERE location <> "cuboid by regex" CUBOID BY SUBSTRING (X) WITH X AS a AT b"#
+        ));
+        assert!(!is_regex_query(
+            "SELECT COUNT(*) FROM Event CUBOID BY SUBSTRING (X)"
+        ));
+        assert!(!is_regex_query("CUBOID BY REGEX \"unterminated"));
     }
 
     #[test]

@@ -511,8 +511,9 @@ fn dispatch_query(ctx: &mut SessionCtx, text: &str) -> Result<Response, Fail> {
         return dispatch_store(ctx, text);
     }
     // Regex-template queries (the §3.2 extension) use `CUBOID BY REGEX`
-    // and run on the engine's counter-based regex entry.
-    if text.to_ascii_uppercase().contains("CUBOID BY REGEX") {
+    // and run on the engine's counter-based regex entry. The lexer decides,
+    // so the phrase inside a string literal does not route a statement.
+    if solap_query::is_regex_query(text) {
         return dispatch_regex_query(ctx, text);
     }
     let engine = ctx.session.engine_arc();
@@ -830,6 +831,28 @@ mod tests {
             let r = dispatch(&mut c, gone);
             assert_eq!(r.code.as_deref(), Some("usage"), "{gone}: {}", r.body);
         }
+    }
+
+    /// A string literal that spells `CUBOID BY REGEX` does not route a
+    /// SUBSTRING query to the regex parser: it answers the same cells as
+    /// the query with any other literal matching no station.
+    #[test]
+    fn a_literal_spelling_regex_does_not_route_the_statement() {
+        let with = |literal: &str| {
+            let q = QUERY.replace(
+                "FROM Event",
+                &format!("FROM Event WHERE location <> \"{literal}\""),
+            );
+            let r = dispatch(&mut ctx(), &q);
+            assert!(r.ok, "{literal}: {}", r.body);
+            // The cell count, then the table; not the timing.
+            let cells = r.body.split_whitespace().next().unwrap_or("").to_owned();
+            let table: Vec<&str> = r.body.lines().skip(1).collect();
+            (cells, table.join("\n"))
+        };
+        let (cells, table) = with("cuboid by regex");
+        assert_ne!(cells, "0", "{table}");
+        assert_eq!((cells, table), with("no such station"));
     }
 
     /// A REGEX statement runs through the engine: it is profiled and

@@ -61,7 +61,7 @@ fn main() {
         "hottest: {} — slicing and drilling Y down to raw pages\n",
         session.cuboid().expect("query ran").render_key(
             &engine.db(),
-            session.cuboid().expect("query ran").top_k(1)[0].0
+            &session.cuboid().expect("query ran").top_k(1)[0].0
         )
     );
     session

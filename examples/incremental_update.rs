@@ -94,8 +94,8 @@ fn main() {
     let (rebuilt, rescanned) =
         build_index(&db, extended_groups.iter_sequences(), &template).expect("rebuild");
     assert_eq!(extended.list_count(), rebuilt.list_count());
-    for (k, v) in &rebuilt.lists {
-        assert_eq!(extended.lists[k].to_vec(), v.to_vec());
+    for (k, v) in rebuilt.iter_sorted() {
+        assert_eq!(extended.list(&k).map(|l| l.to_vec()), Some(v.to_vec()));
     }
     println!(
         "verified: incremental index ≡ full rebuild (which rescanned {} sequences — {}× more)",

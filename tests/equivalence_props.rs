@@ -222,9 +222,9 @@ proptest! {
         let dg = engine.execute(&spec).unwrap();
         prop_assert_eq!(lm.cuboid.len(), all.cuboid.len(), "same non-empty cells");
         for (k, v) in lm.cuboid.iter_sorted() {
-            let a = all.cuboid.cells().get(k).and_then(|x| x.as_count()).unwrap_or(0);
+            let a = all.cuboid.cells().get(&k).and_then(|x| x.as_count()).unwrap_or(0);
             prop_assert!(v.as_count().unwrap() <= a, "cell {:?}: lm {} > all {}", k, v, a);
-            let d = dg.cuboid.cells().get(k).and_then(|x| x.as_count()).unwrap_or(0);
+            let d = dg.cuboid.cells().get(&k).and_then(|x| x.as_count()).unwrap_or(0);
             prop_assert_eq!(v.as_count().unwrap(), d, "matched-go vs data-go COUNT");
         }
     }
@@ -247,7 +247,7 @@ proptest! {
 
         let sseq = engine.execute(&spec).unwrap();
         for (k, v) in sub.cuboid.iter_sorted() {
-            let s = sseq.cuboid.cells().get(k).and_then(|x| x.as_count()).unwrap_or(0);
+            let s = sseq.cuboid.cells().get(&k).and_then(|x| x.as_count()).unwrap_or(0);
             prop_assert!(
                 v.as_count().unwrap() <= s,
                 "cell {:?}: substring {} > subsequence {}",

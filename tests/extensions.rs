@@ -58,10 +58,10 @@ fn iceberg_thresholds_nest() {
         );
         // Nesting: every surviving cell survived the lower threshold too.
         for (k, v) in out.cuboid.iter_sorted() {
-            assert!(last_cells.contains(k));
+            assert!(last_cells.contains(&k));
             assert!(v.as_count().unwrap() >= ms);
             // And the value matches the unfiltered cuboid exactly.
-            assert_eq!(full.cuboid.cells().get(k), Some(v));
+            assert_eq!(full.cuboid.cells().get(&k), Some(v));
         }
         last_len = out.cuboid.len();
         last_cells = out
@@ -126,8 +126,8 @@ fn incremental_day_append_equals_rebuild_through_engine() {
     let incr = extend_index(&db, &old_index, &fresh, &template).unwrap();
     let (rebuilt, _) = build_index(&db, new_groups.iter_sequences(), &template).unwrap();
     assert_eq!(incr.list_count(), rebuilt.list_count());
-    for (k, v) in &rebuilt.lists {
-        assert_eq!(incr.lists[k].to_vec(), v.to_vec());
+    for (k, v) in rebuilt.iter_sorted() {
+        assert_eq!(incr.list(&k).map(|l| l.to_vec()), Some(v.to_vec()));
     }
     // And the engine (version-keyed caches) sees fresh results after the
     // append, matching a scratch engine byte for byte.
@@ -162,7 +162,7 @@ fn bitmap_backend_agrees_on_synthetic_workload() {
     let (index, _) = build_index(&db, groups.iter_sequences(), &spec.template).unwrap();
     assert!(
         index
-            .lists
+            .lists()
             .values()
             .any(|set| matches!(set, SidSet::Bitmap(_))),
         "vacuous fixture: no list is dense enough for a bitmap"

@@ -323,13 +323,20 @@ fn xy_template() -> PatternTemplate {
     .unwrap()
 }
 
+/// The bytes of an index's code-keyed layout around its lists: one
+/// 8-byte code and one `SidSet` slot per list, plus the codec.
+fn layout_bytes(ix: &InvertedIndex) -> usize {
+    ix.list_count() * (8 + std::mem::size_of::<SidSet>()) + ix.codec().heap_bytes()
+}
+
 /// `InvertedIndex::heap_bytes` of `ix` had every list been stored as
 /// `encoding`.
 fn heap_as(ix: &InvertedIndex, encoding: Encoding) -> usize {
-    ix.lists
-        .iter()
-        .map(|(key, set)| key.len() * 8 + set.clone().encoded(encoding).heap_bytes() + 48)
-        .sum()
+    layout_bytes(ix)
+        + ix.lists()
+            .values()
+            .map(|set| set.clone().encoded(encoding).heap_bytes())
+            .sum::<usize>()
 }
 
 /// `heap_bytes` of a compressed list is the encoded size — skip table +
@@ -341,8 +348,8 @@ fn index_bytes_accounting_is_exact_and_thread_invariant() {
     let db = build_db();
     let seqs = sequences(&db);
     let (ix, _) = build_index(&db, seqs.iter(), &xy_template()).unwrap();
-    let mut expect_total = 0usize;
-    for (key, set) in &ix.lists {
+    let mut expect_total = layout_bytes(&ix);
+    for set in ix.lists().values() {
         let SidSet::Compressed(c) = set.clone().encoded(Encoding::Compressed) else {
             unreachable!("encoded as compressed");
         };
@@ -356,7 +363,7 @@ fn index_bytes_accounting_is_exact_and_thread_invariant() {
             c.heap_bytes() < c.len() * std::mem::size_of::<u32>() + c.skip_table_bytes() + 1,
             "encoded accounting never exceeds decoded width plus the skip table"
         );
-        expect_total += key.len() * 8 + set.heap_bytes() + 48;
+        expect_total += set.heap_bytes();
     }
     assert_eq!(
         ix.heap_bytes(),

@@ -1,7 +1,8 @@
 //! Integration tests encoding the paper's worked examples literally:
 //! the Figure 8 sequence group, the Figure 12 cuboid, the Figure 14 join
 //! result, the §3.4 non-summarizability counter-example (s3), and the
-//! §4.2.2 P-ROLL-UP counter-example (s6).
+//! §4.2.2 P-ROLL-UP counter-example (s6) — and Figure 16's scan counts
+//! over QuerySet A, exactly, at a reduced scale.
 
 use s_olap::prelude::*;
 
@@ -303,4 +304,55 @@ fn sum_semantics_on_transit() {
         );
     }
     assert_eq!(sum_all.cuboid.len(), sum_first.cuboid.len());
+}
+
+/// Figure 16 at a reduced scale (I30.L10.θ0.9.D600): CB scans all D
+/// sequences on each of QA1–QA5 (5·D in all); II answers QA1 from the
+/// precomputed L2 without touching a sequence ("QA1 … could be answered
+/// by the inverted indices directly") and scans fewer than CB on every
+/// later step. The answers agree step by step.
+#[test]
+fn query_set_a_scan_counts() {
+    use s_olap::datagen::{generate_synthetic, SyntheticConfig};
+    use solap_bench::plans::query_set_a;
+    use solap_bench::runner::run_plan;
+
+    let d = 600;
+    let data = generate_synthetic(&SyntheticConfig {
+        i: 30,
+        l: 10.0,
+        theta: 0.9,
+        d,
+        seed: 17,
+        hierarchy: false,
+    })
+    .unwrap();
+    let plan = query_set_a(&data, PatternKind::Substring, 5).unwrap();
+    let config = |strategy| EngineConfig {
+        strategy,
+        ..Default::default()
+    };
+    let cb = run_plan(data.clone(), &plan, config(Strategy::CounterBased), "CB").unwrap();
+    let ii = run_plan(data, &plan, config(Strategy::InvertedIndex), "II").unwrap();
+    assert_eq!(cb.steps.len(), 5);
+    assert!(
+        cb.steps.iter().all(|s| s.scanned == d as u64),
+        "{:?}",
+        cb.cumulative_scanned()
+    );
+    assert_eq!(cb.cumulative_scanned().last(), Some(&(5 * d as u64)));
+    assert!(ii.precompute.is_some(), "L2 is precomputed");
+    assert_eq!(ii.steps[0].scanned, 0, "QA1 reads list lengths only");
+    for (c, i) in cb.steps.iter().zip(&ii.steps).skip(1) {
+        assert!(
+            i.scanned < c.scanned,
+            "{}: II {} vs CB {}",
+            c.label,
+            i.scanned,
+            c.scanned
+        );
+    }
+    for (c, i) in cb.steps.iter().zip(&ii.steps) {
+        assert_eq!(c.cells, i.cells, "{}", c.label);
+    }
 }
